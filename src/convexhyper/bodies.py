@@ -13,7 +13,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -92,17 +92,105 @@ class Body:
 
 
 @dataclass(frozen=True)
+class Hull:
+    """Face structure of a polytope; a rigid motion moves it without qhull.
+
+    ``points`` are the distinct vertices rounded to 12 decimals (point i
+    is row ``index[i]`` of the vertex array) and ``rank`` their affine
+    rank.  In 2-D ``ring`` indexes the hull vertices in
+    counterclockwise order (both ends of a segment, or the single point).
+    In 3-D ``edges`` are index pairs, ``normals`` the unit outward facet
+    normals, and row k of ``cones`` is a unit normal in the normal cone of
+    hull vertex ``cone_owner[k]`` (rows grouped by vertex, duplicates
+    removed); these are None when qhull fails (fewer than four points,
+    coplanar sets).  All arrays are read-only.
+    """
+
+    points: np.ndarray
+    index: np.ndarray
+    rank: int
+    ring: np.ndarray | None = None
+    edges: np.ndarray | None = None
+    normals: np.ndarray | None = None
+    cone_owner: np.ndarray | None = None
+    cones: np.ndarray | None = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    @property
+    def polygon(self) -> np.ndarray:
+        """2-D hull vertices in counterclockwise order."""
+        return self.points[self.ring]
+
+    @property
+    def normal_angles(self) -> np.ndarray:
+        """2-D outward-normal angle of each ring edge k -> k+1, in [0, 2 pi)."""
+        verts = self.polygon
+        edges = np.roll(verts, -1, axis=0) - verts
+        return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
+
+    def vertex_cones(self):
+        """(point index, unit normals of its normal cone) per 3-D hull vertex."""
+        cut = np.flatnonzero(np.diff(self.cone_owner)) + 1
+        owners = self.cone_owner[np.concatenate([[0], cut])].tolist()
+        return zip(owners, np.split(self.cones, cut))
+
+
+def _build_hull(vertices: np.ndarray) -> Hull:
+    points, index = np.unique(np.round(vertices, 12), axis=0, return_index=True)
+    n, dim = points.shape
+    centered = points - points.mean(axis=0)
+    rank = int(np.linalg.matrix_rank(centered, tol=1e-12)) if n > 1 else 0
+    try:
+        qh = ConvexHull(points) if dim in (2, 3) and n > dim else None
+    except QhullError:
+        qh = None
+    if dim == 2:
+        if qh is not None:
+            ring = qh.vertices
+        elif n == 1:
+            ring = np.zeros(1, dtype=int)
+        else:  # collinear: the two ends of the segment
+            proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
+            ring = np.array([proj.argmin(), proj.argmax()])
+        return Hull(points, index, rank, ring=ring)
+    if qh is None:
+        return Hull(points, index, rank)
+    eq = qh.equations[:, :3]
+    s = qh.simplices
+    pairs = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]])
+    owner, cones = [], []
+    for v in qh.vertices:
+        kept: list = []
+        for n in eq[(s == v).any(axis=1)]:
+            if not any(float(n @ k) > 1.0 - 1e-12 for k in kept):
+                kept.append(n / np.linalg.norm(n))
+        owner += [v] * len(kept)
+        cones += kept
+    normals = eq / np.linalg.norm(eq, axis=1, keepdims=True)
+    edges = np.unique(np.sort(pairs, axis=1), axis=0)
+    return Hull(points, index, rank, edges=edges, normals=normals,
+                cone_owner=np.asarray(owner, dtype=int), cones=np.asarray(cones))
+
+
+@dataclass(frozen=True)
 class Polytope(Body):
     """Convex hull of a finite vertex set (redundant vertices allowed).
 
     Lower-dimensional compacta (segments, points) are permitted; use
-    ``is_full_dimensional`` to distinguish them.
+    ``is_full_dimensional`` to distinguish them.  The vertices are a
+    private read-only copy, so the cached ``hull`` cannot go stale.
     """
 
     vertices: np.ndarray
+    _hull: Hull | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.atleast_2d(np.asarray(self.vertices, dtype=float)))
+        v = np.array(np.atleast_2d(np.asarray(self.vertices, dtype=float)), order="C")
+        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         if v.size == 0:
             raise InvalidBodyError("polytope needs at least one vertex")
@@ -117,6 +205,35 @@ class Polytope(Body):
     def is_full_dimensional(self) -> bool:
         centered = self.vertices - self.vertices.mean(axis=0)
         return np.linalg.matrix_rank(centered, tol=1e-10) == self.dim
+
+    @property
+    def hull(self) -> Hull:
+        """Face structure, built with qhull on first use and then cached."""
+        if self._hull is None:
+            object.__setattr__(self, "_hull", _build_hull(self.vertices))
+        return self._hull
+
+
+def rigid_motion(poly: Polytope, matrix: np.ndarray | None = None, shift=None) -> Polytope:
+    """The polytope g P + shift for an orthogonal g (identity when None).
+
+    A cached hull is carried over instead of rebuilt: the points, facet
+    normals and cones move, and a reflection reverses the 2-D ring.
+    """
+    v = poly.vertices if matrix is None else poly.vertices @ matrix.T
+    moved = Polytope(v if shift is None else v + shift)
+    hull = poly._hull
+    if hull is not None:
+        ring, normals, cones = hull.ring, hull.normals, hull.cones
+        if matrix is not None:
+            if ring is not None and np.linalg.det(matrix) < 0:
+                ring = ring[::-1]
+            if normals is not None:
+                normals, cones = normals @ matrix.T, cones @ matrix.T
+        points = np.round(moved.vertices[hull.index], 12)
+        carried = replace(hull, points=points, ring=ring, normals=normals, cones=cones)
+        object.__setattr__(moved, "_hull", carried)
+    return moved
 
 
 @dataclass(frozen=True)
@@ -383,10 +500,6 @@ def sample_support(body: Body, grid: SphericalGrid) -> SupportSamples:
     return SupportSamples(grid, support_values(body, grid.nodes))
 
 
-def as_sampled(body: Body, grid: SphericalGrid) -> Sampled:
-    return Sampled(sample_support(body, grid))
-
-
 def minkowski_sum(a: Body, b: Body) -> Sum:
     """Symbolic Minkowski sum; support functions add exactly."""
     return Sum(a, b)
@@ -407,7 +520,7 @@ def translate(body: Body, shift) -> Body:
     if w.shape != (body_dim(body),):
         raise DimensionMismatchError("shift dimension does not match body")
     if isinstance(body, Polytope):
-        return Polytope(body.vertices + w)
+        return rigid_motion(body, shift=w)
     if isinstance(body, Ball):
         return Ball(body.center + w, body.radius)
     if isinstance(body, Ellipsoid):
@@ -491,7 +604,7 @@ def as_polytope(body: Body) -> Polytope | None:
         inner = as_polytope(body.inner)
         if inner is None:
             return None
-        return Polytope(inner.vertices @ body.rotation.matrix.T)
+        return rigid_motion(inner, body.rotation.matrix)
     if isinstance(body, Sum):
         left = as_polytope(body.left)
         right = as_polytope(body.right)

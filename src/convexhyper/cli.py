@@ -54,31 +54,43 @@ def _fmt(x: float) -> str:
     return _NUM.format(float(x))
 
 
+def _parse_ints(text: str, count: int, source: str) -> list[int]:
+    """``count`` integers separated by "x" ("M" or "LATxLON")."""
+    try:
+        values = [int(p) for p in text.lower().split("x")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        shape = "M" if count == 1 else "LATxLON"
+        raise InvalidArgumentError(f"{source} expects {shape}, got {text!r}")
+    return values
+
+
 def _parse_grid_env():
     raw = os.environ.get("CONVEXHYPER_GRID", "")
-    m2, lat3, lon3 = None, None, None
+    m2, lat_lon = None, None
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
         if "x" in part:
-            a, b = part.split("x", 1)
-            lat3, lon3 = int(a), int(b)
+            lat_lon = _parse_ints(part, 2, "CONVEXHYPER_GRID")
         else:
-            m2 = int(part)
-    return m2, lat3, lon3
+            (m2,) = _parse_ints(part, 1, "CONVEXHYPER_GRID")
+    return m2, lat_lon
 
 
 def _resolve_grid(dim: int, grid_2d: int | None, grid_3d: str | None):
-    env_m2, env_lat, env_lon = _parse_grid_env()
+    env_m2, env_lat_lon = _parse_grid_env()
     if dim == 2:
-        m = grid_2d or env_m2 or DEFAULT_NODES_2D
-        return make_grid_2d(m)
+        if grid_2d is not None:
+            return make_grid_2d(grid_2d)
+        return make_grid_2d(env_m2 if env_m2 is not None else DEFAULT_NODES_2D)
     if dim == 3:
-        if grid_3d:
-            lat, lon = (int(v) for v in grid_3d.lower().split("x", 1))
-        elif env_lat:
-            lat, lon = env_lat, env_lon
+        if grid_3d is not None:
+            lat, lon = _parse_ints(grid_3d, 2, "--grid-3d")
+        elif env_lat_lon is not None:
+            lat, lon = env_lat_lon
         else:
             lat, lon = DEFAULT_LAT_3D, DEFAULT_LON_3D
         return make_grid_3d(lat, lon)

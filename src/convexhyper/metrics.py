@@ -10,6 +10,11 @@ is evaluated exactly for polytopes by integrating over the normal fan
 quadrature for n=3).  Grid quadrature is the fallback for sampled bodies.
 The fan route keeps rigid-motion equivariance at floating-point level,
 which plain grid quadrature cannot do for kinked integrands.
+
+Every polytope routine here reads the hull combinatorics (CCW ring,
+edges, facet normals, vertex normal cones) from ``Polytope.hull``, which
+is computed once per polytope and carried through rigid motions
+(``translate``, ``rigid_motion``), so rotating a body never calls qhull.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import (
     Ball,
@@ -46,28 +50,6 @@ _TWO_PI = 2.0 * math.pi
 # polygon helpers (n = 2)
 # ---------------------------------------------------------------------------
 
-def ordered_polygon(poly: Polytope) -> np.ndarray:
-    """Hull vertices of a 2-D polytope in counterclockwise order."""
-    pts = np.unique(np.round(poly.vertices, 12), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    try:
-        hull = ConvexHull(pts)
-        return pts[hull.vertices]
-    except QhullError:
-        # collinear: order along the segment
-        d = pts - pts.mean(axis=0)
-        axis = d[np.argmax(np.linalg.norm(d, axis=1))]
-        order = np.argsort(d @ axis)
-        return pts[[order[0], order[-1]]]
-
-
-def _edge_normal_angles(verts_ccw: np.ndarray) -> np.ndarray:
-    """Outward-normal angle of each edge k -> k+1 of a CCW polygon."""
-    edges = np.roll(verts_ccw, -1, axis=0) - verts_ccw
-    return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), _TWO_PI)
-
-
 def _arc_moment_1(a: float, b: float) -> np.ndarray:
     """integral over [a,b] of u(t) u(t)^T dt, closed form (2x2)."""
     def f_cc(t):
@@ -89,18 +71,11 @@ def _arc_moment_1(a: float, b: float) -> np.ndarray:
 
 def _polygon_fan_arcs(poly: Polytope):
     """(vertex, arc start, arc end) for each normal cone of a 2-D polytope."""
-    verts = ordered_polygon(poly)
+    verts = poly.hull.polygon
     if verts.shape[0] == 1:
         return [(verts[0], 0.0, _TWO_PI)]
-    if verts.shape[0] == 2:
-        # segment: two half-circle cones split by the segment normal
-        d = verts[1] - verts[0]
-        alpha = math.atan2(d[1], d[0])
-        return [
-            (verts[1], alpha - math.pi / 2.0, alpha + math.pi / 2.0),
-            (verts[0], alpha + math.pi / 2.0, alpha + 3.0 * math.pi / 2.0),
-        ]
-    normals = _edge_normal_angles(verts)
+    # a segment is a two-edge ring: two half-circle cones
+    normals = poly.hull.normal_angles
     arcs = []
     for k in range(verts.shape[0]):
         a = normals[k - 1]
@@ -187,47 +162,17 @@ def _spherical_triangle_rule(a, b, c, depth: int = 0):
     return pts / norms[:, None], weights
 
 
-def _hull_3d(poly: Polytope):
-    pts = np.unique(np.round(poly.vertices, 12), axis=0)
-    if pts.shape[0] < 4:
-        return None
-    try:
-        return pts, ConvexHull(pts)
-    except QhullError:
-        return None
-
-
-def _vertex_cone_normals(pts, hull):
-    """Deduplicated incident facet normals for each hull vertex."""
-    normals = hull.equations[:, :3]
-    incident = {v: [] for v in hull.vertices}
-    for simplex, nrm in zip(hull.simplices, normals):
-        for v in simplex:
-            incident[v].append(nrm)
-    cones = {}
-    for v, ns in incident.items():
-        ns = np.asarray(ns)
-        keep = []
-        for n in ns:
-            if not any(float(n @ k) > 1.0 - 1e-12 for k in keep):
-                keep.append(n / np.linalg.norm(n))
-        cones[v] = np.asarray(keep)
-    return cones
-
-
 def _normal_fan_rule_3d(poly: Polytope):
     """List of (vertex point, quadrature dirs, weights) over the normal fan.
 
     The quadrature nodes are built from the cone geometry itself, so they
     co-rotate with the body and fan integrals are equivariant to rounding.
     """
-    packed = _hull_3d(poly)
-    if packed is None:
+    hull = poly.hull
+    if hull.normals is None:
         return None
-    pts, hull = packed
-    cones = _vertex_cone_normals(pts, hull)
     rules = []
-    for v, normals in cones.items():
+    for v, normals in hull.vertex_cones():
         if normals.shape[0] < 3:
             continue
         axis = normals.sum(axis=0)
@@ -251,7 +196,7 @@ def _normal_fan_rule_3d(poly: Polytope):
                 w_list.append(rule[1])
         if dirs_list:
             rules.append(
-                (pts[v], np.concatenate(dirs_list), np.concatenate(w_list))
+                (hull.points[v], np.concatenate(dirs_list), np.concatenate(w_list))
             )
     return rules
 
@@ -268,9 +213,8 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
 
 def _steiner_segment(poly: Polytope) -> np.ndarray | None:
     """Steiner point of a point or segment: the midpoint, by symmetry."""
-    pts = np.unique(np.round(poly.vertices, 12), axis=0)
+    pts, rank = poly.hull.points, poly.hull.rank
     centered = pts - pts.mean(axis=0)
-    rank = np.linalg.matrix_rank(centered, tol=1e-12) if pts.shape[0] > 1 else 0
     if rank == 0:
         return pts.mean(axis=0)
     if rank == 1:
@@ -407,43 +351,40 @@ def _arc_moment_2(a: float, b: float, p: np.ndarray) -> np.ndarray:
 # Hausdorff distance
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
+def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section minimization of a scalar function on [lo, hi].
+
+    Returns the best probed point and its value, (x, f(x)), and the
+    midpoint of the final bracket, whose width is at most tol.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    best = max(fc, fd)
+    best = min((fc, c), (fd, d))
     while b - a > tol:
-        if fc >= fd:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
+            best = min(best, (fc, c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-        best = max(best, fc, fd)
-    return best
+            best = min(best, (fd, d))
+    return best[1], best[0], 0.5 * (a + b)
 
 
 def _hausdorff_2d_polygons(pa: Polytope, pb: Polytope) -> float:
     """Exact sup of |h_A - h_B| for two polygons via arc decomposition."""
-    va = ordered_polygon(pa)
-    vb = ordered_polygon(pb)
     breaks = set()
-    for verts in (va, vb):
-        if verts.shape[0] >= 3:
-            breaks.update(_edge_normal_angles(verts).tolist())
-        elif verts.shape[0] == 2:
-            d = verts[1] - verts[0]
-            alpha = math.atan2(d[1], d[0])
-            breaks.update(
-                np.mod([alpha - math.pi / 2.0, alpha + math.pi / 2.0], _TWO_PI).tolist()
-            )
+    for poly in (pa, pb):
+        if poly.hull.ring.shape[0] >= 2:  # a point has no kinks
+            breaks.update(poly.hull.normal_angles.tolist())
     if not breaks:
-        return float(np.linalg.norm(va[0] - vb[0]))
+        return float(np.linalg.norm(pa.hull.points[0] - pb.hull.points[0]))
     angles = np.sort(np.asarray(sorted(breaks)))
     best = 0.0
     for i in range(angles.shape[0]):
@@ -470,7 +411,7 @@ def _hausdorff_2d_polygons(pa: Polytope, pb: Polytope) -> float:
 
 def _hausdorff_2d_poly_ball(poly: Polytope, ball: Ball) -> float:
     """Exact sup of |h_P - h_B| for a polygon against a ball."""
-    verts = ordered_polygon(poly)
+    verts = poly.hull.polygon
     c, r = ball.center, ball.radius
     if verts.shape[0] == 1:
         return float(np.linalg.norm(verts[0] - c) + r)
@@ -487,21 +428,6 @@ def _hausdorff_2d_poly_ball(poly: Polytope, ball: Ball) -> float:
             u = np.array([math.cos(t), math.sin(t)])
             best = max(best, abs(float(w @ u) - r))
     return best
-
-
-def _hull_edge_data(poly: Polytope):
-    """Hull vertex array plus edge index pairs and outward facet normals."""
-    packed = _hull_3d(poly)
-    if packed is None:
-        return None
-    pts, hull = packed
-    edges = set()
-    for simplex in hull.simplices:
-        for i in range(3):
-            edges.add(tuple(sorted((simplex[i], simplex[(i + 1) % 3]))))
-    normals = hull.equations[:, :3]
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    return pts, np.asarray(sorted(edges)), normals
 
 
 def _append_unit(cands: list, vecs: np.ndarray):
@@ -523,22 +449,17 @@ def _ridge_criticals(pts, edges, targets):
     return proj.reshape(-1, 3)
 
 
-def _pair_candidates_3d(data_a, data_b) -> np.ndarray:
-    pts_a, edges_a, normals_a = data_a
-    cands: list = [normals_a, -normals_a]
-    if data_b is not None:
-        pts_b, edges_b, normals_b = data_b
-        cands.extend([normals_b, -normals_b])
-        diff = (pts_a[:, None, :] - pts_b[None, :, :]).reshape(-1, 3)
-        _append_unit(cands, diff)
-        ea = pts_a[edges_a[:, 0]] - pts_a[edges_a[:, 1]]
-        eb = pts_b[edges_b[:, 0]] - pts_b[edges_b[:, 1]]
-        crossings = np.cross(ea[:, None, :], eb[None, :, :]).reshape(-1, 3)
-        _append_unit(cands, crossings)
-        _append_unit(cands, _ridge_criticals(pts_a, edges_a, pts_b))
-        _append_unit(cands, _ridge_criticals(pts_b, edges_b, pts_a))
-    else:
-        _append_unit(cands, pts_a)
+def _pair_candidates_3d(ha, hb) -> np.ndarray:
+    pts_a, edges_a, pts_b, edges_b = ha.points, ha.edges, hb.points, hb.edges
+    cands: list = [ha.normals, -ha.normals, hb.normals, -hb.normals]
+    diff = (pts_a[:, None, :] - pts_b[None, :, :]).reshape(-1, 3)
+    _append_unit(cands, diff)
+    ea = pts_a[edges_a[:, 0]] - pts_a[edges_a[:, 1]]
+    eb = pts_b[edges_b[:, 0]] - pts_b[edges_b[:, 1]]
+    crossings = np.cross(ea[:, None, :], eb[None, :, :]).reshape(-1, 3)
+    _append_unit(cands, crossings)
+    _append_unit(cands, _ridge_criticals(pts_a, edges_a, pts_b))
+    _append_unit(cands, _ridge_criticals(pts_b, edges_b, pts_a))
     return np.vstack(cands)
 
 
@@ -566,20 +487,18 @@ def _hausdorff_3d_exact(a: Body, b: Body) -> float | None:
     if pa is not None and pb is not None:
         if pa.vertices.shape[0] + pb.vertices.shape[0] > 120:
             return None
-        data_a = _hull_edge_data(pa)
-        data_b = _hull_edge_data(pb)
-        if data_a is None or data_b is None:
+        if pa.hull.normals is None or pb.hull.normals is None:
             return None
-        dirs = _pair_candidates_3d(data_a, data_b)
+        dirs = _pair_candidates_3d(pa.hull, pb.hull)
     else:
         poly = pa if pa is not None else pb
         ball = ball_a if ball_a is not None else ball_b
         if poly.vertices.shape[0] > 600:
             return None
-        data = _hull_edge_data(poly)
-        if data is None:
+        hull = poly.hull
+        if hull.normals is None:
             return None
-        pts, edges, normals = data
+        pts, edges, normals = hull.points, hull.edges, hull.normals
         cands: list = [normals, -normals]
         _append_unit(cands, pts - ball.center)
         _append_unit(cands, _ridge_criticals(pts, edges, ball.center[None, :]))
@@ -623,12 +542,10 @@ def _refine_candidates(body: Body, dim: int) -> np.ndarray | None:
     norms = np.linalg.norm(verts, axis=1)
     good = norms > 1e-12
     dirs.append(verts[good] / norms[good, None])
-    packed = _hull_3d(poly) if dim == 3 else None
-    if packed is not None:
-        eq = packed[1].equations[:, :3]
-        dirs.append(eq / np.linalg.norm(eq, axis=1, keepdims=True))
+    if dim == 3 and poly.hull.normals is not None:
+        dirs.append(poly.hull.normals)
     if dim == 2 and verts.shape[0] >= 3:
-        ang = _edge_normal_angles(ordered_polygon(poly))
+        ang = poly.hull.normal_angles
         dirs.append(np.column_stack([np.cos(ang), np.sin(ang)]))
     if not dirs:
         return None
@@ -686,13 +603,13 @@ def hausdorff(
     if dim == 2:
         spacing = grid.max_cell_angle
 
-        def f(theta):
+        def neg(theta):
             u = np.array([[math.cos(theta), math.sin(theta)]])
-            return abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
+            return -abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
 
         for u0 in starts:
             t0 = math.atan2(u0[1], u0[0])
-            best = max(best, _golden_max(f, t0 - spacing, t0 + spacing))
+            best = max(best, -golden_section_min(neg, t0 - spacing, t0 + spacing)[1])
         return best
 
     if dim == 3:

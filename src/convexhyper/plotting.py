@@ -10,7 +10,6 @@ import numpy as np
 
 from .bodies import Body, Polytope, body_dim, support_values
 from .errors import InvalidArgumentError
-from .metrics import ordered_polygon
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -24,7 +23,7 @@ def boundary_points_2d(body: Body, count: int = 512) -> np.ndarray:
     if body_dim(body) != 2:
         raise InvalidArgumentError("plotting supports planar bodies only")
     if isinstance(body, Polytope):
-        return ordered_polygon(body)
+        return body.hull.polygon
     theta = 2.0 * math.pi * np.arange(count) / count
     step = math.pi / count
     u = np.column_stack([np.cos(theta), np.sin(theta)])

@@ -11,6 +11,7 @@ over a finite candidate scan.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .bodies import (
     body_dim,
     convex_hull_vertices,
     support_values,
+    translate,
     unit_vector,
 )
 from .curvature import support_point
@@ -33,15 +35,7 @@ from .errors import (
     InvalidArgumentError,
     RepresentationError,
 )
-from .metrics import (
-    _hull_3d,
-    _vertex_cone_normals,
-    _edge_normal_angles,
-    hausdorff,
-    ordered_polygon,
-    recenter,
-    steiner,
-)
+from .metrics import hausdorff, recenter, steiner
 from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 from .rotations import default_candidates
 
@@ -84,33 +78,12 @@ def _pairwise_diameter(points: np.ndarray) -> float:
     return float(np.sqrt((diffs**2).sum(axis=2)).max())
 
 
-def _polytope_edges(verts: np.ndarray) -> list[tuple[int, int]]:
-    n, dim = verts.shape
-    if dim == 2:
-        ordered = ordered_polygon(Polytope(verts))
-        index = {tuple(np.round(v, 12)): i for i, v in enumerate(verts)}
-        ids = [index[tuple(np.round(v, 12))] for v in ordered]
-        return [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
-    if n <= 48:
-        # all chords: non-edges cut interior points that hull pruning removes
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    packed = _hull_3d(Polytope(verts))
-    if packed is None:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pts, hull = packed
-    lookup = {tuple(np.round(p, 12)): i for i, p in enumerate(verts)}
-    edges = set()
-    for simplex in hull.simplices:
-        for a in range(len(simplex)):
-            p = tuple(np.round(pts[simplex[a]], 12))
-            q = tuple(np.round(pts[simplex[(a + 1) % len(simplex)]], 12))
-            if p in lookup and q in lookup:
-                edges.add(tuple(sorted((lookup[p], lookup[q]))))
-    return sorted(edges)
+def _clip_vertices(poly: Polytope, u: np.ndarray, cut: float) -> np.ndarray:
+    """Vertices of the polytope intersected with {<x,u> <= cut}.
 
-
-def _clip_vertices(verts: np.ndarray, u: np.ndarray, cut: float) -> np.ndarray:
-    """Vertices of the polytope intersected with {<x,u> <= cut}."""
+    New vertices are where hull edges cross the cut plane.
+    """
+    verts = poly.vertices
     d = verts @ u - cut
     scale = 1.0 + float(np.abs(verts).max())
     keep = verts[d <= _FACE_TOL * scale]
@@ -118,15 +91,21 @@ def _clip_vertices(verts: np.ndarray, u: np.ndarray, cut: float) -> np.ndarray:
         return verts
     if keep.shape[0] == 0:
         raise EmptyResultError("cut removes the whole body")
-    new_pts = []
-    for i, j in _polytope_edges(verts):
-        di, dj = d[i], d[j]
-        if (di > 0) != (dj > 0) and abs(di - dj) > 1e-15:
-            t = di / (di - dj)
-            if 0.0 <= t <= 1.0:
-                new_pts.append(verts[i] + t * (verts[j] - verts[i]))
-    pts = np.vstack([keep] + ([np.asarray(new_pts)] if new_pts else []))
-    return convex_hull_vertices(pts)
+    hull = poly.hull
+    if hull.ring is not None:
+        ring = hull.index[hull.ring]
+        edges = np.column_stack([ring, np.roll(ring, -1)])
+    elif hull.edges is not None:
+        edges = hull.index[hull.edges]
+    else:  # no 3-D hull: every chord, interior crossings are pruned below
+        edges = np.array(list(itertools.combinations(range(len(verts)), 2)))
+    di, dj = d[edges[:, 0]], d[edges[:, 1]]
+    cross = ((di > 0) != (dj > 0)) & (np.abs(di - dj) > 1e-15)
+    i, j = edges[cross, 0], edges[cross, 1]
+    t = di[cross] / (di[cross] - dj[cross])
+    inside = (t >= 0.0) & (t <= 1.0)
+    i, j, t = i[inside], j[inside], t[inside]
+    return convex_hull_vertices(np.vstack([keep, verts[i] + t[:, None] * (verts[j] - verts[i])]))
 
 
 def _require_polytope(body: Body) -> Polytope:
@@ -161,33 +140,23 @@ def truncate(body: Body, spec: TruncationSpec, grid: SphericalGrid | None = None
         )
     if spec.eps == 0.0:
         return recenter(poly, grid)
-    clipped = Polytope(_clip_vertices(poly.vertices, u, h_u - spec.eps))
+    clipped = Polytope(_clip_vertices(poly, u, h_u - spec.eps))
     return recenter(clipped, grid)
-
-
-def cut_face(poly: Polytope, u: np.ndarray, tol: float = 1e-9) -> FaceRecord:
-    """Face of the polytope exposed in direction u."""
-    dots = poly.vertices @ u
-    top = dots.max()
-    verts = poly.vertices[dots >= top - tol * (1.0 + abs(top))]
-    return FaceRecord(normal=u, diameter=_pairwise_diameter(verts), vertex_set=verts)
 
 
 def is_c1_violated(body: Body, tol_angle: float) -> bool:
     """True iff some vertex has a normal cone of angular width > tol_angle."""
     poly = _require_polytope(body)
+    hull = poly.hull
     if poly.dim == 2:
-        verts = ordered_polygon(poly)
-        if verts.shape[0] < 3:
+        if hull.ring.shape[0] < 3:
             return True
-        ang = _edge_normal_angles(verts)
+        ang = hull.normal_angles
         ext = np.mod(ang - np.roll(ang, 1), 2.0 * math.pi)
         return bool(np.any(ext > tol_angle))
-    packed = _hull_3d(poly)
-    if packed is None:
+    if hull.normals is None:
         return True
-    pts, hull = packed
-    for normals in _vertex_cone_normals(pts, hull).values():
+    for _, normals in hull.vertex_cones():
         if normals.shape[0] < 2:
             continue
         gram = np.clip(normals @ normals.T, -1.0, 1.0)
@@ -216,10 +185,10 @@ def polytope_approximation(body: Body, n_dirs: int = 512) -> Polytope:
 
 def _vertex_cone_direction(poly: Polytope, vertex: np.ndarray) -> np.ndarray | None:
     """A direction in the interior of the normal cone at the given vertex."""
+    hull = poly.hull
     if poly.dim == 2:
-        verts = ordered_polygon(poly)
-        normals_ang = _edge_normal_angles(verts)
-        for i, v in enumerate(verts):
+        normals_ang = hull.normal_angles
+        for i, v in enumerate(hull.polygon):
             if np.allclose(v, vertex, atol=1e-12):
                 a = normals_ang[i - 1]
                 b = normals_ang[i]
@@ -228,12 +197,10 @@ def _vertex_cone_direction(poly: Polytope, vertex: np.ndarray) -> np.ndarray | N
                 mid = 0.5 * (a + b)
                 return np.array([math.cos(mid), math.sin(mid)])
         return None
-    packed = _hull_3d(poly)
-    if packed is None:
+    if hull.normals is None:
         return None
-    pts, hull = packed
-    for idx, normals in _vertex_cone_normals(pts, hull).items():
-        if np.allclose(pts[idx], vertex, atol=1e-12):
+    for idx, normals in hull.vertex_cones():
+        if np.allclose(hull.points[idx], vertex, atol=1e-12):
             mean = normals.sum(axis=0)
             nrm = np.linalg.norm(mean)
             return mean / nrm if nrm > 1e-12 else None
@@ -436,7 +403,7 @@ def _feasible_cut(
     for p in later_vertices:
         if float(p @ u) >= cut - margin:
             return None
-    clipped = Polytope(_clip_vertices(current.vertices, u, cut))
+    clipped = Polytope(_clip_vertices(current, u, cut))
     if not clipped.is_full_dimensional:
         return None
     face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
@@ -444,7 +411,7 @@ def _feasible_cut(
     if face_diam <= 0 or face_diam > max_diam:
         return None
     shift = steiner(clipped, grid)
-    centered = Polytope(clipped.vertices - shift)
+    centered = translate(clipped, -shift)
     disp = hausdorff(centered, target, grid)
     if disp > budget:
         return None

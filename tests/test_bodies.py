@@ -20,12 +20,15 @@ from convexhyper import (
     minkowski_sum,
     polytope_sum,
     random_polytope,
+    random_rotation,
     sample_support,
     scale,
     support_values,
     translate,
 )
-from convexhyper.bodies import sublinearity_violation
+from convexhyper import bodies
+from convexhyper.bodies import rigid_motion, sublinearity_violation
+from convexhyper.metrics import exact_hausdorff, steiner
 
 
 def test_ball_support_is_homogeneous():
@@ -215,3 +218,87 @@ def test_support_is_sublinear_and_homogeneous(seed, xs, t):
 def test_polytope_full_dimensional_flags():
     assert Polytope([[0, 0], [1, 0], [0, 1]]).is_full_dimensional
     assert not Polytope([[0, 0], [1, 1]]).is_full_dimensional
+    # degenerate inputs: hull rank, 2-D ring, and no 3-D hull for flat sets
+    point = Polytope([[0.5, -0.25]])
+    segment = Polytope([[0, 0], [2, 1], [1, 0.5]])
+    coplanar = Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]])
+    duplicated = Polytope([[0, 0], [1, 0], [0, 1], [1, 0], [0, 1]])
+    for poly, full, rank, ring_rows in (
+        (point, False, 0, {0}),
+        (segment, False, 1, {0, 1}),
+        (coplanar, False, 2, None),
+        (duplicated, True, 2, {0, 1, 2}),
+    ):
+        assert poly.is_full_dimensional == full
+        hull = poly.hull
+        assert hull.rank == rank
+        if ring_rows is None:
+            assert hull.ring is None and hull.normals is None
+            assert exact_hausdorff(poly, Ball(np.zeros(3), 1.0)) is None
+        else:
+            assert set(hull.index[hull.ring].tolist()) == ring_rows
+        w = np.full(poly.dim, 0.25)
+        np.testing.assert_allclose(steiner(translate(poly, w)), steiner(poly) + w, atol=1e-14)
+    np.testing.assert_allclose(steiner(segment), [1.0, 0.5], atol=1e-14)
+    assert duplicated.hull.points.shape == (3, 2)
+
+
+def test_polytope_copies_vertices_read_only():
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    q = Polytope(a)
+    a[0, 0] = 5.0
+    assert q.vertices[0, 0] == 0.0
+    assert not q.vertices.flags.writeable
+    assert not q.hull.points.flags.writeable
+    assert not q.hull.ring.flags.writeable
+
+
+def _edge_rows(hull):
+    """Hull edges as sets of vertex-array rows (comparable across builds)."""
+    if hull.ring is not None:
+        ring = hull.index[hull.ring]
+        pairs = zip(ring, np.roll(ring, -1))
+    else:
+        pairs = hull.index[hull.edges]
+    return {frozenset(map(int, p)) for p in pairs}
+
+
+def _same_rows(a, b, tol):
+    """Every row of a has a row of b within tol, and the counts match."""
+    return a.shape == b.shape and np.abs(a[:, None, :] - b[None, :, :]).max(axis=2).min(axis=1).max() < tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_carried_hull_matches_fresh_build(dim, monkeypatch):
+    poly = random_polytope(60 + dim, dim, 14)
+    other = random_polytope(70 + dim, dim, 11)
+    poly.hull  # built once here; the motions below must only carry it
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("a rigid motion must not rebuild the hull")
+
+    with monkeypatch.context() as m:
+        m.setattr(bodies, "ConvexHull", no_qhull)
+        motions = [
+            rigid_motion(poly, random_rotation(80 + dim, dim).matrix),
+            rigid_motion(poly, np.diag([1.0] * (dim - 1) + [-1.0]) @ random_rotation(90 + dim, dim).matrix),
+            translate(poly, np.linspace(-0.7, 0.4, dim)),
+        ]
+        carried_hulls = [carried.hull for carried in motions]
+    for carried, hull in zip(motions, carried_hulls):
+        fresh_poly = Polytope(carried.vertices)
+        fresh = fresh_poly.hull
+        assert _edge_rows(hull) == _edge_rows(fresh)
+        if dim == 2:
+            ring = hull.polygon
+            edges = np.roll(ring, -1, axis=0) - ring
+            assert float(np.sum(ring[:, 0] * edges[:, 1] - ring[:, 1] * edges[:, 0])) > 0
+        else:
+            # a build rounds its points to 12 decimals, so the two records'
+            # normals differ by that rounding over the facet size
+            assert _same_rows(hull.normals, fresh.normals, 1e-10)
+            fresh_cones = {int(fresh.index[v]): c for v, c in fresh.vertex_cones()}
+            for v, cone in hull.vertex_cones():
+                assert _same_rows(cone, fresh_cones[int(hull.index[v])], 1e-10)
+        assert abs(exact_hausdorff(carried, other) - exact_hausdorff(fresh_poly, other)) < 1e-12
+        np.testing.assert_allclose(steiner(carried), steiner(fresh_poly), atol=1e-12)

@@ -146,6 +146,21 @@ def test_env_grid_override(runner, square_file, monkeypatch):
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "dim, flags, env",
+    [(2, ["--grid-2d", "0"], None), (2, [], "abc"), (3, ["--grid-3d", "10"], None)],
+)
+def test_bad_grid_exit_code_2(runner, tmp_path, monkeypatch, dim, flags, env):
+    body = tmp_path / "ball.json"
+    body.write_text(json.dumps({"type": "ball", "center": [0.0] * dim, "radius": 1.0}))
+    if env is not None:
+        monkeypatch.setenv("CONVEXHYPER_GRID", env)
+    res = runner.invoke(main, ["steiner", str(body)] + flags)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.output
+
+
 def test_minkowski_explicit(runner, square_file, tmp_path):
     out = tmp_path / "mk.json"
     res = runner.invoke(

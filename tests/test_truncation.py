@@ -77,7 +77,7 @@ class TestTruncate:
         u = np.array([0.0, 1.0])
         out = truncate(body, TruncationSpec(u, 0.3), grid2)
         h_u = float(support_values(body, u[None, :])[0])
-        shift = steiner(Polytope(_clip_vertices(body.vertices, u, h_u - 0.3)), grid2)
+        shift = steiner(Polytope(_clip_vertices(body, u, h_u - 0.3)), grid2)
         shifted = translate(body, -shift)
         excess = support_values(out, grid2.nodes) - support_values(shifted, grid2.nodes)
         assert excess.max() <= 1e-12
