@@ -83,6 +83,8 @@ class SupportSamples:
         object.__setattr__(self, "values", v)
         if v.shape != (len(self.grid),):
             raise InvalidArgumentError("values must match grid node count")
+        if not np.isfinite(v).all():
+            raise InvalidArgumentError("support values must be finite")
 
 
 class Body:
@@ -189,13 +191,15 @@ class Polytope(Body):
     _hull: Hull | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.array(np.atleast_2d(np.asarray(self.vertices, dtype=float)), order="C")
+        v = np.array(self.vertices, dtype=float, order="C", ndmin=2)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         if v.size == 0:
             raise InvalidBodyError("polytope needs at least one vertex")
         if v.ndim != 2:
             raise InvalidBodyError("vertices must be a 2-D array")
+        if not np.isfinite(v).all():
+            raise InvalidBodyError("vertices must be finite")
 
     @property
     def dim(self) -> int:
@@ -247,6 +251,8 @@ class Ball(Body):
         object.__setattr__(self, "radius", float(self.radius))
         if c.ndim != 1:
             raise InvalidBodyError("ball center must be a vector")
+        if not np.isfinite(np.append(c, self.radius)).all():
+            raise InvalidBodyError("ball center and radius must be finite")
         if self.radius <= 0:
             raise InvalidBodyError("ball radius must be positive")
 
@@ -270,6 +276,8 @@ class Ellipsoid(Body):
         n = c.shape[0]
         if a.shape != (n, n):
             raise InvalidBodyError("ellipsoid matrix must be n x n")
+        if not np.isfinite(np.append(c, a)).all():
+            raise InvalidBodyError("ellipsoid center and matrix must be finite")
         if not np.allclose(a, a.T, atol=1e-10 * max(1.0, np.abs(a).max())):
             raise InvalidBodyError("ellipsoid matrix must be symmetric")
         if np.linalg.eigvalsh(a).min() <= 0:
@@ -305,6 +313,8 @@ class Scaled(Body):
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
+        if not math.isfinite(self.factor):
+            raise InvalidArgumentError("scale factor must be finite")
         if self.factor < 0:
             raise InvalidArgumentError("scale factor must be nonnegative")
 

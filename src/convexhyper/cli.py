@@ -108,9 +108,12 @@ def _write_doc(path: str, doc: BodyDocument):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        x = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad vector {text!r}: {exc}") from None
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError(f"bad vector {text!r}: entries must be finite")
+    return x
 
 
 def _handle_errors(fn):

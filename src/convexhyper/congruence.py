@@ -121,10 +121,12 @@ def congruence_distance(
 ) -> CongruenceResult:
     """Minimize hausdorff(g D, K) over O(n) after re-centering both bodies.
 
-    The reported distance is the smallest support-difference sup over all
-    rotations evaluated (coarse certificate plus refinement path), so it
-    never exceeds the coarse minimum and the identity candidate bounds it
-    by hausdorff(recenter D, recenter K).
+    The reported distance is the smallest of the coarse minimum and the
+    value each refinement returns: in 3-D the lowest value Nelder-Mead
+    reached, in 2-D the objective at the midpoint of the final
+    golden-section bracket, which can lie slightly above the lowest probe
+    (up to about 1e-12).  So it never exceeds the coarse minimum, and the
+    identity candidate bounds it by hausdorff(recenter D, recenter K).
 
     The metric is a function of the unordered pair, so the arguments are
     put into a canonical order first; this makes d(D, K) = d(K, D) exact

@@ -14,10 +14,22 @@ O(n)-equivariant to floating-point accuracy even at modest quadrature
 resolution.  The frame is degenerate for highly symmetric bodies (ball,
 cube), which then fall back to the ambient frame; for those the residual
 is governed by the quadrature error instead.
+
+The kernel h -> sum_k w_k h(u + z_k) is linear in h, so a Minkowski sum
+is smoothed summand by summand, and polytope, ball and ellipsoid
+summands never form the point cloud u + z_k.  A polytope takes
+max_v (<v, u> + <v, z_k>) over the vertices that can still win at u: with
+v* the maximizer at u, v survives only if <v* - v, u> <= ||v - v*|| R,
+R = max_k ||z_k||, and a direction where v* alone survives is exact in
+one product.  Balls and ellipsoids sum ||M u + M z_k|| with the squared
+norm built coordinate by coordinate (no Gram expansion, which cancels
+where u + z_k is near zero).  Other summands evaluate the point cloud.
+Every directions x kernel intermediate is blocked to ``_BLOCK`` entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,9 +39,12 @@ from scipy.integrate import quad
 from .bodies import (
     Body,
     Ball,
+    Ellipsoid,
+    Polytope,
     Sampled,
     Sum,
     SupportSamples,
+    as_polytope,
     body_dim,
     support_values,
 )
@@ -37,7 +52,7 @@ from .errors import InvalidArgumentError
 from .metrics import recenter, support_moment_matrix
 from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 
-_BLOCK = 4_000_000  # direction rows per evaluation block
+_BLOCK = 4_000_000  # entries of a directions x kernel block
 
 
 def _bump_raw(s):
@@ -73,8 +88,12 @@ class MollifierSpec:
             raise InvalidArgumentError("bump must vanish outside its support")
 
 
+@functools.cache
 def default_mollifier() -> MollifierSpec:
-    """C * exp(-1/((s-1)(2-s))) on (1, 2), normalized to unit integral."""
+    """C * exp(-1/((s-1)(2-s))) on (1, 2), normalized to unit integral.
+
+    The spec is frozen and pure, so it is built once and shared.
+    """
     raw_total, _ = quad(_bump_raw, 1.0, 2.0, limit=200)
     c = 1.0 / raw_total
 
@@ -164,6 +183,86 @@ def canonical_frame(body: Body) -> np.ndarray:
     return evecs
 
 
+def _leaves(body: Body):
+    """The summands of a Minkowski-sum tree, left to right."""
+    if isinstance(body, Sum):
+        yield from _leaves(body.left)
+        yield from _leaves(body.right)
+    else:
+        yield body
+
+
+def _row_blocks(n_rows: int, k: int):
+    block = max(1, _BLOCK // k)
+    for start in range(0, n_rows, block):
+        yield start, min(start + block, n_rows)
+
+
+def _polytope_kernel(vertices, dirs, offsets, weights, out):
+    """Add sum_k w_k max_v <v, u + z_k> to ``out``, pruning vertices per row.
+
+    With v* the vertex maximizing <v, u>, a vertex v can win at u + z only
+    if <v* - v, u> <= ||v - v*|| max_k ||z_k||; rows left with v* alone
+    are linear over the kernel and cost one product.
+    """
+    a = dirs @ vertices.T
+    b_t = np.ascontiguousarray((offsets @ vertices.T).T)
+    best = a.argmax(axis=1)
+    top = a[np.arange(dirs.shape[0]), best]
+    winners, best_of_row = np.unique(best, return_inverse=True)
+    gap = np.zeros((winners.size, vertices.shape[0]))
+    for j in range(vertices.shape[1]):
+        gap += (vertices[winners, j, None] - vertices[None, :, j]) ** 2
+    reach = float(np.linalg.norm(offsets, axis=1).max())
+    size = float(np.linalg.norm(vertices, axis=1).max())
+    slack = 8.0 * np.finfo(float).eps * (1.0 + reach) * size
+    cand = (top[:, None] - a) <= np.sqrt(gap)[best_of_row] * reach + slack
+    count = cand.sum(axis=1)
+    single = count == 1
+    out[single] += top[single] + (b_t @ weights)[best[single]]
+    multi = np.flatnonzero(~single)
+    multi = multi[np.argsort(-count[multi], kind="stable")]
+    k = offsets.shape[0]
+    for start, stop in _row_blocks(multi.size, k):
+        sel = multi[start:stop]
+        # candidates first, each row's own order kept; rows sorted by
+        # candidate count, so the rows still active at step j are a prefix
+        idx = np.argsort(~cand[sel], axis=1, kind="stable")
+        a_sel = np.take_along_axis(a[sel], idx, axis=1)
+        acc = b_t[idx[:, 0]]
+        acc += a_sel[:, :1]
+        tmp = np.empty_like(acc)
+        counts = count[sel]
+        for j in range(1, int(counts[0])):
+            m = int((counts > j).sum())
+            np.take(b_t, idx[:m, j], axis=0, out=tmp[:m])
+            tmp[:m] += a_sel[:m, j, None]
+            np.maximum(acc[:m], tmp[:m], out=acc[:m])
+        out[sel] += acc @ weights
+
+
+def _norm_kernel(center, matrix, dirs, offsets, weights, out):
+    """Add sum_k w_k (<c, u + z_k> + ||M (u + z_k)||) to ``out``; M = rI for a ball.
+
+    The squared norm is accumulated one coordinate at a time from
+    (Mu)_j + (Mz_k)_j; expanding it through the Gram terms would cancel
+    catastrophically where u + z_k is near zero (t >= 1/2).
+    """
+    mu = dirs @ matrix
+    mz = offsets @ matrix
+    out += dirs @ center + (weights @ offsets) @ center
+    k = offsets.shape[0]
+    for start, stop in _row_blocks(dirs.shape[0], k):
+        sq = np.square(mu[start:stop, 0, None] + mz[None, :, 0])
+        tmp = np.empty_like(sq)
+        for j in range(1, dirs.shape[1]):
+            np.add(mu[start:stop, j, None], mz[None, :, j], out=tmp)
+            tmp *= tmp
+            sq += tmp
+        np.sqrt(sq, out=sq)
+        out[start:stop] += sq @ weights
+
+
 def mollified_support_values(
     body: Body,
     params: RegularizationParams,
@@ -173,7 +272,10 @@ def mollified_support_values(
     """Smoothed support values at the given unit directions.
 
     T(D)(u) = sum_ij  c_ij h_D(u + t s_i v_j)  with the kernel directions
-    v_j expressed in the body's canonical frame.
+    v_j expressed in the body's canonical frame.  The map is linear in h,
+    so a Minkowski sum is smoothed summand by summand: polytopes and balls
+    or ellipsoids in closed vectorized form, any other summand through
+    support values of the point cloud u + t s_i v_j.
     """
     if params.t == 0.0:
         return support_values(body, directions)
@@ -184,13 +286,24 @@ def mollified_support_values(
     offsets, weights = kernel_rule(params, n)
     offsets = params.t * (offsets @ frame.T)
     k = offsets.shape[0]
-    out = np.empty(dirs.shape[0])
-    block = max(1, _BLOCK // k)
-    for start in range(0, dirs.shape[0], block):
-        stop = min(start + block, dirs.shape[0])
+    out = np.zeros(dirs.shape[0])
+    rest = []
+    for leaf in _leaves(body):
+        poly = as_polytope(leaf)
+        if poly is not None:
+            _polytope_kernel(poly.vertices, dirs, offsets, weights, out)
+        elif isinstance(leaf, Ball):
+            _norm_kernel(leaf.center, leaf.radius * np.eye(n), dirs, offsets, weights, out)
+        elif isinstance(leaf, Ellipsoid):
+            _norm_kernel(leaf.center, leaf.matrix, dirs, offsets, weights, out)
+        else:
+            rest.append(leaf)
+    if not rest:
+        return out
+    for start, stop in _row_blocks(dirs.shape[0], k):
         pts = (dirs[start:stop, None, :] + offsets[None, :, :]).reshape(-1, n)
-        vals = support_values(body, pts).reshape(stop - start, k)
-        out[start:stop] = vals @ weights
+        vals = sum(support_values(leaf, pts) for leaf in rest).reshape(stop - start, k)
+        out[start:stop] += vals @ weights
     return out
 
 
@@ -205,8 +318,6 @@ def mollify(
 
 
 def _check_full_dimensional(body: Body, grid: SphericalGrid):
-    from .bodies import Polytope, as_polytope
-
     poly = as_polytope(body)
     if isinstance(poly, Polytope):
         if not poly.is_full_dimensional:

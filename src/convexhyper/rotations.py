@@ -8,6 +8,7 @@ optionally doubled into the improper coset.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import permutations
 
@@ -75,8 +76,12 @@ def octahedral_rotations() -> np.ndarray:
     return np.asarray(mats)
 
 
+@functools.cache
 def icosahedral_rotations() -> np.ndarray:
-    """The 60 rotations of the icosahedron, built from its hull geometry."""
+    """The 60 rotations of the icosahedron, built from its hull geometry.
+
+    Built once and shared: the result is a cached read-only array.
+    """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = []
     for a in (-1.0, 1.0):
@@ -109,7 +114,9 @@ def icosahedral_rotations() -> np.ndarray:
             edges.add(e)
     for i, j in sorted(edges):
         add_axis(0.5 * (verts[i] + verts[j]), 2)
-    return np.asarray(mats)
+    mats = np.asarray(mats)
+    mats.setflags(write=False)
+    return mats
 
 
 def _dedup(mats: np.ndarray) -> np.ndarray:

@@ -207,9 +207,13 @@ def serialize_body(doc: BodyDocument) -> str:
     return json.dumps(document_to_obj(doc), indent=None, separators=(",", ":"))
 
 
+def _reject_constant(name):
+    raise ParseError(f"non-finite number {name} is not allowed", "")
+
+
 def parse_body(text: str) -> BodyDocument:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "") from None
     return document_from_obj(obj)

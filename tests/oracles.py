@@ -4,11 +4,14 @@ The point-cloud Hausdorff oracle works on dense boundary samples (always
 including the exact vertices, where the two-sided sup is attained for
 polytopes), entirely bypassing support functions.  The brute-force
 Steiner oracle integrates u h(u) with a plain Riemann sum over a million
-angles.
+angles.  The brute-force mollifier evaluates the support function on
+every shifted copy u + z_k of the directions, one kernel node at a time.
 """
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
+
+from convexhyper.bodies import support_values
 
 
 def polygon_boundary_cloud(vertices: np.ndarray, target: int = 2000) -> np.ndarray:
@@ -59,3 +62,11 @@ def brute_steiner_2d(vertices: np.ndarray, m: int = 1_000_000) -> np.ndarray:
     u = np.column_stack([np.cos(ang), np.sin(ang)])
     h = (u @ vertices.T).max(axis=1)
     return (u * (h * (2.0 * np.pi / m))[:, None]).sum(axis=0) / np.pi
+
+
+def brute_mollified(body, dirs: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k h(u + z_k) for each row u of dirs, one kernel node per pass."""
+    out = np.zeros(dirs.shape[0])
+    for z, w in zip(offsets, weights):
+        out += w * support_values(body, dirs + z)
+    return out

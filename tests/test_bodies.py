@@ -16,12 +16,14 @@ from convexhyper import (
     Sampled,
     Scaled,
     Sum,
+    SupportSamples,
     eval_support,
     minkowski_sum,
     polytope_sum,
     random_polytope,
     random_rotation,
     sample_support,
+    make_grid_2d,
     scale,
     support_values,
     translate,
@@ -104,6 +106,25 @@ def test_rotation_validation():
 def test_empty_polytope_rejected():
     with pytest.raises(InvalidBodyError):
         Polytope(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ball(np.zeros(2), math.nan),
+        lambda: Ball([math.inf, 0.0], 1.0),
+        lambda: Polytope([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]]),
+        lambda: Scaled(math.nan, Polytope([[0.0, 0.0], [1.0, 0.0]])),
+        lambda: Scaled(math.inf, Polytope([[0.0, 0.0], [1.0, 0.0]])),
+        lambda: Ellipsoid([math.nan, 0.0], np.eye(2)),
+        lambda: SupportSamples(make_grid_2d(8), np.r_[np.ones(7), -math.inf]),
+    ],
+    ids=["ball-radius", "ball-center", "polytope", "scaled-nan", "scaled-inf",
+         "ellipsoid", "samples"],
+)
+def test_non_finite_input_rejected(make):
+    with pytest.raises((InvalidBodyError, InvalidArgumentError), match="finite"):
+        make()
 
 
 def test_dimension_mismatch(square, unit_ball_3d):

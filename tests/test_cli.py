@@ -161,6 +161,23 @@ def test_bad_grid_exit_code_2(runner, tmp_path, monkeypatch, dim, flags, env):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_exit_code_2(runner, tmp_path, literal):
+    body = tmp_path / "ball.json"
+    body.write_text(f'{{"type": "ball", "center": [0.0, 0.0], "radius": {literal}}}')
+    for command in (["steiner", str(body)], ["hausdorff", str(body), str(body)]):
+        res = runner.invoke(main, command)
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.output
+
+
+def test_non_finite_direction_exit_code_2(runner, square_file):
+    res = runner.invoke(main, ["support", square_file, "--dir", "nan,1"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
 def test_minkowski_explicit(runner, square_file, tmp_path):
     out = tmp_path / "mk.json"
     res = runner.invoke(

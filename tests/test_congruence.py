@@ -16,7 +16,20 @@ from convexhyper import (
     translate,
 )
 
+from convexhyper.rotations import icosahedral_rotations
+
 FAST2 = SearchParams(coarse=180, starts=3)
+
+
+def test_icosahedral_rotations_cached():
+    mats = icosahedral_rotations()
+    assert icosahedral_rotations() is mats
+    assert not mats.flags.writeable
+    assert mats.shape == (60, 3, 3)
+    eye = np.broadcast_to(np.eye(3), mats.shape)
+    np.testing.assert_allclose(mats @ mats.transpose(0, 2, 1), eye, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.det(mats), 1.0, atol=1e-12)
+    assert len({tuple(np.round(m, 9).ravel()) for m in mats}) == 60
 
 
 def test_self_distance_zero(grid2):

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from convexhyper import (
+    Ball,
+    Ellipsoid,
     InvalidArgumentError,
     Polytope,
     Rotated,
     RegularizationParams,
+    Scaled,
+    Sum,
     curvature_positive,
     curvature_report,
     default_mollifier,
     hausdorff,
+    make_grid_2d,
+    make_grid_3d,
     mollified_support_values,
     mollify,
     random_polytope,
@@ -22,7 +28,9 @@ from convexhyper import (
     steiner,
     support_values,
 )
-from convexhyper.regularization import kernel_rule
+from convexhyper import regularization
+from convexhyper.regularization import canonical_frame, kernel_rule
+from oracles import brute_mollified
 from scipy.integrate import quad
 
 FAST = RegularizationParams(t=0.1, radial_nodes=12, angular_nodes=384)
@@ -154,3 +162,61 @@ class TestRegularize:
         p = params(0.05, radial_nodes=8, angular_nodes=512)
         out = regularize(body, p, grid3_small)
         assert curvature_positive(out, grid3_small)
+
+
+KERNEL_GRIDS = {2: make_grid_2d(96), 3: make_grid_3d(8, 16)}
+
+
+def _kernel_bodies():
+    rng = np.random.default_rng(5)
+    poly2 = random_polytope(71, 2, 12)
+    poly3 = random_polytope(72, 3, 16)
+    ellipsoid = Ellipsoid(rng.uniform(-0.2, 0.2, 3), np.diag([0.1, 0.25, 0.2]))
+    sampled = mollify(random_polytope(73, 2, 9), params(0.1, angular_nodes=64),
+                      KERNEL_GRIDS[2])
+    return {
+        "polytope-2d": poly2,
+        "polytope-3d": poly3,
+        "square": Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+        "cube": Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]),
+        "segment": Polytope([[-0.3, 0.2, 0.1], [0.5, -0.4, 0.6]]),
+        "point": Polytope([[0.4, -0.8]]),
+        "sum-ellipsoid": Sum(random_polytope(74, 3, 10), ellipsoid),
+        "sum-ball": Sum(poly2, Ball(np.array([0.3, -0.1]), 0.4)),
+        "rotated-scaled": Scaled(1.5, Rotated(random_rotation(9, 3), poly3)),
+        "sampled": sampled,
+    }
+
+
+KERNEL_BODIES = _kernel_bodies()
+
+
+def _kernel_case(body, t):
+    dim = body.dim
+    p = params(t, radial_nodes=6, angular_nodes=128 if dim == 3 else 64)
+    frame = canonical_frame(body)
+    offsets, weights = kernel_rule(p, dim)
+    dirs = KERNEL_GRIDS[dim].nodes
+    return p, frame, dirs, t * (offsets @ frame.T), weights
+
+
+@pytest.mark.parametrize("t", [0.2, 0.1, 0.05, 0.025, 0.9])
+@pytest.mark.parametrize("name", list(KERNEL_BODIES))
+def test_kernel_matches_brute_force(name, t):
+    body = KERNEL_BODIES[name]
+    p, frame, dirs, offsets, weights = _kernel_case(body, t)
+    got = mollified_support_values(body, p, dirs, frame)
+    np.testing.assert_allclose(got, brute_mollified(body, dirs, offsets, weights),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["polytope-3d", "sum-ball", "sum-ellipsoid", "sampled"])
+def test_kernel_blocking_does_not_change_values(name, monkeypatch):
+    body = KERNEL_BODIES[name]
+    p, frame, dirs, _, _ = _kernel_case(body, 0.2)
+    whole = mollified_support_values(body, p, dirs, frame)
+    monkeypatch.setattr(regularization, "_BLOCK", 3000)
+    blocked = mollified_support_values(body, p, dirs, frame)
+    # equal up to the last bits: BLAS may round a row's kernel sum
+    # differently for a different block shape
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14)
