@@ -6,6 +6,12 @@ A body is a symbolic expression tree: explicit leaves (``Polytope``,
 its support function h(x) = sup { <p, x> : p in body }, extended
 positively homogeneously off the unit sphere.
 
+Support functions are Minkowski-linear, h_{aG K + L}(x) = a h_K(G^T x) +
+h_L(x), so ``terms`` flattens any tree once into the list of its terms
+(a_i, G_i, L_i); every evaluation is a loop over that list with a
+dispatch on the leaf type.  Only ``terms`` and the structural maps
+(``translate`` here, the serializer) look at the tree itself.
+
 All values are immutable; operations are pure functions and safe to call
 concurrently.
 """
@@ -14,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -34,7 +43,7 @@ def unit_vector(x) -> np.ndarray:
     u = np.asarray(x, dtype=float)
     if u.ndim != 1:
         raise InvalidArgumentError("direction must be a 1-D vector")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
         raise InvalidArgumentError(f"direction must be unit length, got {u!r}")
     return u
 
@@ -366,26 +375,61 @@ def body_dim(body: Body) -> int:
     return body.dim
 
 
-def contains_sampled(body: Body) -> bool:
-    """True when the expression tree has a Sampled leaf (interpolated eval)."""
-    if isinstance(body, Sampled):
-        return True
-    if isinstance(body, Sum):
-        return contains_sampled(body.left) or contains_sampled(body.right)
-    if isinstance(body, (Scaled, Rotated)):
-        return contains_sampled(body.inner)
-    return False
+class Term(NamedTuple):
+    """One summand a G L of a flattened body: ``factor`` a >= 0, ``matrix``
+    G orthogonal (None for the identity), ``leaf`` L a Polytope, Ball,
+    Ellipsoid or Sampled.  The maps skip arithmetic for a = 1 or G = I."""
+
+    factor: float
+    matrix: np.ndarray | None
+    leaf: Body
+
+    def pull(self, u: np.ndarray) -> np.ndarray:
+        """G^T u: a direction in the leaf's frame."""
+        return u if self.matrix is None else self.matrix.T @ u
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """a G x: a point of the leaf's frame in the body's."""
+        if self.matrix is not None:
+            x = self.matrix @ x
+        return x if self.factor == 1.0 else self.factor * x
+
+    def push_moment(self, m: np.ndarray) -> np.ndarray:
+        """a G m G^T: a second moment of the leaf's frame in the body's."""
+        if self.matrix is not None:
+            m = self.matrix @ m @ self.matrix.T
+        return m if self.factor == 1.0 else self.factor * m
+
+
+def terms(body: Body) -> list[Term]:
+    """The body as the Minkowski sum of its terms, left to right.
+
+    Scaled factors multiply and Rotated matrices compose on the way down;
+    summands with factor zero are dropped, so a body whose summands are
+    all scaled by zero (the origin) has no terms.
+    """
+    if not isinstance(body, (Sum, Scaled, Rotated)):
+        return [Term(1.0, None, body)]
+    out, stack = [], [(1.0, None, body)]
+    while stack:
+        a, g, node = stack.pop()
+        if isinstance(node, Sum):
+            stack += [(a, g, node.right), (a, g, node.left)]
+        elif isinstance(node, Scaled):
+            if node.factor != 0.0:
+                stack.append((a * node.factor, g, node.inner))
+        elif isinstance(node, Rotated):
+            m = node.rotation.matrix
+            stack.append((a, m if g is None else g @ m, node.inner))
+        else:
+            out.append(Term(a, g, node))
+    return out
 
 
 def sampled_cell_angle(body: Body) -> float:
     """Largest interpolation cell angle among Sampled leaves (0 if none)."""
-    if isinstance(body, Sampled):
-        return body.grid.max_cell_angle
-    if isinstance(body, Sum):
-        return max(sampled_cell_angle(body.left), sampled_cell_angle(body.right))
-    if isinstance(body, (Scaled, Rotated)):
-        return sampled_cell_angle(body.inner)
-    return 0.0
+    cells = [t.leaf.grid.max_cell_angle for t in terms(body) if isinstance(t.leaf, Sampled)]
+    return max(cells, default=0.0)
 
 
 def _polytope_support(vertices: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -479,23 +523,26 @@ def support_values(body: Body, dirs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"directions have dim {dirs.shape[1]}, body has dim {body_dim(body)}"
         )
-    if isinstance(body, Polytope):
-        return _polytope_support(body.vertices, dirs)
-    if isinstance(body, Ball):
-        return dirs @ body.center + body.radius * np.linalg.norm(dirs, axis=1)
-    if isinstance(body, Ellipsoid):
-        return dirs @ body.center + np.linalg.norm(dirs @ body.matrix, axis=1)
-    if isinstance(body, Sum):
-        return support_values(body.left, dirs) + support_values(body.right, dirs)
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return np.zeros(dirs.shape[0])
-        return body.factor * support_values(body.inner, dirs)
-    if isinstance(body, Rotated):
-        return support_values(body.inner, dirs @ body.rotation.matrix)
-    if isinstance(body, Sampled):
-        return _sampled_support(body, dirs)
-    raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
+    parts = [term_support(term, dirs) for term in terms(body)]
+    return reduce(add, parts) if parts else np.zeros(dirs.shape[0])
+
+
+def term_support(term: Term, dirs: np.ndarray) -> np.ndarray:
+    """a h_L(dirs G) for one term (a, G, L) at each row of ``dirs``."""
+    a, g, leaf = term
+    if g is not None:
+        dirs = dirs @ g
+    if isinstance(leaf, Polytope):
+        h = _polytope_support(leaf.vertices, dirs)
+    elif isinstance(leaf, Ball):
+        h = dirs @ leaf.center + leaf.radius * np.linalg.norm(dirs, axis=1)
+    elif isinstance(leaf, Ellipsoid):
+        h = dirs @ leaf.center + np.linalg.norm(dirs @ leaf.matrix, axis=1)
+    elif isinstance(leaf, Sampled):
+        h = _sampled_support(leaf, dirs)
+    else:
+        raise InvalidBodyError(f"unknown body representation {type(leaf).__name__}")
+    return h if a == 1.0 else a * h
 
 
 def eval_support(body: Body, x) -> float:
@@ -599,29 +646,22 @@ def polytope_sum(a: Polytope, b: Polytope) -> Polytope:
 def as_polytope(body: Body) -> Polytope | None:
     """Flatten an expression tree to an explicit Polytope when possible.
 
-    Returns None for trees containing Ball, Ellipsoid or Sampled leaves.
+    Each term a G P becomes ``rigid_motion(P, G)`` (the hull is carried)
+    scaled by a, and the terms are summed with ``polytope_sum``; a bare
+    polytope is returned as it is and a body with no terms (everything
+    scaled by zero) is the origin.  Returns None when some leaf is a
+    Ball, Ellipsoid or Sampled.
     """
-    if isinstance(body, Polytope):
+    if isinstance(body, Polytope):  # the congruence objective's hot path
         return body
-    if isinstance(body, Scaled):
-        inner = as_polytope(body.inner)
-        if inner is None:
-            return None
-        if body.factor == 0.0:
-            return Polytope(np.zeros((1, inner.dim)))
-        return Polytope(inner.vertices * body.factor)
-    if isinstance(body, Rotated):
-        inner = as_polytope(body.inner)
-        if inner is None:
-            return None
-        return rigid_motion(inner, body.rotation.matrix)
-    if isinstance(body, Sum):
-        left = as_polytope(body.left)
-        right = as_polytope(body.right)
-        if left is None or right is None:
-            return None
-        return polytope_sum(left, right)
-    return None
+    parts = terms(body)
+    if not all(isinstance(leaf, Polytope) for _, _, leaf in parts):
+        return None
+    polys = []
+    for a, g, leaf in parts:
+        poly = leaf if g is None else rigid_motion(leaf, g)
+        polys.append(poly if a == 1.0 else Polytope(poly.vertices * a))
+    return reduce(polytope_sum, polys) if polys else Polytope(np.zeros((1, body_dim(body))))
 
 
 def sublinearity_violation(

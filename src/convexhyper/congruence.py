@@ -281,4 +281,6 @@ def same_congruence_class(
     search: SearchParams | None = None,
 ) -> bool:
     """True iff the congruence distance falls below tol."""
+    if not math.isfinite(tol):
+        raise InvalidArgumentError("tol must be finite")
     return congruence_distance(d, k, grid, search).distance < tol

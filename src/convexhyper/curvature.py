@@ -14,7 +14,10 @@ interpolant below its own resolution only measures interpolation kinks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -23,13 +26,12 @@ from .bodies import (
     Body,
     Ellipsoid,
     Polytope,
-    Rotated,
     Sampled,
-    Scaled,
-    Sum,
+    as_polytope,
     body_dim,
     sampled_cell_angle,
     support_values,
+    terms,
     unit_vector,
 )
 from .errors import InvalidArgumentError, InvalidBodyError, NotStrictlyConvexError
@@ -41,52 +43,34 @@ _FACE_TOL = 1e-9
 def gauss_preimage(body: Body, u) -> np.ndarray:
     """Boundary point of the body whose outward normal is u.
 
-    Exact for balls and ellipsoids, the argmax vertex for polytopes
-    (raising NotStrictlyConvexError when a whole face is exposed),
-    recursive for Minkowski expressions, central finite differences of
-    the homogeneous extension for sampled bodies.
+    ``support_point`` with a strictness check: raises
+    NotStrictlyConvexError when a polytope term exposes a whole face in
+    direction u (the face, moved into the body's frame, is attached).
+    Exact for balls, ellipsoids and polytope vertices, central finite
+    differences of the homogeneous extension for sampled leaves.
     """
     u = unit_vector(u)
     if u.shape[0] != body_dim(body):
         raise InvalidArgumentError("direction dimension does not match body")
-    if isinstance(body, Ball):
-        return body.center + body.radius * u
-    if isinstance(body, Ellipsoid):
-        au = body.matrix @ u
-        return body.center + body.matrix @ au / np.linalg.norm(au)
-    if isinstance(body, Polytope):
-        dots = body.vertices @ u
-        top = dots.max()
-        scale = 1.0 + abs(top)
-        face = body.vertices[dots >= top - _FACE_TOL * scale]
-        face = np.unique(np.round(face, 12), axis=0)
-        if face.shape[0] > 1:
-            raise NotStrictlyConvexError(
-                f"support set in direction {u.tolist()} is a face "
-                f"with {face.shape[0]} vertices",
-                face_vertices=face,
-            )
-        return face[0]
-    if isinstance(body, Sum):
-        return gauss_preimage(body.left, u) + gauss_preimage(body.right, u)
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return np.zeros(body.dim)
-        return body.factor * gauss_preimage(body.inner, u)
-    if isinstance(body, Rotated):
-        g = body.rotation.matrix
-        return g @ gauss_preimage(body.inner, g.T @ u)
-    if isinstance(body, Sampled):
-        return _gradient_point(body, u)
-    raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
+    for term in terms(body):
+        if isinstance(term.leaf, Polytope):
+            verts = term.leaf.vertices
+            dots = verts @ term.pull(u)
+            top = dots.max()
+            face = verts[dots >= top - _FACE_TOL * (1.0 + abs(top))]
+            face = np.unique(np.round(face, 12), axis=0)
+            if face.shape[0] > 1:
+                raise NotStrictlyConvexError(
+                    f"support set in direction {u.tolist()} is a face "
+                    f"with {face.shape[0]} vertices",
+                    face_vertices=term.push(face.T).T,
+                )
+    return support_point(body, u)
 
 
-def _gradient_point(body: Body, u: np.ndarray, step: float | None = None) -> np.ndarray:
+def _gradient_point(body: Sampled, u: np.ndarray) -> np.ndarray:
     """grad of the homogeneous extension at u by central differences."""
-    n = body_dim(body)
-    if step is None:
-        cell = sampled_cell_angle(body)
-        step = max(1e-5, 0.5 * cell)
+    n, step = body.dim, max(1e-5, 0.5 * body.grid.max_cell_angle)
     dirs = np.vstack([u + step * np.eye(n), u - step * np.eye(n)])
     vals = support_values(body, dirs)
     return (vals[:n] - vals[n:]) / (2.0 * step)
@@ -95,36 +79,35 @@ def _gradient_point(body: Body, u: np.ndarray, step: float | None = None) -> np.
 def support_point(body: Body, u) -> np.ndarray:
     """Some maximizer of <., u> over the body (face-tolerant).
 
-    Like gauss_preimage but deterministically picks a vertex instead of
+    The sum of a G p_L(G^T u) over the terms (a, G, L).  Like
+    gauss_preimage but deterministically picks a vertex instead of
     raising when the support set is a face; used for polytope
     approximation and truncation bookkeeping.
     """
     u = np.asarray(u, dtype=float)
+    parts = [term.push(_leaf_point(term.leaf, term.pull(u))) for term in terms(body)]
+    return reduce(add, parts) if parts else np.zeros(body_dim(body))
+
+
+def _leaf_point(body: Body, u: np.ndarray) -> np.ndarray:
     if isinstance(body, Polytope):
-        return body.vertices[int(np.argmax(body.vertices @ u))]
+        return body.vertices[int(np.argmax(body.vertices @ u))].copy()
     if isinstance(body, Ball):
         return body.center + body.radius * u / np.linalg.norm(u)
     if isinstance(body, Ellipsoid):
         au = body.matrix @ u
         return body.center + body.matrix @ au / np.linalg.norm(au)
-    if isinstance(body, Sum):
-        return support_point(body.left, u) + support_point(body.right, u)
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return np.zeros(body.dim)
-        return body.factor * support_point(body.inner, u)
-    if isinstance(body, Rotated):
-        g = body.rotation.matrix
-        return g @ support_point(body.inner, g.T @ u)
-    return _gradient_point(body, u / np.linalg.norm(u))
+    if isinstance(body, Sampled):
+        return _gradient_point(body, u / np.linalg.norm(u))
+    raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
 
 
 def curvature_radius_2d(body: Body, theta: float, step: float = 1e-3) -> float:
     """Radius of curvature h + h'' at normal angle theta (n=2 only)."""
     if body_dim(body) != 2:
         raise InvalidArgumentError("curvature_radius_2d needs a planar body")
-    if step <= 0:
-        raise InvalidArgumentError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidArgumentError("step must be finite and positive")
     step = _effective_step(body, step)
     t = np.array([theta - step, theta, theta + step])
     dirs = np.column_stack([np.cos(t), np.sin(t)])
@@ -134,8 +117,6 @@ def curvature_radius_2d(body: Body, theta: float, step: float = 1e-3) -> float:
 
 def _reject_lower_dimensional(body: Body):
     """Curvature tests are defined for full-dimensional bodies only."""
-    from .bodies import as_polytope
-
     poly = as_polytope(body)
     if poly is not None and not poly.is_full_dimensional:
         raise InvalidArgumentError(
@@ -180,8 +161,10 @@ def curvature_report(
     margin: float = 1e-6,
 ) -> CurvatureReport:
     """Evaluate the restricted-Hessian positivity test at every grid node."""
-    if step <= 0:
-        raise InvalidArgumentError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidArgumentError("step must be finite and positive")
+    if not math.isfinite(margin):
+        raise InvalidArgumentError("margin must be finite")
     n = body_dim(body)
     if grid.dim != n:
         raise InvalidArgumentError("grid dimension does not match body")

@@ -20,7 +20,8 @@ is computed once per polytope and carried through rigid motions
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 from scipy.optimize import minimize
@@ -30,18 +31,16 @@ from .bodies import (
     Body,
     Ellipsoid,
     Polytope,
-    Rotated,
     Sampled,
-    Scaled,
-    Sum,
     as_polytope,
     body_dim,
-    contains_sampled,
+    sampled_cell_angle,
     support_values,
+    terms,
     translate,
 )
-from .errors import DimensionMismatchError, InvalidBodyError
-from .quadrature import SphericalGrid, ball_volume, default_grid
+from .errors import DimensionMismatchError
+from .quadrature import SphericalGrid, ball_volume, default_grid, sphere_area
 
 _TWO_PI = 2.0 * math.pi
 
@@ -235,41 +234,29 @@ def steiner_quadrature(body: Body, grid: SphericalGrid) -> np.ndarray:
 
 
 def steiner(body: Body, grid: SphericalGrid | None = None) -> np.ndarray:
-    """Steiner point of a body.
+    """Steiner point of a body: the sum of a G s(L) over its terms (a, G, L).
 
-    Exact for balls, ellipsoids and (n <= 3) polytopes; Minkowski-linear
-    recursion over Sum/Scaled/Rotated nodes; grid quadrature for sampled
-    bodies (on their own grid) and anything else.
+    The Steiner point is Minkowski-linear and rigid-motion equivariant, so
+    only leaves are integrated: exact for balls, ellipsoids and (n <= 3)
+    polytopes, grid quadrature for sampled leaves (on their own grid) and
+    anything else.
     """
-    if isinstance(body, Ball):
+    parts = [term.push(_steiner_leaf(term.leaf, grid)) for term in terms(body)]
+    return reduce(add, parts) if parts else np.zeros(body_dim(body))
+
+
+def _steiner_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
+    if isinstance(body, (Ball, Ellipsoid)):
         return body.center.copy()
-    if isinstance(body, Ellipsoid):
-        return body.center.copy()
-    if isinstance(body, Sum):
-        return steiner(body.left, grid) + steiner(body.right, grid)
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return np.zeros(body.dim)
-        return body.factor * steiner(body.inner, grid)
-    if isinstance(body, Rotated):
-        return body.rotation.matrix @ steiner(body.inner, grid)
     if isinstance(body, Sampled):
-        return (body.grid.weights * body.values) @ body.grid.nodes / ball_volume(
-            body.dim
-        )
-    if isinstance(body, Polytope):
-        if body.dim == 2:
-            mid = _steiner_segment(body)
-            return mid if mid is not None else _steiner_polygon(body)
-        if body.dim == 3:
-            mid = _steiner_segment(body)
-            if mid is not None:
-                return mid
-            s = _steiner_polytope_3d(body)
-            if s is not None:
-                return s
-        return steiner_quadrature(body, grid or default_grid(body.dim))
-    raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
+        return (body.grid.weights * body.values) @ body.grid.nodes / ball_volume(body.dim)
+    if isinstance(body, Polytope) and body.dim in (2, 3):
+        s = _steiner_segment(body)
+        if s is None:
+            s = _steiner_polygon(body) if body.dim == 2 else _steiner_polytope_3d(body)
+        if s is not None:
+            return s
+    return steiner_quadrature(body, grid or default_grid(body.dim))
 
 
 def recenter(body: Body, grid: SphericalGrid | None = None) -> Body:
@@ -280,25 +267,19 @@ def recenter(body: Body, grid: SphericalGrid | None = None) -> Body:
 def support_moment_matrix(body: Body, grid: SphericalGrid | None = None) -> np.ndarray:
     """Second moment  integral of u u^T h(u) dOmega, computed like steiner.
 
-    Exact for polytopes/balls via the normal fan; used to build
+    The sum of a G M(L) G^T over the terms (a, G, L); a leaf's moment is
+    exact for polytopes (normal fan) and balls, read off the own grid for
+    sampled leaves, and grid quadrature otherwise.  Used to build
     body-intrinsic orthonormal frames.
     """
+    parts = [term.push_moment(_moment_leaf(term.leaf, grid)) for term in terms(body)]
+    return reduce(add, parts) if parts else np.zeros((body_dim(body),) * 2)
+
+
+def _moment_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
     n = body_dim(body)
     if isinstance(body, Ball):
-        from .quadrature import sphere_area
-
         return body.radius * (sphere_area(n) / n) * np.eye(n)
-    if isinstance(body, Sum):
-        return support_moment_matrix(body.left, grid) + support_moment_matrix(
-            body.right, grid
-        )
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return np.zeros((n, n))
-        return body.factor * support_moment_matrix(body.inner, grid)
-    if isinstance(body, Rotated):
-        g = body.rotation.matrix
-        return g @ support_moment_matrix(body.inner, grid) @ g.T
     if isinstance(body, Sampled):
         wv = body.grid.weights * body.values
         return (body.grid.nodes * wv[:, None]).T @ body.grid.nodes
@@ -463,27 +444,16 @@ def _pair_candidates_3d(ha, hb) -> np.ndarray:
     return np.vstack(cands)
 
 
-def _hausdorff_3d_exact(a: Body, b: Body) -> float | None:
-    """Exact sup of |h_A - h_B| for 3-D polytope/ball pairs.
+def _hausdorff_3d_exact(a: Body, b: Body, pa, pb, ball) -> float | None:
+    """Exact sup of |h_A - h_B| for a 3-D polytope pair (pa, pb) or a
+    polytope against a ball.
 
     The sup of a difference of piecewise-linear support functions is
     attained at a normal-fan cell's interior critical direction, on a
     ridge, or at a fan corner; all of these are enumerable from vertices,
-    hull edges and facet normals.  Returns None when the pair is not of
-    this shape (or too large to enumerate cheaply).
+    hull edges and facet normals.  Returns None when the pair is too large
+    to enumerate cheaply.
     """
-    pa, pb = as_polytope(a), as_polytope(b)
-    ball_a = a if isinstance(a, Ball) else None
-    ball_b = b if isinstance(b, Ball) else None
-    if pa is None and ball_a is None:
-        return None
-    if pb is None and ball_b is None:
-        return None
-    if ball_a is not None and ball_b is not None:
-        return float(
-            np.linalg.norm(ball_a.center - ball_b.center)
-            + abs(ball_a.radius - ball_b.radius)
-        )
     if pa is not None and pb is not None:
         if pa.vertices.shape[0] + pb.vertices.shape[0] > 120:
             return None
@@ -492,7 +462,6 @@ def _hausdorff_3d_exact(a: Body, b: Body) -> float | None:
         dirs = _pair_candidates_3d(pa.hull, pb.hull)
     else:
         poly = pa if pa is not None else pb
-        ball = ball_a if ball_a is not None else ball_b
         if poly.vertices.shape[0] > 600:
             return None
         hull = poly.hull
@@ -508,27 +477,27 @@ def _hausdorff_3d_exact(a: Body, b: Body) -> float | None:
 
 
 def exact_hausdorff(a: Body, b: Body) -> float | None:
-    """Exact Hausdorff distance for polytope/ball pairs, else None."""
+    """Exact Hausdorff distance for polytope/ball pairs in 2-D and 3-D, else None."""
     dim = body_dim(a)
-    if dim == 2:
-        pa, pb = as_polytope(a), as_polytope(b)
-        ball_a = a if isinstance(a, Ball) else None
-        ball_b = b if isinstance(b, Ball) else None
-        if pa is not None and pb is not None:
-            return _hausdorff_2d_polygons(pa, pb)
-        if pa is not None and ball_b is not None:
-            return _hausdorff_2d_poly_ball(pa, ball_b)
-        if ball_a is not None and pb is not None:
-            return _hausdorff_2d_poly_ball(pb, ball_a)
-        if ball_a is not None and ball_b is not None:
-            return float(
-                np.linalg.norm(ball_a.center - ball_b.center)
-                + abs(ball_a.radius - ball_b.radius)
-            )
+    if dim not in (2, 3):
         return None
+    pa, pb = as_polytope(a), as_polytope(b)
+    ball_a = a if isinstance(a, Ball) else None
+    ball_b = b if isinstance(b, Ball) else None
+    if (pa is None and ball_a is None) or (pb is None and ball_b is None):
+        return None
+    if ball_a is not None and ball_b is not None:
+        return float(
+            np.linalg.norm(ball_a.center - ball_b.center)
+            + abs(ball_a.radius - ball_b.radius)
+        )
     if dim == 3:
-        return _hausdorff_3d_exact(a, b)
-    return None
+        return _hausdorff_3d_exact(a, b, pa, pb, ball_a or ball_b)
+    if pa is not None and pb is not None:
+        return _hausdorff_2d_polygons(pa, pb)
+    if pa is not None:
+        return _hausdorff_2d_poly_ball(pa, ball_b)
+    return _hausdorff_2d_poly_ball(pb, ball_a)
 
 
 def _refine_candidates(body: Body, dim: int) -> np.ndarray | None:
@@ -583,7 +552,7 @@ def hausdorff(
     vb = support_values(b, grid.nodes)
     diffs = np.abs(va - vb)
     best = float(diffs.max())
-    if not refine or contains_sampled(a) or contains_sampled(b):
+    if not refine or sampled_cell_angle(a) > 0.0 or sampled_cell_angle(b) > 0.0:
         return best
 
     exact = exact_hausdorff(a, b)

@@ -15,16 +15,18 @@ resolution.  The frame is degenerate for highly symmetric bodies (ball,
 cube), which then fall back to the ambient frame; for those the residual
 is governed by the quadrature error instead.
 
-The kernel h -> sum_k w_k h(u + z_k) is linear in h, so a Minkowski sum
-is smoothed summand by summand, and polytope, ball and ellipsoid
-summands never form the point cloud u + z_k.  A polytope takes
+The kernel h -> sum_k w_k h(u + z_k) is linear in h, so a body is
+smoothed term by term (``bodies.terms``): a term a G L with L a polytope
+uses the vertices a V G^T, with L a ball or ellipsoid the center a G c
+and matrix a G A G^T (A = rI for a ball), and only ``Sampled`` leaves
+form the point cloud u + z_k.  A polytope takes
 max_v (<v, u> + <v, z_k>) over the vertices that can still win at u: with
 v* the maximizer at u, v survives only if <v* - v, u> <= ||v - v*|| R,
 R = max_k ||z_k||, and a direction where v* alone survives is exact in
 one product.  Balls and ellipsoids sum ||M u + M z_k|| with the squared
 norm built coordinate by coordinate (no Gram expansion, which cancels
-where u + z_k is near zero).  Other summands evaluate the point cloud.
-Every directions x kernel intermediate is blocked to ``_BLOCK`` entries.
+where u + z_k is near zero).  Every directions x kernel intermediate is
+blocked to ``_BLOCK`` entries.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .bodies import (
     as_polytope,
     body_dim,
     support_values,
+    term_support,
+    terms,
 )
 from .errors import InvalidArgumentError
 from .metrics import recenter, support_moment_matrix
@@ -183,15 +187,6 @@ def canonical_frame(body: Body) -> np.ndarray:
     return evecs
 
 
-def _leaves(body: Body):
-    """The summands of a Minkowski-sum tree, left to right."""
-    if isinstance(body, Sum):
-        yield from _leaves(body.left)
-        yield from _leaves(body.right)
-    else:
-        yield body
-
-
 def _row_blocks(n_rows: int, k: int):
     block = max(1, _BLOCK // k)
     for start in range(0, n_rows, block):
@@ -273,9 +268,9 @@ def mollified_support_values(
 
     T(D)(u) = sum_ij  c_ij h_D(u + t s_i v_j)  with the kernel directions
     v_j expressed in the body's canonical frame.  The map is linear in h,
-    so a Minkowski sum is smoothed summand by summand: polytopes and balls
-    or ellipsoids in closed vectorized form, any other summand through
-    support values of the point cloud u + t s_i v_j.
+    so the body is smoothed term by term: polytope, ball and ellipsoid
+    terms in closed vectorized form, sampled leaves through support
+    values of the point cloud u + t s_i v_j.
     """
     if params.t == 0.0:
         return support_values(body, directions)
@@ -288,21 +283,24 @@ def mollified_support_values(
     k = offsets.shape[0]
     out = np.zeros(dirs.shape[0])
     rest = []
-    for leaf in _leaves(body):
-        poly = as_polytope(leaf)
-        if poly is not None:
-            _polytope_kernel(poly.vertices, dirs, offsets, weights, out)
+    for term in terms(body):
+        a, g, leaf = term
+        if isinstance(leaf, Polytope):
+            verts = leaf.vertices if g is None else leaf.vertices @ g.T
+            _polytope_kernel(a * verts, dirs, offsets, weights, out)
         elif isinstance(leaf, Ball):
-            _norm_kernel(leaf.center, leaf.radius * np.eye(n), dirs, offsets, weights, out)
+            matrix = a * leaf.radius * np.eye(n)
+            _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
         elif isinstance(leaf, Ellipsoid):
-            _norm_kernel(leaf.center, leaf.matrix, dirs, offsets, weights, out)
+            matrix = term.push_moment(leaf.matrix)
+            _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
         else:
-            rest.append(leaf)
+            rest.append(term)
     if not rest:
         return out
     for start, stop in _row_blocks(dirs.shape[0], k):
         pts = (dirs[start:stop, None, :] + offsets[None, :, :]).reshape(-1, n)
-        vals = sum(support_values(leaf, pts) for leaf in rest).reshape(stop - start, k)
+        vals = sum(term_support(term, pts) for term in rest).reshape(stop - start, k)
         out[start:stop] += vals @ weights
     return out
 
@@ -319,14 +317,12 @@ def mollify(
 
 def _check_full_dimensional(body: Body, grid: SphericalGrid):
     poly = as_polytope(body)
-    if isinstance(poly, Polytope):
-        if not poly.is_full_dimensional:
-            raise InvalidArgumentError(
-                "regularize needs a full-dimensional body"
-            )
-        return
-    vals = support_values(body, grid.nodes) + support_values(body, -grid.nodes)
-    if float(vals.min()) <= 1e-12:
+    if poly is not None:
+        flat = not poly.is_full_dimensional
+    else:
+        widths = support_values(body, grid.nodes) + support_values(body, -grid.nodes)
+        flat = float(widths.min()) <= 1e-12
+    if flat:
         raise InvalidArgumentError("regularize needs a full-dimensional body")
 
 

@@ -52,8 +52,8 @@ class TruncationSpec:
     def __post_init__(self):
         object.__setattr__(self, "u", unit_vector(self.u))
         object.__setattr__(self, "eps", float(self.eps))
-        if self.eps < 0:
-            raise InvalidArgumentError("eps must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidArgumentError("eps must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,8 @@ def desymmetrize(
     retried at half the starting depths; small enough depths always admit
     a solution for the separated vertex plan.
     """
-    if budget <= 0:
-        raise InvalidArgumentError("budget must be positive")
+    if not (math.isfinite(budget) and budget > 0):
+        raise InvalidArgumentError("budget must be finite and positive")
     n = body_dim(body)
     grid = grid or default_grid(n)
     if axes is None:
@@ -430,6 +430,8 @@ def isotropy_estimate(
     default sets are dense circles (n=2) and an SO(3) spiral plus platonic
     groups (n=3), both doubled into the improper coset.
     """
+    if not math.isfinite(tol):
+        raise InvalidArgumentError("tol must be finite")
     n = body_dim(body)
     grid = grid or default_grid(n)
     if candidates is None:

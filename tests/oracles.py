@@ -6,12 +6,16 @@ polytopes), entirely bypassing support functions.  The brute-force
 Steiner oracle integrates u h(u) with a plain Riemann sum over a million
 angles.  The brute-force mollifier evaluates the support function on
 every shifted copy u + z_k of the directions, one kernel node at a time.
+The ladder oracle evaluates an expression tree by recursion over its
+Sum/Scaled/Rotated nodes and calls the library only on leaves.
 """
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from convexhyper.bodies import support_values
+from convexhyper.bodies import Rotated, Scaled, Sum, support_values
+from convexhyper.curvature import support_point
+from convexhyper.metrics import steiner, support_moment_matrix
 
 
 def polygon_boundary_cloud(vertices: np.ndarray, target: int = 2000) -> np.ndarray:
@@ -70,3 +74,36 @@ def brute_mollified(body, dirs: np.ndarray, offsets: np.ndarray, weights: np.nda
     for z, w in zip(offsets, weights):
         out += w * support_values(body, dirs + z)
     return out
+
+
+_LADDER_LEAF = {
+    "support": lambda leaf, x, grid: support_values(leaf, x),
+    "steiner": lambda leaf, x, grid: steiner(leaf, grid),
+    "moment": lambda leaf, x, grid: support_moment_matrix(leaf, grid),
+    "point": lambda leaf, x, grid: support_point(leaf, x),
+}
+
+
+def ladder(body, kind: str, x=None, grid=None) -> np.ndarray:
+    """Recursive reference for "support" (x = directions), "steiner",
+    "moment" and "point" (x = a direction): a Sum adds its sides,
+    Scaled(a) multiplies (zeros for a = 0) and Rotated(g) conjugates."""
+    n = body.dim
+    if isinstance(body, Sum):
+        return ladder(body.left, kind, x, grid) + ladder(body.right, kind, x, grid)
+    if isinstance(body, Scaled):
+        if body.factor == 0.0:
+            if kind == "support":
+                return np.zeros(len(x))
+            return np.zeros((n, n) if kind == "moment" else n)
+        return body.factor * ladder(body.inner, kind, x, grid)
+    if isinstance(body, Rotated):
+        g = body.rotation.matrix
+        if kind == "support":
+            return ladder(body.inner, kind, x @ g, grid)
+        if kind == "steiner":
+            return g @ ladder(body.inner, kind, x, grid)
+        if kind == "moment":
+            return g @ ladder(body.inner, kind, x, grid) @ g.T
+        return g @ ladder(body.inner, kind, g.T @ x, grid)
+    return _LADDER_LEAF[kind](body, x, grid)

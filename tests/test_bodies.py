@@ -17,7 +17,12 @@ from convexhyper import (
     Scaled,
     Sum,
     SupportSamples,
+    TruncationSpec,
+    curvature_radius_2d,
+    curvature_report,
+    desymmetrize,
     eval_support,
+    isotropy_estimate,
     minkowski_sum,
     polytope_sum,
     random_polytope,
@@ -25,8 +30,10 @@ from convexhyper import (
     sample_support,
     make_grid_2d,
     scale,
+    same_congruence_class,
     support_values,
     translate,
+    unit_vector,
 )
 from convexhyper import bodies
 from convexhyper.bodies import rigid_motion, sublinearity_violation
@@ -125,6 +132,35 @@ def test_empty_polytope_rejected():
 def test_non_finite_input_rejected(make):
     with pytest.raises((InvalidBodyError, InvalidArgumentError), match="finite"):
         make()
+
+
+_SQUARE = Polytope([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+_DISC = Ball(np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unit_vector([math.nan, 1.0]),
+        lambda: TruncationSpec([math.nan, 1.0], 0.1),
+        lambda: TruncationSpec([0.0, 1.0], math.nan),
+        lambda: TruncationSpec([0.0, 1.0], math.inf),
+        lambda: desymmetrize(_SQUARE, math.nan),
+        lambda: desymmetrize(_SQUARE, math.inf),
+        lambda: isotropy_estimate(_SQUARE, tol=math.nan),
+        lambda: same_congruence_class(_SQUARE, _SQUARE, math.nan),
+        lambda: curvature_report(_DISC, make_grid_2d(64), step=math.nan),
+        lambda: curvature_report(_DISC, make_grid_2d(64), step=math.inf),
+        lambda: curvature_report(_DISC, make_grid_2d(64), margin=math.nan),
+        lambda: curvature_radius_2d(_DISC, 0.3, step=math.nan),
+    ],
+    ids=["unit-vector", "spec-u", "spec-eps-nan", "spec-eps-inf", "budget-nan",
+         "budget-inf", "isotropy-tol", "congruence-tol", "step-nan", "step-inf",
+         "margin-nan", "radius-step"],
+)
+def test_non_finite_argument_rejected(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 def test_dimension_mismatch(square, unit_ball_3d):

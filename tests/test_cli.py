@@ -178,6 +178,29 @@ def test_non_finite_direction_exit_code_2(runner, square_file):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["truncate", "--u", "0,1", "--eps", "nan", "--in", "{square}", "--out", "{out}"],
+        ["desymmetrize", "--budget", "nan", "--in", "{square}", "--out", "{out}"],
+        ["symmetries", "--tol", "nan", "--in", "{square}"],
+        ["congruence", "{square}", "{square}", "--tol", "nan", "--coarse", "8"],
+        ["curvature", "{ball}", "--step", "nan"],
+        ["curvature", "{ball}", "--step", "inf"],
+        ["curvature", "{ball}", "--margin", "nan"],
+    ],
+    ids=["eps", "budget", "symmetries-tol", "congruence-tol", "step-nan", "step-inf",
+         "margin"],
+)
+def test_non_finite_scalar_exit_code_2(runner, square_file, ball_file, tmp_path, args):
+    out = tmp_path / "out.json"
+    args = [a.format(square=square_file, ball=ball_file, out=out) for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert not out.exists()
+
+
 def test_minkowski_explicit(runner, square_file, tmp_path):
     out = tmp_path / "mk.json"
     res = runner.invoke(

@@ -54,10 +54,16 @@ class TestGaussPreimage:
         face = np.asarray(info.value.face_vertices)
         assert face.shape[0] == 2
         assert np.allclose(face[:, 0], 1.0)
+        # the face of a scaled term is reported in the body's frame
+        with pytest.raises(NotStrictlyConvexError) as info:
+            gauss_preimage(Scaled(2.0, square), np.array([1.0, 0.0]))
+        assert np.allclose(np.asarray(info.value.face_vertices)[:, 0], 2.0)
 
     def test_polytope_vertex(self):
         tri = Polytope([[0, 0], [2, 0], [0, 1]])
-        np.testing.assert_allclose(gauss_preimage(tri, [1.0, 0.0]), [2.0, 0.0])
+        p = gauss_preimage(tri, [1.0, 0.0])
+        np.testing.assert_allclose(p, [2.0, 0.0])
+        assert p.flags.writeable  # a copy, not a view of the read-only vertices
 
     def test_sum_and_transformations(self):
         tri = Polytope([[0, 0], [2, 0], [0, 1]])
