@@ -110,11 +110,13 @@ class Hull:
     is row ``index[i]`` of the vertex array) and ``rank`` their affine
     rank.  In 2-D ``ring`` indexes the hull vertices in
     counterclockwise order (both ends of a segment, or the single point).
-    In 3-D ``edges`` are index pairs, ``normals`` the unit outward facet
-    normals, and row k of ``cones`` is a unit normal in the normal cone of
-    hull vertex ``cone_owner[k]`` (rows grouped by vertex, duplicates
-    removed); these are None when qhull fails (fewer than four points,
-    coplanar sets).  All arrays are read-only.
+    In 3-D ``edges`` are sorted index pairs in lexicographic order (with
+    the diagonals of triangulated flat faces), ``normals`` the unit
+    outward facet normals, ``edge_facets[e]`` the two rows of ``normals``
+    that meet at edge e, and row k of ``cones`` is a unit normal in the
+    normal cone of hull vertex ``cone_owner[k]`` (rows grouped by vertex,
+    duplicates removed); these are None when qhull fails (fewer than four
+    points, coplanar sets).  All arrays are read-only.
     """
 
     points: np.ndarray
@@ -122,6 +124,7 @@ class Hull:
     rank: int
     ring: np.ndarray | None = None
     edges: np.ndarray | None = None
+    edge_facets: np.ndarray | None = None
     normals: np.ndarray | None = None
     cone_owner: np.ndarray | None = None
     cones: np.ndarray | None = None
@@ -171,8 +174,11 @@ def _build_hull(vertices: np.ndarray) -> Hull:
     if qh is None:
         return Hull(points, index, rank)
     eq = qh.equations[:, :3]
-    s = qh.simplices
-    pairs = np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]])
+    s, nb = qh.simplices, qh.neighbors
+    # the edge opposite corner c of simplex f is shared with simplex nb[f, c]
+    f, c = np.nonzero(np.arange(s.shape[0])[:, None] < nb)
+    ends = np.sort(np.column_stack([s[f, (c + 1) % 3], s[f, (c + 2) % 3]]), axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
     owner, cones = [], []
     for v in qh.vertices:
         kept: list = []
@@ -182,8 +188,8 @@ def _build_hull(vertices: np.ndarray) -> Hull:
         owner += [v] * len(kept)
         cones += kept
     normals = eq / np.linalg.norm(eq, axis=1, keepdims=True)
-    edges = np.unique(np.sort(pairs, axis=1), axis=0)
-    return Hull(points, index, rank, edges=edges, normals=normals,
+    return Hull(points, index, rank, edges=ends[order],
+                edge_facets=np.column_stack([f, nb[f, c]])[order], normals=normals,
                 cone_owner=np.asarray(owner, dtype=int), cones=np.asarray(cones))
 
 

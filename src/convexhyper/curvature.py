@@ -108,6 +108,8 @@ def curvature_radius_2d(body: Body, theta: float, step: float = 1e-3) -> float:
         raise InvalidArgumentError("curvature_radius_2d needs a planar body")
     if not (math.isfinite(step) and step > 0):
         raise InvalidArgumentError("step must be finite and positive")
+    if not math.isfinite(theta):
+        raise InvalidArgumentError("theta must be finite")
     step = _effective_step(body, step)
     t = np.array([theta - step, theta, theta + step])
     dirs = np.column_stack([np.cos(t), np.sin(t)])

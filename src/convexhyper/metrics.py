@@ -7,9 +7,11 @@ computed in support-function space.
 The Steiner point  s(D) = (1/vol B^n) * integral over S^{n-1} of u h_D(u)
 is evaluated exactly for polytopes by integrating over the normal fan
 (closed forms on circular arcs for n=2, per-vertex spherical-polygon
-quadrature for n=3).  Grid quadrature is the fallback for sampled bodies.
-The fan route keeps rigid-motion equivariance at floating-point level,
-which plain grid quadrature cannot do for kinked integrands.
+quadrature for n=3, the only user of it).  The second moment of a polytope,
+integral of u u^T h_D(u), comes in closed form from its first area
+measure, a sum over edges.  Grid quadrature is the fallback for sampled
+bodies.  Both routes keep rigid-motion equivariance at floating-point
+level, which plain grid quadrature cannot do for kinked integrands.
 
 Every polytope routine here reads the hull combinatorics (CCW ring,
 edges, facet normals, vertex normal cones) from ``Polytope.hull``, which
@@ -39,7 +41,7 @@ from .bodies import (
     terms,
     translate,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .quadrature import SphericalGrid, ball_volume, default_grid, sphere_area
 
 _TWO_PI = 2.0 * math.pi
@@ -161,16 +163,16 @@ def _spherical_triangle_rule(a, b, c, depth: int = 0):
     return pts / norms[:, None], weights
 
 
-def _normal_fan_rule_3d(poly: Polytope):
-    """List of (vertex point, quadrature dirs, weights) over the normal fan.
+def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
+    """Steiner point by quadrature over the normal fan.
 
     The quadrature nodes are built from the cone geometry itself, so they
-    co-rotate with the body and fan integrals are equivariant to rounding.
+    co-rotate with the body and the integral is equivariant to rounding.
     """
     hull = poly.hull
     if hull.normals is None:
         return None
-    rules = []
+    s = np.zeros(3)
     for v, normals in hull.vertex_cones():
         if normals.shape[0] < 3:
             continue
@@ -194,19 +196,8 @@ def _normal_fan_rule_3d(poly: Polytope):
                 dirs_list.append(rule[0])
                 w_list.append(rule[1])
         if dirs_list:
-            rules.append(
-                (hull.points[v], np.concatenate(dirs_list), np.concatenate(w_list))
-            )
-    return rules
-
-
-def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
-    rules = _normal_fan_rule_3d(poly)
-    if rules is None:
-        return None
-    s = np.zeros(3)
-    for p, dirs, w in rules:
-        s += (w * (dirs @ p)) @ dirs
+            dirs, w = np.concatenate(dirs_list), np.concatenate(w_list)
+            s += (w * (dirs @ hull.points[v])) @ dirs
     return s / ball_volume(3)
 
 
@@ -267,10 +258,11 @@ def recenter(body: Body, grid: SphericalGrid | None = None) -> Body:
 def support_moment_matrix(body: Body, grid: SphericalGrid | None = None) -> np.ndarray:
     """Second moment  integral of u u^T h(u) dOmega, computed like steiner.
 
-    The sum of a G M(L) G^T over the terms (a, G, L); a leaf's moment is
-    exact for polytopes (normal fan) and balls, read off the own grid for
-    sampled leaves, and grid quadrature otherwise.  Used to build
-    body-intrinsic orthonormal frames.
+    The sum of a G M(L) G^T over the terms (a, G, L).  A leaf's moment is
+    a closed form for balls and for 2-D and full-dimensional 3-D
+    polytopes (a sum over edges, see ``_polytope_moment``), read off the
+    own grid for sampled leaves, and grid quadrature otherwise.  Used to
+    build body-intrinsic orthonormal frames.
     """
     parts = [term.push_moment(_moment_leaf(term.leaf, grid)) for term in terms(body)]
     return reduce(add, parts) if parts else np.zeros((body_dim(body),) * 2)
@@ -283,18 +275,9 @@ def _moment_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
     if isinstance(body, Sampled):
         wv = body.grid.weights * body.values
         return (body.grid.nodes * wv[:, None]).T @ body.grid.nodes
-    if isinstance(body, Polytope) and n == 2 and _steiner_segment(body) is None:
-        m = np.zeros((2, 2))
-        for p, a, b in _polygon_fan_arcs(body):
-            m += _arc_moment_2(a, b, p)
-        return m
-    if isinstance(body, Polytope) and n == 3 and _steiner_segment(body) is None:
-        rules = _normal_fan_rule_3d(body)
-        if rules is not None:
-            m = np.zeros((3, 3))
-            for p, dirs, w in rules:
-                wv = w * (dirs @ p)
-                m += (dirs * wv[:, None]).T @ dirs
+    if isinstance(body, Polytope) and n in (2, 3):
+        m = _polytope_moment(body.hull)
+        if m is not None:
             return m
     g = grid or default_grid(n)
     values = support_values(body, g.nodes)
@@ -302,30 +285,36 @@ def _moment_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
     return (g.nodes * wv[:, None]).T @ g.nodes
 
 
-def _arc_moment_2(a: float, b: float, p: np.ndarray) -> np.ndarray:
-    """integral over [a,b] of u u^T <p, u> dt for constant support vertex p."""
+def _polytope_moment(hull) -> np.ndarray | None:
+    """Second moment of a 2-D or full-dimensional 3-D polytope, from its edges.
 
-    def f_ccc(t):  # cos^3
-        return math.sin(t) - math.sin(t) ** 3 / 3.0
-
-    def f_ccs(t):  # cos^2 sin
-        return -math.cos(t) ** 3 / 3.0
-
-    def f_css(t):  # cos sin^2
-        return math.sin(t) ** 3 / 3.0
-
-    def f_sss(t):  # sin^3
-        return -math.cos(t) + math.cos(t) ** 3 / 3.0
-
-    ccc = f_ccc(b) - f_ccc(a)
-    ccs = f_ccs(b) - f_ccs(a)
-    css = f_css(b) - f_css(a)
-    sss = f_sss(b) - f_sss(a)
-    px, py = float(p[0]), float(p[1])
-    m_cc = px * ccc + py * ccs
-    m_cs = px * ccs + py * css
-    m_ss = px * css + py * sss
-    return np.array([[m_cc, m_cs], [m_cs, m_ss]])
+    On the degree-0 and degree-2 harmonics of u u^T (its only ones) the
+    moment of h is that of the first area measure (Delta_S + n - 1) h over
+    n - 1 - k(k + n - 2): a mass l_e at each 2-D edge normal, l_e times arc
+    length on each 3-D edge's normal arc.  So for n = 2, with e the ring's
+    edges, M = 1/3 sum (l I + e e^T / l), and for n = 3
+    M = 1/8 sum l [theta (I + a a^T) - sin theta (m m^T - q q^T)], with a
+    the unit edge, theta the angle between its facet normals, m their unit
+    bisector and q = a x m.  None when qhull could not build the 3-D hull.
+    """
+    p = hull.points
+    if hull.ring is not None:
+        if hull.ring.shape[0] == 1:  # a point has no edges
+            return np.zeros((2, 2))
+        e = np.roll(p[hull.ring], -1, axis=0) - p[hull.ring]
+        length = np.linalg.norm(e, axis=1, keepdims=True)
+        return (length.sum() * np.eye(2) + (e / length).T @ e) / 3.0
+    if hull.normals is None:
+        return None
+    e = p[hull.edges[:, 1]] - p[hull.edges[:, 0]]
+    length = np.linalg.norm(e, axis=1, keepdims=True)
+    n1, n2 = hull.normals[hull.edge_facets.T]
+    mid_norm = np.linalg.norm(n1 + n2, axis=1, keepdims=True)
+    theta = 2.0 * np.arctan2(np.linalg.norm(n2 - n1, axis=1, keepdims=True), mid_norm)
+    a, m = e / length, (n1 + n2) / mid_norm
+    q = np.cross(a, m)
+    lt, ls = length * theta, length * np.sin(theta)
+    return (lt.sum() * np.eye(3) + (a * lt).T @ a - (m * ls).T @ m + (q * ls).T @ q) / 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +347,19 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
     return best[1], best[0], 0.5 * (a + b)
 
 
+def _arc_sup(w: np.ndarray, a: float, b: float, r: float = 0.0) -> float:
+    """max over t in [a, b] of |<w, u(t)> - r|.
+
+    <w, u(t)> = |w| cos(t - phi) is extremal at the arc ends or at phi mod pi.
+    """
+    cands = [a, b]
+    phi = math.atan2(w[1], w[0])
+    for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI):
+        if a <= cand <= b:
+            cands.append(cand)
+    return max(abs(float(w @ np.array([math.cos(t), math.sin(t)])) - r) for t in cands)
+
+
 def _hausdorff_2d_polygons(pa: Polytope, pb: Polytope) -> float:
     """Exact sup of |h_A - h_B| for two polygons via arc decomposition."""
     breaks = set()
@@ -377,16 +379,7 @@ def _hausdorff_2d_polygons(pa: Polytope, pb: Polytope) -> float:
         u_mid = np.array([math.cos(mid), math.sin(mid)])
         pa_v = pa.vertices[np.argmax(pa.vertices @ u_mid)]
         pb_v = pb.vertices[np.argmax(pb.vertices @ u_mid)]
-        diff = pa_v - pb_v
-        # |<diff, u(t)>| = R|cos(t - phi)| is extremal at arc ends or at phi mod pi
-        cands = [a, b]
-        phi = math.atan2(diff[1], diff[0])
-        for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI):
-            if a <= cand <= b:
-                cands.append(cand)
-        for t in cands:
-            u = np.array([math.cos(t), math.sin(t)])
-            best = max(best, abs(float(diff @ u)))
+        best = max(best, _arc_sup(pa_v - pb_v, a, b))
     return best
 
 
@@ -396,19 +389,7 @@ def _hausdorff_2d_poly_ball(poly: Polytope, ball: Ball) -> float:
     c, r = ball.center, ball.radius
     if verts.shape[0] == 1:
         return float(np.linalg.norm(verts[0] - c) + r)
-    arcs = _polygon_fan_arcs(poly)
-    best = 0.0
-    for v, a, b in arcs:
-        w = v - c
-        cands = [a, b]
-        phi = math.atan2(w[1], w[0])
-        for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI):
-            if a <= cand <= b:
-                cands.append(cand)
-        for t in cands:
-            u = np.array([math.cos(t), math.sin(t)])
-            best = max(best, abs(float(w @ u) - r))
-    return best
+    return max(_arc_sup(v - c, a, b, r) for v, a, b in _polygon_fan_arcs(poly))
 
 
 def _append_unit(cands: list, vecs: np.ndarray):
@@ -614,5 +595,7 @@ def hausdorff(
 def width(body: Body, u: np.ndarray) -> float:
     """Extent of the body along direction u: h(u) + h(-u)."""
     u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise InvalidArgumentError("direction must be finite")
     vals = support_values(body, np.vstack([u, -u]))
     return float(vals[0] + vals[1])

@@ -15,6 +15,8 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from .errors import InvalidArgumentError
+
 _PHI = math.sqrt(2.0)
 _PSI = 1.533751168755204288118041
 
@@ -158,4 +160,4 @@ def default_candidates(dim: int, reflections: bool = True) -> np.ndarray:
         return circle_candidates(720, reflections)
     if dim == 3:
         return sphere_candidates(576, reflections)
-    raise ValueError("candidate sets provided for n = 2 and n = 3 only")
+    raise InvalidArgumentError("candidate sets provided for n = 2 and n = 3 only")

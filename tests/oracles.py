@@ -4,8 +4,10 @@ The point-cloud Hausdorff oracle works on dense boundary samples (always
 including the exact vertices, where the two-sided sup is attained for
 polytopes), entirely bypassing support functions.  The brute-force
 Steiner oracle integrates u h(u) with a plain Riemann sum over a million
-angles.  The brute-force mollifier evaluates the support function on
-every shifted copy u + z_k of the directions, one kernel node at a time.
+angles, and the brute-force moment integrates u u^T h(u) the same way
+(on a latitude-longitude grid in 3-D).  The brute-force mollifier
+evaluates the support function on every shifted copy u + z_k of the
+directions, one kernel node at a time.
 The ladder oracle evaluates an expression tree by recursion over its
 Sum/Scaled/Rotated nodes and calls the library only on leaves.
 """
@@ -66,6 +68,23 @@ def brute_steiner_2d(vertices: np.ndarray, m: int = 1_000_000) -> np.ndarray:
     u = np.column_stack([np.cos(ang), np.sin(ang)])
     h = (u @ vertices.T).max(axis=1)
     return (u * (h * (2.0 * np.pi / m))[:, None]).sum(axis=0) / np.pi
+
+
+def brute_moment(vertices: np.ndarray, lat: int = 400, lon: int = 800) -> np.ndarray:
+    """Midpoint-rule second moment sum w u u^T h(u) of a polytope: over
+    2*lon uniform angles in 2-D, on a lat x lon latitude-longitude grid in 3-D."""
+    if vertices.shape[1] == 2:
+        ang = np.pi * (np.arange(2 * lon) + 0.5) / lon
+        u = np.column_stack([np.cos(ang), np.sin(ang)])
+        w = np.full(ang.shape, np.pi / lon)
+    else:
+        theta = np.pi * (np.arange(lat) + 0.5) / lat
+        phi = 2.0 * np.pi * (np.arange(lon) + 0.5) / lon
+        t, p = (x.ravel() for x in np.meshgrid(theta, phi, indexing="ij"))
+        u = np.column_stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+        w = np.sin(t) * (np.pi / lat) * (2.0 * np.pi / lon)
+    h = (u @ vertices.T).max(axis=1)
+    return (u * (w * h)[:, None]).T @ u
 
 
 def brute_mollified(body, dirs: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:

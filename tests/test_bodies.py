@@ -34,6 +34,7 @@ from convexhyper import (
     support_values,
     translate,
     unit_vector,
+    width,
 )
 from convexhyper import bodies
 from convexhyper.bodies import rigid_motion, sublinearity_violation
@@ -153,10 +154,12 @@ _DISC = Ball(np.zeros(2), 1.0)
         lambda: curvature_report(_DISC, make_grid_2d(64), step=math.inf),
         lambda: curvature_report(_DISC, make_grid_2d(64), margin=math.nan),
         lambda: curvature_radius_2d(_DISC, 0.3, step=math.nan),
+        lambda: curvature_radius_2d(_DISC, math.nan),
+        lambda: width(_SQUARE, [math.nan, 1.0]),
     ],
     ids=["unit-vector", "spec-u", "spec-eps-nan", "spec-eps-inf", "budget-nan",
          "budget-inf", "isotropy-tol", "congruence-tol", "step-nan", "step-inf",
-         "margin-nan", "radius-step"],
+         "margin-nan", "radius-step", "radius-theta", "width-direction"],
 )
 def test_non_finite_argument_rejected(call):
     with pytest.raises(InvalidArgumentError):
@@ -357,5 +360,13 @@ def test_carried_hull_matches_fresh_build(dim, monkeypatch):
             fresh_cones = {int(fresh.index[v]): c for v, c in fresh.vertex_cones()}
             for v, cone in hull.vertex_cones():
                 assert _same_rows(cone, fresh_cones[int(hull.index[v])], 1e-10)
+            assert hull.edge_facets is poly.hull.edge_facets
+            for h in (hull, fresh):
+                # both facets of an edge support the body at its two ends
+                offsets = (h.normals @ h.points.T).max(axis=1)
+                for ends, facets in zip(h.edges, h.edge_facets):
+                    assert facets[0] != facets[1]
+                    heights = h.normals[facets] @ h.points[ends].T
+                    assert np.abs(heights - offsets[facets, None]).max() < 1e-10
         assert abs(exact_hausdorff(carried, other) - exact_hausdorff(fresh_poly, other)) < 1e-12
         np.testing.assert_allclose(steiner(carried), steiner(fresh_poly), atol=1e-12)

@@ -201,6 +201,16 @@ def test_non_finite_scalar_exit_code_2(runner, square_file, ball_file, tmp_path,
     assert not out.exists()
 
 
+def test_symmetries_4d_exit_code_2(runner, tmp_path):
+    # there is no candidate set of rotations for n = 4
+    body = tmp_path / "poly4.json"
+    vertices = np.random.default_rng(4).normal(size=(12, 4)).tolist()
+    body.write_text(json.dumps({"type": "polytope", "vertices": vertices}))
+    res = runner.invoke(main, ["symmetries", "--in", str(body)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
 def test_minkowski_explicit(runner, square_file, tmp_path):
     out = tmp_path / "mk.json"
     res = runner.invoke(

@@ -22,7 +22,10 @@ from convexhyper import (
     translate,
     width,
 )
-from oracles import brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
+from convexhyper import metrics
+from convexhyper.bodies import rigid_motion
+from convexhyper.metrics import support_moment_matrix
+from oracles import brute_moment, brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
 
 SQRT2 = math.sqrt(2.0)
 
@@ -191,6 +194,63 @@ class TestRecenter:
         poly = random_polytope(52, 3, 16)
         out = recenter(poly, grid3)
         assert np.linalg.norm(steiner(out, grid3)) < 1e-12
+
+
+def _box(*half):
+    return Polytope(np.array(np.meshgrid(*[(-h, h) for h in half])).reshape(len(half), -1).T)
+
+
+def _box_moment(*half):
+    """Exact moment of a centered box: a 2-D rectangle or a 3-D box."""
+    if len(half) == 2:
+        a, b = half
+        return np.diag([8 * a + 4 * b, 4 * a + 8 * b]) / 3.0
+    return np.diag([math.pi * (h + sum(half)) / 2 for h in half])
+
+
+class TestSupportMoment:
+    @pytest.mark.parametrize("half", [(0.5, 1.3), (1.0, 1.0), (0.5, 1.3, 2.0), (1.0, 1.0, 1.0)])
+    def test_box(self, half):
+        np.testing.assert_allclose(support_moment_matrix(_box(*half)), _box_moment(*half), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rotated_box(self, dim):
+        half = (0.5, 1.3, 2.0)[:dim]
+        box, exact = _box(*half), _box_moment(*half)
+        box.hull
+        for seed in range(20):
+            g = random_rotation(900 + seed, dim, proper=seed % 2 == 0).matrix
+            for moved in (Polytope(box.vertices @ g.T), rigid_motion(box, g, np.full(dim, 0.3))):
+                np.testing.assert_allclose(support_moment_matrix(moved), g @ exact @ g.T, rtol=0, atol=1e-11)
+
+    def test_point_and_segment_exact(self):
+        assert not support_moment_matrix(Polytope([[0.3, -0.2]])).any()
+        seg = support_moment_matrix(Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 0.0]]))
+        np.testing.assert_array_equal(seg, np.diag([8.0, 4.0]) / 3.0)
+        # the Steiner point of a translate moves, the moment does not
+        assert np.array_equal(support_moment_matrix(Polytope([[1.0, 1.0], [3.0, 1.0]])), seg)
+
+    @pytest.mark.parametrize("dim, tol", [(2, 1e-10), (3, 2e-5)])
+    def test_matches_grid_oracle(self, dim, tol):
+        # the oracle's midpoint rule is off by at most 4.4e-12 relative in
+        # 2-D (400,000 angles) and 7.4e-6 in 3-D (400 x 800 grid) here
+        for seed in range(4):
+            poly = translate(random_polytope(300 + seed, dim, 16), np.full(dim, 0.7))
+            m = support_moment_matrix(poly)
+            ref = brute_moment(poly.vertices, lon=200_000 if dim == 2 else 800)
+            assert np.abs(m - ref).max() <= tol * np.abs(m).max()
+
+    def test_polytopes_use_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polytope moment must not use quadrature")
+
+        monkeypatch.setattr(metrics, "_spherical_triangle_rule", refuse)
+        monkeypatch.setattr(metrics, "default_grid", refuse)
+        bodies = [random_polytope(310, 2, 9), random_polytope(311, 3, 12), _box(1.0, 2.0, 0.5),
+                  Polytope([[0.0, 0.0], [1.0, 2.0]]), Polytope([[0.4, 0.1]]),
+                  rigid_motion(random_polytope(312, 3, 10), random_rotation(5, 3).matrix)]
+        for body in bodies:
+            assert np.isfinite(support_moment_matrix(body)).all()
 
 
 def test_width(square):
