@@ -16,15 +16,11 @@ from .bodies import (
     Sampled,
     Scaled,
     Sum,
-    SupportSamples,
     as_polytope,
     body_dim,
     eval_support,
-    minkowski_sum,
     polytope_sum,
-    rotate_body,
     sample_support,
-    scale,
     support_values,
     translate,
     unit_vector,
@@ -66,9 +62,7 @@ from .quadrature import (
     sphere_area,
 )
 from .regularization import (
-    MollifierSpec,
     RegularizationParams,
-    default_mollifier,
     mollified_support_values,
     mollify,
     regularize,

@@ -1,10 +1,11 @@
 """Convex-body representations and support-function evaluation.
 
 A body is a symbolic expression tree: explicit leaves (``Polytope``,
-``Ball``, ``Ellipsoid``, ``Sampled``) combined by ``Sum`` (Minkowski sum),
-``Scaled`` and ``Rotated`` nodes.  Everything is evaluated lazily through
-its support function h(x) = sup { <p, x> : p in body }, extended
-positively homogeneously off the unit sphere.
+``Ball``, ``Ellipsoid``, ``Sampled(grid, values)``) combined by ``Sum``
+(Minkowski sum), ``Scaled`` and ``Rotated`` nodes; the node classes are
+the constructors.  Everything is evaluated lazily through its support
+function h(x) = sup { <p, x> : p in body }, extended positively
+homogeneously off the unit sphere.
 
 Support functions are Minkowski-linear, h_{aG K + L}(x) = a h_K(G^T x) +
 h_L(x), so ``terms`` flattens any tree once into the list of its terms
@@ -68,32 +69,6 @@ class Rotation:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.matrix @ other.matrix)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T)
-
-    @staticmethod
-    def identity(n: int) -> "Rotation":
-        return Rotation(np.eye(n))
-
-
-@dataclass(frozen=True)
-class SupportSamples:
-    """Support-function values on a spherical grid (the map u -> h(u))."""
-
-    grid: SphericalGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", v)
-        if v.shape != (len(self.grid),):
-            raise InvalidArgumentError("values must match grid node count")
-        if not np.isfinite(v).all():
-            raise InvalidArgumentError("support values must be finite")
 
 
 class Body:
@@ -354,7 +329,8 @@ class Rotated(Body):
 
 @dataclass(frozen=True)
 class Sampled(Body):
-    """Body reconstructed from support samples on a grid.
+    """Body reconstructed from support samples: ``values[i]`` is h at
+    node i of ``grid`` (finite, one value per node).
 
     Off-node directions are interpolated: piecewise linear in angle for
     2-D uniform grids, bilinear in (theta, phi) on 3-D product grids
@@ -362,19 +338,20 @@ class Sampled(Body):
     O(cell^2) for smooth bodies.
     """
 
-    samples: SupportSamples
+    grid: SphericalGrid
+    values: np.ndarray
 
-    @property
-    def grid(self) -> SphericalGrid:
-        return self.samples.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.samples.values
+    def __post_init__(self):
+        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", v)
+        if v.shape != (len(self.grid),):
+            raise InvalidArgumentError("values must match grid node count")
+        if not np.isfinite(v).all():
+            raise InvalidArgumentError("support values must be finite")
 
     @property
     def dim(self) -> int:
-        return self.samples.grid.dim
+        return self.grid.dim
 
 
 def body_dim(body: Body) -> int:
@@ -556,25 +533,11 @@ def eval_support(body: Body, x) -> float:
     return float(support_values(body, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def sample_support(body: Body, grid: SphericalGrid) -> SupportSamples:
-    """Evaluate the support function at every grid node."""
+def sample_support(body: Body, grid: SphericalGrid) -> Sampled:
+    """The body sampled at every grid node."""
     if grid.dim != body_dim(body):
         raise DimensionMismatchError("grid dimension does not match body")
-    return SupportSamples(grid, support_values(body, grid.nodes))
-
-
-def minkowski_sum(a: Body, b: Body) -> Sum:
-    """Symbolic Minkowski sum; support functions add exactly."""
-    return Sum(a, b)
-
-
-def scale(factor: float, body: Body) -> Scaled:
-    """Symbolic nonnegative scaling; support is positively homogeneous."""
-    return Scaled(factor, body)
-
-
-def rotate_body(rotation: Rotation, body: Body) -> Rotated:
-    return Rotated(rotation, body)
+    return Sampled(grid, support_values(body, grid.nodes))
 
 
 def translate(body: Body, shift) -> Body:
@@ -589,9 +552,7 @@ def translate(body: Body, shift) -> Body:
     if isinstance(body, Ellipsoid):
         return Ellipsoid(body.center + w, body.matrix)
     if isinstance(body, Sampled):
-        return Sampled(
-            SupportSamples(body.grid, body.values + body.grid.nodes @ w)
-        )
+        return Sampled(body.grid, body.values + body.grid.nodes @ w)
     if isinstance(body, Sum):
         return Sum(translate(body.left, w), body.right)
     if isinstance(body, Scaled):
@@ -670,20 +631,17 @@ def as_polytope(body: Body) -> Polytope | None:
     return reduce(polytope_sum, polys) if polys else Polytope(np.zeros((1, body_dim(body))))
 
 
-def sublinearity_violation(
-    samples: SupportSamples, n_trials: int = 64, seed: int = 0
-) -> float:
+def sublinearity_violation(body: Sampled, n_trials: int = 64, seed: int = 0) -> float:
     """Largest observed  h(u+v) - h(u) - h(v)  over random node pairs.
 
     Nonpositive (up to interpolation error) for genuine support samples.
     """
-    body = Sampled(samples)
     rng = np.random.default_rng(seed)
-    n = len(samples.grid)
+    n = len(body.grid)
     i = rng.integers(0, n, size=n_trials)
     j = rng.integers(0, n, size=n_trials)
-    u = samples.grid.nodes[i]
-    v = samples.grid.nodes[j]
+    u = body.grid.nodes[i]
+    v = body.grid.nodes[j]
     lhs = support_values(body, u + v)
-    rhs = samples.values[i] + samples.values[j]
+    rhs = body.values[i] + body.values[j]
     return float(np.max(lhs - rhs))

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import congruence as congruence_mod
-from .bodies import Sum, body_dim, sample_support, Sampled
+from .bodies import Sum, body_dim, sample_support
 from .corpus import Corpus
 from .curvature import curvature_report
 from .errors import (
@@ -170,7 +170,7 @@ def sample(body, out, grid_2d, grid_3d):
     """Sample the support function on a grid; write a sampled body."""
     doc = _read_doc(body)
     grid = _resolve_grid(body_dim(doc.body), grid_2d, grid_3d)
-    sampled = Sampled(sample_support(doc.body, grid))
+    sampled = sample_support(doc.body, grid)
     _write_doc(out, BodyDocument(body=sampled, metadata=doc.metadata))
 
 

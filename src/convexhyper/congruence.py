@@ -26,6 +26,8 @@ from .quadrature import SphericalGrid, default_grid
 from .rotations import axis_angle_matrix, circle_candidates, rotation_matrix_2d, sphere_candidates
 
 _EXACT_VERTEX_LIMIT = 60
+_REFINE_TOL = 1e-9  # refinement tolerance: golden section at 1e-2 of it
+_EARLY_EXIT = 1e-9  # no further refinement once the best value is below this
 
 
 @dataclass(frozen=True)
@@ -34,17 +36,17 @@ class SearchParams:
 
     ``coarse`` is the number of coarse angles (n=2) or SO(3) grid points
     (n=3); ``starts`` is how many best coarse points seed local
-    refinement.  Starts are chosen with a mutual-separation filter so
-    several coarse points of one basin do not crowd out the others, and
-    refinement stops once a value drops below ``early_exit``.
+    refinement; ``include_reflections`` searches O(n) rather than SO(n);
+    ``max_iterations`` caps each Nelder-Mead run (n=3).  Starts are
+    chosen with a mutual-separation filter so several coarse points of
+    one basin do not crowd out the others, and refinement stops once a
+    value drops below ``_EARLY_EXIT``.
     """
 
     coarse: int | None = None
     starts: int = 5
     include_reflections: bool = True
-    refine_tol: float = 1e-9
     max_iterations: int = 800
-    early_exit: float = 1e-9
 
     def __post_init__(self):
         if self.coarse is not None and self.coarse < 4:
@@ -170,7 +172,7 @@ def congruence_distance(
     start_indices = _diverse_starts(mats, order, search.starts, min_sep)
 
     for idx in start_indices:
-        if best_val < search.early_exit:
+        if best_val < _EARLY_EXIT:
             break
         g0 = mats[idx]
         if n == 2:
@@ -187,7 +189,7 @@ def congruence_distance(
             # the estimate is the final bracket's midpoint, not the best
             # probe, so 2-D results match the recorded perfbench outputs
             t_star = _golden_min(
-                f_theta, theta0 - span, theta0 + span, tol=search.refine_tol * 1e-2
+                f_theta, theta0 - span, theta0 + span, tol=_REFINE_TOL * 1e-2
             )[2]
             v_star = f_theta(t_star)
             g_star = rotation_matrix_2d(t_star)
@@ -204,8 +206,8 @@ def congruence_distance(
                 np.zeros(3),
                 method="Nelder-Mead",
                 options={
-                    "xatol": search.refine_tol,
-                    "fatol": search.refine_tol * 1e-3,
+                    "xatol": _REFINE_TOL,
+                    "fatol": _REFINE_TOL * 1e-3,
                     "maxiter": search.max_iterations,
                     "initial_simplex": _initial_simplex(spacing * 0.5),
                 },
@@ -216,8 +218,8 @@ def congruence_distance(
                 res.x,
                 method="Nelder-Mead",
                 options={
-                    "xatol": search.refine_tol * 1e-2,
-                    "fatol": search.refine_tol * 1e-4,
+                    "xatol": _REFINE_TOL * 1e-2,
+                    "fatol": _REFINE_TOL * 1e-4,
                     "maxiter": search.max_iterations,
                     "initial_simplex": res.x + _initial_simplex(1e-4),
                 },

@@ -19,6 +19,8 @@ def random_polytope(seed: int, n: int, vertex_count: int) -> Polytope:
     Full-dimensionality is enforced by resampling; the same seed always
     reproduces the same vertex list.
     """
+    if n < 2:
+        raise InvalidArgumentError("random polytopes need n >= 2")
     if vertex_count < n + 1:
         raise InvalidArgumentError("need at least n+1 points")
     rng = np.random.default_rng(seed)
@@ -83,6 +85,8 @@ class Corpus:
                 count = int(kv["count"])
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"bad corpus clause {clause!r}: {exc}") from None
+            if count < 0:
+                raise ParseError(f"bad corpus clause {clause!r}: count must be >= 0")
             maker = {
                 "poly": random_polytope,
                 "sym": random_symmetric_polytope,

@@ -34,7 +34,12 @@ from .bodies import (
     terms,
     unit_vector,
 )
-from .errors import InvalidArgumentError, InvalidBodyError, NotStrictlyConvexError
+from .errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    InvalidBodyError,
+    NotStrictlyConvexError,
+)
 from .quadrature import SphericalGrid
 
 _FACE_TOL = 1e-9
@@ -51,7 +56,7 @@ def gauss_preimage(body: Body, u) -> np.ndarray:
     """
     u = unit_vector(u)
     if u.shape[0] != body_dim(body):
-        raise InvalidArgumentError("direction dimension does not match body")
+        raise DimensionMismatchError("direction dimension does not match body")
     for term in terms(body):
         if isinstance(term.leaf, Polytope):
             verts = term.leaf.vertices
@@ -85,6 +90,8 @@ def support_point(body: Body, u) -> np.ndarray:
     approximation and truncation bookkeeping.
     """
     u = np.asarray(u, dtype=float)
+    if u.shape != (body_dim(body),):
+        raise DimensionMismatchError("direction dimension does not match body")
     parts = [term.push(_leaf_point(term.leaf, term.pull(u))) for term in terms(body)]
     return reduce(add, parts) if parts else np.zeros(body_dim(body))
 

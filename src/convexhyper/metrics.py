@@ -45,6 +45,7 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 from .quadrature import SphericalGrid, ball_volume, default_grid, sphere_area
 
 _TWO_PI = 2.0 * math.pi
+_REFINE_STARTS = 5  # hausdorff refines from the largest grid differences
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +351,12 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
 def _arc_sup(w: np.ndarray, a: float, b: float, r: float = 0.0) -> float:
     """max over t in [a, b] of |<w, u(t)> - r|.
 
-    <w, u(t)> = |w| cos(t - phi) is extremal at the arc ends or at phi mod pi.
+    <w, u(t)> = |w| cos(t - phi) is extremal at the arc ends or at
+    phi + k pi; arcs lie in [0, 4 pi), so k runs from -1 to 3.
     """
     cands = [a, b]
     phi = math.atan2(w[1], w[0])
-    for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI):
+    for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI, phi + 3.0 * math.pi):
         if a <= cand <= b:
             cands.append(cand)
     return max(abs(float(w @ np.array([math.cos(t), math.sin(t)])) - r) for t in cands)
@@ -516,7 +518,6 @@ def hausdorff(
     b: Body,
     grid: SphericalGrid | None = None,
     refine: bool = True,
-    n_starts: int = 5,
 ) -> float:
     """Hausdorff distance via the sup-norm of the support difference.
 
@@ -541,7 +542,7 @@ def hausdorff(
         return max(best, exact)
 
     order = np.argsort(diffs)[::-1]
-    starts = grid.nodes[order[:n_starts]]
+    starts = grid.nodes[order[:_REFINE_STARTS]]
     for extra in (_refine_candidates(a, dim), _refine_candidates(b, dim)):
         if extra is not None and extra.size:
             vals = np.abs(

@@ -12,18 +12,22 @@ from .bodies import Body, Polytope, body_dim, support_values
 from .errors import InvalidArgumentError
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_OUTLINE_POINTS = 512  # support points traced around a non-polytope
+_SIZE_PX = 640  # longer side of the SVG viewBox
 
 
-def boundary_points_2d(body: Body, count: int = 512) -> np.ndarray:
+def boundary_points_2d(body: Body) -> np.ndarray:
     """Closed boundary polyline traced through support points.
 
-    Polytopes use their hull vertices; everything else is traced via
-    x(theta) = h u + h' u_perp with h' from central differences.
+    Polytopes use their hull vertices; everything else is traced at
+    ``_OUTLINE_POINTS`` angles via x(theta) = h u + h' u_perp with h' from
+    central differences.
     """
     if body_dim(body) != 2:
         raise InvalidArgumentError("plotting supports planar bodies only")
     if isinstance(body, Polytope):
         return body.hull.polygon
+    count = _OUTLINE_POINTS
     theta = 2.0 * math.pi * np.arange(count) / count
     step = math.pi / count
     u = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -49,9 +53,9 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def plot_svg_2d(bodies, path: str, size: int = 640, points: int = 512):
+def plot_svg_2d(bodies, path: str):
     """Write one closed SVG path per body, auto-scaled viewBox."""
-    outlines = [boundary_points_2d(b, points) for b in bodies]
+    outlines = [boundary_points_2d(b) for b in bodies]
     if outlines:
         allpts = np.vstack(outlines)
         lo = allpts.min(axis=0)
@@ -63,7 +67,7 @@ def plot_svg_2d(bodies, path: str, size: int = 640, points: int = 512):
         lo = np.array([-1.0, -1.0])
         hi = np.array([1.0, 1.0])
     span = hi - lo
-    scale = size / max(span[0], span[1])
+    scale = _SIZE_PX / max(span[0], span[1])
 
     def to_px(p):
         # SVG y runs downward

@@ -6,14 +6,16 @@ on the shell t <= ||z|| <= 2t, producing a smooth support function;
 the boundary curvature strictly positive while staying Hausdorff-close to
 the input (distance -> 0 as t -> 0, with t = 0 the identity).
 
-The convolution kernel is normalized to unit mass so that linear support
-functions (point bodies) are reproduced exactly.  Kernel directions are
-expressed in a body-intrinsic orthonormal frame built from the exact
-second moment of the support function; this makes the smoothing map
-O(n)-equivariant to floating-point accuracy even at modest quadrature
-resolution.  The frame is degenerate for highly symmetric bodies (ball,
-cube), which then fall back to the ambient frame; for those the residual
-is governed by the quadrature error instead.
+The kernel's radial profile is one fixed bump, exp(-1/((s-1)(2-s))) on
+1 < s < 2, and ``kernel_rule`` rescales its weights to unit mass, so
+linear support functions (point bodies) are reproduced exactly and the
+bump's own normalizing constant, which would cancel, is never computed.
+Kernel directions are expressed in a body-intrinsic orthonormal frame
+built from the exact second moment of the support function; this makes
+the smoothing map O(n)-equivariant to floating-point accuracy even at
+modest quadrature resolution.  The frame is degenerate for highly
+symmetric bodies (ball, cube), which then fall back to the ambient frame;
+for those the residual is governed by the quadrature error instead.
 
 The kernel h -> sum_k w_k h(u + z_k) is linear in h, so a body is
 smoothed term by term (``bodies.terms``): a term a G L with L a polytope
@@ -31,12 +33,10 @@ blocked to ``_BLOCK`` entries.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bodies import (
     Body,
@@ -45,14 +45,13 @@ from .bodies import (
     Polytope,
     Sampled,
     Sum,
-    SupportSamples,
     as_polytope,
     body_dim,
     support_values,
     term_support,
     terms,
 )
-from .errors import InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .metrics import recenter, support_moment_matrix
 from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 
@@ -60,51 +59,13 @@ _BLOCK = 4_000_000  # entries of a directions x kernel block
 
 
 def _bump_raw(s):
+    """exp(-1/((s-1)(2-s))) on (1, 2), zero elsewhere; not normalized."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = (s > 1.0) & (s < 2.0)
     si = s[inside]
     out[inside] = np.exp(-1.0 / ((si - 1.0) * (2.0 - si)))
     return out
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Radial bump with support in [1, 2] and unit line integral."""
-
-    bump: object
-    support: tuple = (1.0, 2.0)
-    line_integral: float = 1.0
-
-    def __post_init__(self):
-        lo, hi = self.support
-        total, _ = quad(self.bump, lo, hi, limit=200)
-        if abs(total - self.line_integral) > 1e-8:
-            raise InvalidArgumentError(
-                f"bump integrates to {total!r}, expected {self.line_integral!r}"
-            )
-        probe = np.linspace(lo - 1.0, hi + 1.0, 97)
-        vals = np.asarray([float(self.bump(s)) for s in probe])
-        if np.any(vals < -1e-15):
-            raise InvalidArgumentError("bump must be nonnegative")
-        outside = (probe <= lo) | (probe >= hi)
-        if np.any(np.abs(vals[outside]) > 1e-15):
-            raise InvalidArgumentError("bump must vanish outside its support")
-
-
-@functools.cache
-def default_mollifier() -> MollifierSpec:
-    """C * exp(-1/((s-1)(2-s))) on (1, 2), normalized to unit integral.
-
-    The spec is frozen and pure, so it is built once and shared.
-    """
-    raw_total, _ = quad(_bump_raw, 1.0, 2.0, limit=200)
-    c = 1.0 / raw_total
-
-    def bump(s):
-        return c * _bump_raw(s)
-
-    return MollifierSpec(bump=bump)
 
 
 @dataclass(frozen=True)
@@ -118,7 +79,6 @@ class RegularizationParams:
     """
 
     t: float
-    mollifier: MollifierSpec = field(default_factory=default_mollifier)
     radial_nodes: int = 16
     angular_nodes: int | None = None
 
@@ -149,8 +109,7 @@ def kernel_rule(params: RegularizationParams, dim: int):
     s, glw = np.polynomial.legendre.leggauss(params.radial_nodes)
     s = 1.5 + 0.5 * s
     glw = 0.5 * glw
-    psi = np.asarray([float(params.mollifier.bump(v)) for v in s])
-    radial = glw * psi * s ** (dim - 1)
+    radial = glw * _bump_raw(s) * s ** (dim - 1)
     ang = params.angular_grid(dim)
     weights = np.outer(radial, ang.weights).ravel()
     weights /= weights.sum()
@@ -276,6 +235,8 @@ def mollified_support_values(
         return support_values(body, directions)
     n = body_dim(body)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[1] != n:
+        raise DimensionMismatchError(f"directions have dim {dirs.shape[1]}, body has dim {n}")
     if frame is None:
         frame = canonical_frame(body)
     offsets, weights = kernel_rule(params, n)
@@ -312,7 +273,7 @@ def mollify(
 ) -> Sampled:
     """Smooth the support function; result sampled on the given grid."""
     values = mollified_support_values(body, params, grid.nodes)
-    return Sampled(SupportSamples(grid, values))
+    return Sampled(grid, values)
 
 
 def _check_full_dimensional(body: Body, grid: SphericalGrid):
@@ -338,6 +299,8 @@ def regularize(
     test with margin scaling like t and converges to recenter(body) in
     Hausdorff distance as t -> 0.
     """
+    if grid.dim != body_dim(body):
+        raise DimensionMismatchError("grid dimension does not match body")
     if params.t == 0.0:
         return recenter(body, grid)
     _check_full_dimensional(body, grid)

@@ -139,16 +139,9 @@ def circle_candidates(n_angles: int = 720, reflections: bool = True) -> np.ndarr
     return np.concatenate([rots, rots @ flip])
 
 
-def sphere_candidates(
-    grid_size: int = 576,
-    reflections: bool = True,
-    include_platonic: bool = True,
-) -> np.ndarray:
+def sphere_candidates(grid_size: int = 576, reflections: bool = True) -> np.ndarray:
     """Rotation grid over SO(3) / O(3) with platonic symmetry candidates."""
-    parts = [so3_fibonacci(grid_size)]
-    if include_platonic:
-        parts.append(octahedral_rotations())
-        parts.append(icosahedral_rotations())
+    parts = [so3_fibonacci(grid_size), octahedral_rotations(), icosahedral_rotations()]
     mats = _dedup(np.concatenate(parts))
     if reflections:
         mats = np.concatenate([mats, -mats])

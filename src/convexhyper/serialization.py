@@ -32,7 +32,6 @@ from .bodies import (
     Sampled,
     Scaled,
     Sum,
-    SupportSamples,
 )
 from .errors import ConvexHyperError, ParseError, ValidationError
 from .quadrature import SphericalGrid, make_grid_2d, make_grid_3d
@@ -53,6 +52,15 @@ def _require(obj, key, path):
     if key not in obj:
         raise ParseError(f"missing key {key!r}", path)
     return obj[key]
+
+
+def _number(obj, key, path, kind=float):
+    """``kind(obj[key])`` for a JSON scalar, or ParseError at its path."""
+    value = _require(obj, key, path)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"not a number: {exc}", f"{path}/{key}") from None
 
 
 def _matrix(value, path):
@@ -84,18 +92,19 @@ def _grid_from_obj(obj, path) -> SphericalGrid:
     kind = _require(obj, "type", path)
     try:
         if kind == "uniform-2d":
-            return make_grid_2d(int(_require(obj, "m", path)))
+            return make_grid_2d(_number(obj, "m", path, int))
         if kind == "gauss-lonlat-3d":
-            return make_grid_3d(
-                int(_require(obj, "n_lat", path)), int(_require(obj, "n_lon", path))
-            )
+            n_lat, n_lon = _number(obj, "n_lat", path, int), _number(obj, "n_lon", path, int)
+            return make_grid_3d(n_lat, n_lon)
         if kind == "explicit":
             return SphericalGrid(
-                int(_require(obj, "dim", path)),
+                _number(obj, "dim", path, int),
                 _matrix(_require(obj, "nodes", path), path + "/nodes"),
                 _matrix(_require(obj, "weights", path), path + "/weights"),
                 kind="unstructured",
             )
+    except ParseError:
+        raise
     except ConvexHyperError as exc:
         raise ValidationError(str(exc), path) from None
     raise ParseError(f"unknown grid type {kind!r}", path)
@@ -143,7 +152,7 @@ def body_from_obj(obj, path="") -> Body:
         if kind == "ball":
             return Ball(
                 _matrix(_require(obj, "center", path), path + "/center"),
-                float(_require(obj, "radius", path)),
+                _number(obj, "radius", path),
             )
         if kind == "ellipsoid":
             return Ellipsoid(
@@ -157,7 +166,7 @@ def body_from_obj(obj, path="") -> Body:
             )
         if kind == "scaled":
             return Scaled(
-                float(_require(obj, "factor", path)),
+                _number(obj, "factor", path),
                 body_from_obj(_require(obj, "inner", path), path + "/inner"),
             )
         if kind == "rotated":
@@ -168,7 +177,7 @@ def body_from_obj(obj, path="") -> Body:
         if kind == "sampled":
             grid = _grid_from_obj(_require(obj, "grid", path), path + "/grid")
             values = _matrix(_require(obj, "values", path), path + "/values")
-            return Sampled(SupportSamples(grid, values))
+            return Sampled(grid, values)
     except ParseError:
         raise
     except ConvexHyperError as exc:
@@ -214,9 +223,11 @@ def _reject_constant(name):
 def parse_body(text: str) -> BodyDocument:
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
+        return document_from_obj(obj)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "") from None
-    return document_from_obj(obj)
+    except RecursionError:
+        raise ParseError("body nested too deeply", "") from None
 
 
 def body_equal(a: Body, b: Body) -> bool:

@@ -3,10 +3,11 @@
 ``truncate`` removes the open eps-slab below the support hyperplane with
 normal u (an exact halfspace clip of a polytope) and re-centers at the
 Steiner point.  ``desymmetrize`` applies one truncation per coordinate
-axis with strictly decreasing fresh-face diameters and mutually disjoint
-cut regions; a body whose flat faces all have different diameters admits
-no nontrivial orthogonal symmetry, which ``isotropy_estimate`` verifies
-over a finite candidate scan.
+axis; each fresh face is at most ``_SHRINK`` (0.9) times as wide as the
+one before, and the cut regions stay ``_SEPARATION`` (1e-3) times the
+body's diameter apart.  A body whose flat faces all have different
+diameters admits no nontrivial orthogonal symmetry, which
+``isotropy_estimate`` verifies over a finite candidate scan.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 from .rotations import default_candidates
 
 _FACE_TOL = 1e-9
+# desymmetrize: cut regions stay _SEPARATION * diameter apart, and each
+# fresh face is at most _SHRINK times as wide as the one before
+_SEPARATION = 1e-3
+_SHRINK = 0.9
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,13 @@ def _uniquely_exposes(verts: np.ndarray, u: np.ndarray, idx: int, scale: float) 
     return exposed.size == 1 and exposed[0] == idx
 
 
-def _plan_cuts(poly: Polytope, axes: np.ndarray, margin: float):
-    """Assign each requested axis a cut direction exposing a unique vertex.
+def _plan_cuts(poly: Polytope, margin: float):
+    """Assign each coordinate axis a cut direction exposing a unique vertex.
 
     Slab cuts only shrink to a point when the cut direction's support set
-    is a single vertex; flat faces normal to a requested axis (cube,
-    square) make that impossible, so such axes fall back to the
-    normal-cone center of a not-yet-used vertex with maximal support.
+    is a single vertex; flat faces normal to an axis (cube, square) make
+    that impossible, so such axes fall back to the normal-cone center of
+    a not-yet-used vertex with maximal support.
     The chosen vertices must additionally sit several margins inside each
     other's cut halfspaces, otherwise a fresh face near one vertex would
     unavoidably invade a later cap (two near-co-maximal vertices).
@@ -238,8 +243,7 @@ def _plan_cuts(poly: Polytope, axes: np.ndarray, margin: float):
                 return False
         return True
 
-    for e in axes:
-        e = e / np.linalg.norm(e)
+    for e in np.eye(poly.dim):
         order = np.argsort(-(verts @ e), kind="stable")
         choice = None
         for idx in order:
@@ -270,18 +274,16 @@ def desymmetrize(
     body: Body,
     budget: float,
     grid: SphericalGrid | None = None,
-    axes: np.ndarray | None = None,
-    separation: float = 1e-3,
-    shrink: float = 0.9,
 ) -> tuple[Polytope, list[FaceRecord]]:
     """Destroy all orthogonal symmetries by n successive truncations.
 
-    Cuts near the given axes (default: standard basis, nudged into vertex
-    normal cones when an axis exposes a whole face) with depths chosen by
-    halving so that (a) fresh-face diameters strictly decrease, (b) cut
-    regions stay separated from earlier faces and from the later cut
-    vertices by a positive margin, and (c) the total Hausdorff
-    displacement from the re-centered input stays within ``budget``.
+    Cuts near the coordinate axes (nudged into vertex normal cones when an
+    axis exposes a whole face) with depths chosen by halving so that
+    (a) each fresh-face diameter is at most ``_SHRINK`` times the previous
+    one, (b) cut regions stay ``_SEPARATION`` times the diameter clear of
+    earlier faces and of the later cut vertices, and (c) the total
+    Hausdorff displacement from the re-centered input stays within
+    ``budget``.
     When a later cut cannot satisfy the separation no matter how shallow
     (an earlier face reaches into its cap), the whole cut sequence is
     retried at half the starting depths; small enough depths always admit
@@ -291,9 +293,6 @@ def desymmetrize(
         raise InvalidArgumentError("budget must be finite and positive")
     n = body_dim(body)
     grid = grid or default_grid(n)
-    if axes is None:
-        axes = np.eye(n)
-    axes = np.asarray(axes, dtype=float)
 
     target = recenter(body, grid)
     poly = as_polytope(body)
@@ -304,8 +303,8 @@ def desymmetrize(
         raise InvalidArgumentError("desymmetrize needs a full-dimensional body")
 
     diam = _pairwise_diameter(start.vertices)
-    margin = separation * diam
-    plan = _plan_cuts(start, axes, margin)
+    margin = _SEPARATION * diam
+    plan = _plan_cuts(start, margin)
 
     base_disp = hausdorff(start, target, grid)
     if base_disp > budget:
@@ -318,7 +317,7 @@ def desymmetrize(
     for trial in range(8):
         try:
             return _run_cut_sequence(
-                start, plan, 0.5**trial, margin, shrink, target, budget, grid
+                start, base_disp, plan, 0.5**trial, margin, target, budget, grid
             )
         except InfeasibleBudgetError as exc:
             last_error = exc
@@ -330,20 +329,20 @@ def desymmetrize(
 
 def _run_cut_sequence(
     start: Polytope,
+    best_disp: float,
     plan: list,
     depth_scale: float,
     margin: float,
-    shrink: float,
     target: Body,
     budget: float,
     grid: SphericalGrid,
 ) -> tuple[Polytope, list[FaceRecord]]:
+    """Cut along each planned direction; ``best_disp`` is hausdorff(start, target)."""
     current = start
     cut_verts = [v.copy() for _, v in plan]
     faces: list[np.ndarray] = []
     records: list[FaceRecord] = []
     prev_diam = math.inf
-    best_disp = hausdorff(current, target, grid)
 
     for k, (u, _) in enumerate(plan):
         h_u = float(support_values(current, u[None, :])[0])
@@ -353,8 +352,8 @@ def _run_cut_sequence(
         for _ in range(60):
             try:
                 cand = _feasible_cut(
-                    current, u, eps, cut_verts[k + 1:], faces,
-                    prev_diam * shrink, margin, target, budget, grid,
+                    current, u, h_u, w, eps, cut_verts[k + 1:], faces,
+                    prev_diam * _SHRINK, margin, target, budget, grid,
                 )
             except EmptyResultError:
                 cand = None
@@ -382,6 +381,8 @@ def _run_cut_sequence(
 def _feasible_cut(
     current: Polytope,
     u: np.ndarray,
+    h_u: float,
+    w: float,
     eps: float,
     later_vertices: list[np.ndarray],
     faces: list[np.ndarray],
@@ -391,8 +392,7 @@ def _feasible_cut(
     budget: float,
     grid: SphericalGrid,
 ):
-    h_u = float(support_values(current, u[None, :])[0])
-    w = h_u + float(support_values(current, -u[None, :])[0])
+    """The cut eps below h_u = h(current, u), or None; w is the width along u."""
     if eps <= 0 or eps >= w / 2.0:
         return None
     cut = h_u - eps
@@ -420,25 +420,22 @@ def _feasible_cut(
 
 def isotropy_estimate(
     body: Body,
-    candidates: np.ndarray | None = None,
     tol: float = 1e-6,
     grid: SphericalGrid | None = None,
 ) -> list[Rotation]:
     """Candidates g with hausdorff(gD, D) below tol (body assumed centered).
 
-    The scan certifies symmetry only over the finite candidate set; the
-    default sets are dense circles (n=2) and an SO(3) spiral plus platonic
-    groups (n=3), both doubled into the improper coset.
+    The scan certifies symmetry only over the finite candidate set
+    ``default_candidates(n)``: a dense circle (n=2) and an SO(3) spiral
+    plus platonic groups (n=3), both doubled into the improper coset.
     """
     if not math.isfinite(tol):
         raise InvalidArgumentError("tol must be finite")
     n = body_dim(body)
     grid = grid or default_grid(n)
-    if candidates is None:
-        candidates = default_candidates(n)
     base = support_values(body, grid.nodes)
     kept = []
-    for g in candidates:
+    for g in default_candidates(n):
         vals = support_values(body, grid.nodes @ g)
         if float(np.abs(vals - base).max()) < tol:
             kept.append(Rotation(g))

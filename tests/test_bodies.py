@@ -11,25 +11,27 @@ from convexhyper import (
     InvalidArgumentError,
     InvalidBodyError,
     Polytope,
+    RegularizationParams,
     Rotated,
     Rotation,
     Sampled,
     Scaled,
     Sum,
-    SupportSamples,
     TruncationSpec,
     curvature_radius_2d,
     curvature_report,
     desymmetrize,
     eval_support,
     isotropy_estimate,
-    minkowski_sum,
     polytope_sum,
     random_polytope,
     random_rotation,
     sample_support,
     make_grid_2d,
-    scale,
+    make_grid_3d,
+    mollify,
+    regularize,
+    support_point,
     same_congruence_class,
     support_values,
     translate,
@@ -74,13 +76,13 @@ def test_scaled_homogeneity(square, grid2):
 
 
 def test_scale_zero_is_origin(square, grid2):
-    z = scale(0.0, square)
+    z = Scaled(0.0, square)
     assert np.all(support_values(z, grid2.nodes) == 0.0)
 
 
 def test_scale_negative_rejected(square):
     with pytest.raises(InvalidArgumentError):
-        scale(-0.5, square)
+        Scaled(-0.5, square)
 
 
 def test_rotated_support(square, grid2):
@@ -125,7 +127,7 @@ def test_empty_polytope_rejected():
         lambda: Scaled(math.nan, Polytope([[0.0, 0.0], [1.0, 0.0]])),
         lambda: Scaled(math.inf, Polytope([[0.0, 0.0], [1.0, 0.0]])),
         lambda: Ellipsoid([math.nan, 0.0], np.eye(2)),
-        lambda: SupportSamples(make_grid_2d(8), np.r_[np.ones(7), -math.inf]),
+        lambda: Sampled(make_grid_2d(8), np.r_[np.ones(7), -math.inf]),
     ],
     ids=["ball-radius", "ball-center", "polytope", "scaled-nan", "scaled-inf",
          "ellipsoid", "samples"],
@@ -166,16 +168,31 @@ def test_non_finite_argument_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mollify(_SQUARE, RegularizationParams(t=0.1), make_grid_3d(8, 16)),
+        lambda: regularize(_SQUARE, RegularizationParams(t=0.1), make_grid_3d(8, 16)),
+        lambda: regularize(_SQUARE, RegularizationParams(t=0.0), make_grid_3d(8, 16)),
+        lambda: support_point(_SQUARE, np.ones(3) / math.sqrt(3.0)),
+    ],
+    ids=["mollify-grid", "regularize-grid", "regularize-t0-grid", "support-point"],
+)
+def test_dimension_mismatch_rejected(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
 def test_dimension_mismatch(square, unit_ball_3d):
     with pytest.raises(DimensionMismatchError):
-        minkowski_sum(square, unit_ball_3d)
+        Sum(square, unit_ball_3d)
     with pytest.raises(DimensionMismatchError):
         support_values(square, np.zeros((1, 3)))
 
 
 def test_minkowski_sum_additivity(square, grid2):
     other = random_polytope(5, 2, 9)
-    tree = minkowski_sum(square, other)
+    tree = Sum(square, other)
     explicit = polytope_sum(square, other)
     np.testing.assert_allclose(
         support_values(tree, grid2.nodes),
@@ -217,17 +234,16 @@ def test_translate_all_representations(grid2):
 
 def test_sampled_interpolation_exact_at_nodes(grid2):
     body = random_polytope(11, 2, 12)
-    samples = sample_support(body, grid2)
-    sampled = Sampled(samples)
+    sampled = sample_support(body, grid2)
     np.testing.assert_allclose(
-        support_values(sampled, grid2.nodes), samples.values, atol=1e-13
+        support_values(sampled, grid2.nodes), sampled.values, atol=1e-13
     )
 
 
 def test_sampled_interpolation_between_nodes(grid2):
     # smooth body: angular-linear interpolation error is O(cell^2)
     body = Ellipsoid(np.zeros(2), np.array([[1.5, 0.2], [0.2, 0.8]]))
-    sampled = Sampled(sample_support(body, grid2))
+    sampled = sample_support(body, grid2)
     theta = 2 * math.pi * (np.arange(512) + 0.37) / 512
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     err = np.abs(support_values(sampled, dirs) - support_values(body, dirs)).max()
@@ -236,7 +252,7 @@ def test_sampled_interpolation_between_nodes(grid2):
 
 def test_sampled_interpolation_3d(grid3):
     body = Ball(np.array([0.2, -0.1, 0.05]), 1.0)
-    sampled = Sampled(sample_support(body, grid3))
+    sampled = sample_support(body, grid3)
     rng = np.random.default_rng(2)
     dirs = rng.standard_normal((256, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

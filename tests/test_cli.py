@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import convexhyper
 from convexhyper.cli import main
 
 
@@ -209,6 +212,52 @@ def test_symmetries_4d_exit_code_2(runner, tmp_path):
     res = runner.invoke(main, ["symmetries", "--in", str(body)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
+
+
+_BALL = json.dumps({"type": "ball", "center": [0.0, 0.0], "radius": 1.0})
+
+
+def _nested_sum(depth):
+    text = _BALL
+    for _ in range(depth):
+        text = f'{{"type": "sum", "left": {text}, "right": {_BALL}}}'
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "ball", "center": [0.0, 0.0], "radius": "x"}',
+        f'{{"type": "scaled", "factor": null, "inner": {_BALL}}}',
+        '{"type": "sampled", "grid": {"type": "uniform-2d", "m": 1e400}, "values": [1.0]}',
+        _nested_sum(3000),
+    ],
+    ids=["radius-string", "factor-null", "grid-overflow", "deep-sum"],
+)
+def test_malformed_json_exit_code_2(runner, tmp_path, text):
+    body = tmp_path / "body.json"
+    body.write_text(text)
+    res = runner.invoke(main, ["steiner", str(body)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "spec", ["poly:n=1,verts=4,count=1", "poly:n=2,verts=4,count=-1"], ids=["n=1", "count=-1"]
+)
+def test_bad_corpus_spec_exit_code_2(runner, tmp_path, spec):
+    res = runner.invoke(main, ["corpus", "--seed", "1", "--spec", spec, "--out-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
+def test_import_skips_scipy_integrate():
+    # the smoothing kernel is rescaled to unit mass, so nothing integrates its bump
+    src = os.path.dirname(os.path.dirname(convexhyper.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import convexhyper.cli, sys; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_minkowski_explicit(runner, square_file, tmp_path):

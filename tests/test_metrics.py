@@ -8,7 +8,6 @@ from convexhyper import (
     DimensionMismatchError,
     Polytope,
     Rotated,
-    Sampled,
     Scaled,
     Sum,
     hausdorff,
@@ -25,6 +24,7 @@ from convexhyper import (
 from convexhyper import metrics
 from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import support_moment_matrix
+from convexhyper.rotations import circle_candidates
 from oracles import brute_moment, brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
 
 SQRT2 = math.sqrt(2.0)
@@ -94,6 +94,20 @@ class TestHausdorff:
         assert abs(d - max(abs(a_ax - 1.0), abs(b_ax - 1.0))) < 1e-10
 
 
+    def test_exact_2d_matches_dense_sweep(self):
+        # every normal-cone arc of a polygon pair lies in [0, 4 pi), so the
+        # arc maximum must look for critical angles up to phi + 3 pi
+        p, q = random_polytope(9445, 2, 9), random_polytope(9446, 2, 9)
+        theta = 2.0 * math.pi * np.arange(65536) / 65536
+        dirs = np.stack([np.cos(theta), np.sin(theta)])
+        h_q = (q.vertices @ dirs).max(axis=0)
+        for g in circle_candidates(180):
+            moved = rigid_motion(p, g)
+            sweep = np.abs((moved.vertices @ dirs).max(axis=0) - h_q).max()
+            exact = metrics.exact_hausdorff(moved, q)
+            assert sweep - 1e-12 <= exact <= sweep + 1e-3
+
+
 class TestSteiner:
     def test_ball_center(self, grid2):
         c = np.array([0.3, -0.4])
@@ -158,7 +172,7 @@ class TestSteiner:
 
     def test_sampled_body(self, grid2):
         poly = random_polytope(42, 2, 12)
-        sampled = Sampled(sample_support(poly, grid2))
+        sampled = sample_support(poly, grid2)
         np.testing.assert_allclose(
             steiner(sampled, grid2), steiner(poly, grid2), atol=1e-6
         )

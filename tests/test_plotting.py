@@ -6,7 +6,7 @@ from convexhyper.plotting import boundary_points_2d
 
 
 def test_ball_outline_has_enough_points(tmp_path):
-    pts = boundary_points_2d(Ball(np.zeros(2), 1.0), count=512)
+    pts = boundary_points_2d(Ball(np.zeros(2), 1.0))
     assert pts.shape[0] >= 256
     radii = np.linalg.norm(pts, axis=1)
     np.testing.assert_allclose(radii, 1.0, atol=1e-6)

@@ -13,7 +13,6 @@ from convexhyper import (
     Polytope,
     Rotated,
     Rotation,
-    Sampled,
     Scaled,
     Sum,
     ValidationError,
@@ -86,7 +85,7 @@ def test_round_trip_simple_ball():
 
 
 def test_round_trip_sampled(grid2):
-    body = Sampled(sample_support(Ball(np.zeros(2), 1.5), grid2))
+    body = sample_support(Ball(np.zeros(2), 1.5), grid2)
     doc = BodyDocument(body=body)
     again = parse_body(serialize_body(doc))
     assert document_equal(doc, again)

@@ -14,7 +14,6 @@ from convexhyper import (
     Polytope,
     Rotated,
     Rotation,
-    Sampled,
     Scaled,
     Sum,
     as_polytope,
@@ -52,7 +51,7 @@ def _leaf(kind: str, seed: int, dim: int):
     ellipsoid = Ellipsoid(center, a @ a.T + 0.3 * np.eye(dim))
     if kind == "ellipsoid":
         return ellipsoid
-    return Sampled(sample_support(ellipsoid, GRIDS[dim]))
+    return sample_support(ellipsoid, GRIDS[dim])
 
 
 @st.composite
