@@ -60,8 +60,9 @@ class Rotation:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("rotation matrix must be square")
-        n = m.shape[0]
-        if not np.allclose(m.T @ m, np.eye(n), atol=1e-10):
+        eye = np.eye(m.shape[0])
+        # np.allclose(m^T m, eye, atol=1e-10) at a fraction of its cost
+        if not (np.abs(m.T @ m - eye) <= 1e-10 + 1e-5 * eye).all():
             raise InvalidArgumentError("matrix is not orthogonal")
         if abs(abs(np.linalg.det(m)) - 1.0) > 1e-10:
             raise InvalidArgumentError("matrix determinant must be +-1")
@@ -280,51 +281,45 @@ class Ellipsoid(Body):
 
 @dataclass(frozen=True)
 class Sum(Body):
-    """Minkowski sum of two bodies."""
+    """Minkowski sum of two bodies (its dimension stored, not walked down to)."""
 
     left: Body
     right: Body
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if body_dim(self.left) != body_dim(self.right):
             raise DimensionMismatchError(
                 "cannot sum bodies of different dimensions"
             )
-
-    @property
-    def dim(self) -> int:
-        return body_dim(self.left)
+        object.__setattr__(self, "dim", body_dim(self.left))
 
 
 @dataclass(frozen=True)
 class Scaled(Body):
     factor: float
     inner: Body
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
+        object.__setattr__(self, "dim", body_dim(self.inner))
         if not math.isfinite(self.factor):
             raise InvalidArgumentError("scale factor must be finite")
         if self.factor < 0:
             raise InvalidArgumentError("scale factor must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return body_dim(self.inner)
 
 
 @dataclass(frozen=True)
 class Rotated(Body):
     rotation: Rotation
     inner: Body
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rotation.dim != body_dim(self.inner):
+        object.__setattr__(self, "dim", body_dim(self.inner))
+        if self.rotation.dim != self.dim:
             raise DimensionMismatchError("rotation dimension mismatch")
-
-    @property
-    def dim(self) -> int:
-        return body_dim(self.inner)
 
 
 @dataclass(frozen=True)

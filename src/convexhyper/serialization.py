@@ -54,20 +54,29 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int
+
+
 def _number(obj, key, path, kind=float):
-    """``kind(obj[key])`` for a JSON scalar, or ParseError at its path."""
+    """``kind(obj[key])`` for a JSON number, integral for ``int``, else ParseError."""
     value = _require(obj, key, path)
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"not a number: {exc}", f"{path}/{key}") from None
+        if _is_number(value) and (kind is float or float(value).is_integer()):
+            return kind(value)
+    except OverflowError:
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ParseError(f"not {what}: {json.dumps(value)}", f"{path}/{key}")
 
 
 def _matrix(value, path):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"not a numeric array: {exc}", path) from None
+    if not all(map(_is_number, np.asarray(value, dtype=object).ravel())):
+        raise ParseError("not a numeric array: only numbers, no booleans or strings", path)
     return arr
 
 
@@ -199,7 +208,7 @@ def document_from_obj(obj, path="") -> BodyDocument:
     if "type" in obj:  # bare body, no envelope
         return BodyDocument(body=body_from_obj(obj, path))
     version = _require(obj, "schema_version", path)
-    if version != SCHEMA_VERSION:
+    if not _is_number(version) or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", path)
     meta = obj.get("metadata", {})
     if not isinstance(meta, dict) or any(

@@ -201,6 +201,19 @@ def test_minkowski_sum_additivity(square, grid2):
     )
 
 
+def test_deep_left_nested_sum(grid2):
+    # each Sum stores its dimension, so a deep sum built one summand at a
+    # time neither walks its left spine nor hits the recursion limit
+    ball = Ball(np.array([0.1, -0.2]), 0.3)
+    body = ball
+    for _ in range(1000):
+        body = Sum(body, ball)
+    assert body.dim == 2
+    np.testing.assert_allclose(
+        support_values(body, grid2.nodes), 1001 * support_values(ball, grid2.nodes), rtol=1e-12
+    )
+
+
 def test_two_balls_sum_to_ball(grid2):
     a = Ball(np.zeros(2), 0.4)
     b = Ball(np.zeros(2), 1.1)

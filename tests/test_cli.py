@@ -231,8 +231,15 @@ def _nested_sum(depth):
         f'{{"type": "scaled", "factor": null, "inner": {_BALL}}}',
         '{"type": "sampled", "grid": {"type": "uniform-2d", "m": 1e400}, "values": [1.0]}',
         _nested_sum(3000),
+        '{"type": "sampled", "grid": {"type": "uniform-2d", "m": 8.9}, "values": [1, 1, 1, 1, 1, 1, 1, 1]}',
+        '{"type": "ball", "center": [0.0, 0.0], "radius": true}',
+        '{"type": "polytope", "vertices": [[true, 0.0], [0.0, 1.0], [-1.0, 0.0]]}',
+        '{"type": "ball", "center": [0.0, 0.0], "radius": "1.5"}',
     ],
-    ids=["radius-string", "factor-null", "grid-overflow", "deep-sum"],
+    ids=[
+        "radius-string", "factor-null", "grid-overflow", "deep-sum",
+        "grid-fraction", "radius-bool", "vertex-bool", "radius-numeric-string",
+    ],
 )
 def test_malformed_json_exit_code_2(runner, tmp_path, text):
     body = tmp_path / "body.json"

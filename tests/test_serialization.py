@@ -129,6 +129,29 @@ def test_negative_radius_names_node():
         )
 
 
+def test_integral_float_grid_size_accepted():
+    obj = {"type": "sampled", "grid": {"type": "uniform-2d", "m": 8.0}, "values": [1.0] * 8}
+    assert len(body_from_obj(obj).grid) == 8
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        ({"type": "sampled", "grid": {"type": "uniform-2d", "m": 8.9}, "values": [1.0] * 8},
+         "/grid/m"),
+        ({"type": "ball", "center": [0.0, 0.0], "radius": True}, "/radius"),
+        ({"type": "ball", "center": [0.0, False], "radius": 1.0}, "/center"),
+        ({"type": "scaled", "factor": True,
+          "inner": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}, "/factor"),
+    ],
+    ids=["fraction", "bool-radius", "bool-center", "bool-factor"],
+)
+def test_coercible_scalars_rejected(obj, where):
+    with pytest.raises(ParseError) as info:
+        body_from_obj(obj)
+    assert info.value.path == where
+
+
 def test_unknown_type():
     with pytest.raises(ParseError):
         body_from_obj({"type": "torus"})
