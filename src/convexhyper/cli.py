@@ -293,7 +293,8 @@ def desymmetrize(budget, in_path, out, grid_2d, grid_3d):
 @_grid_options
 @_handle_errors
 def symmetries(tol, in_path, grid_2d, grid_3d):
-    """Scan the default O(n) candidates for symmetries of a centered body."""
+    """Orthogonal symmetries of a centered body: the exact group of a polytope
+    (maps permuting its hull vertices), a candidate scan for other bodies."""
     doc = _read_doc(in_path)
     grid = _resolve_grid(body_dim(doc.body), grid_2d, grid_3d)
     kept = isotropy_estimate(doc.body, tol=tol, grid=grid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,13 +64,22 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class CongruenceResult:
+    """``candidates`` are the coarse matrices and ``values`` the objective
+    at each; ``certificate`` pairs them as (Rotation, value), built on
+    first access."""
+
     distance: float
     optimizer: Rotation
-    certificate: tuple
+    candidates: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def certificate(self) -> tuple:
+        return tuple((Rotation(g), float(v)) for g, v in zip(self.candidates, self.values))
 
     @property
     def certificate_size(self) -> int:
-        return len(self.certificate)
+        return len(self.values)
 
 
 def _canonical_key(body: Body) -> tuple:
@@ -94,14 +104,12 @@ class _Side(NamedTuple):
     """A rotatable body in its own frame: h(u) = max <p, u> + radius over
     ``points`` (a ball is its centre), ``normals`` of facets (3-D) or edges
     (2-D).  In 3-D each edge (first end p, unit e) has a 3 x 3 block of
-    ``crossing`` (x -> x cross e) and ``projector`` P = I - e e^T, and P p
-    in ``base``."""
+    ``projector`` P = I - e e^T, and P p in ``base``."""
 
     points: np.ndarray
     radius: float
     normals: np.ndarray
     units: np.ndarray | None = None
-    crossing: np.ndarray | None = None
     projector: np.ndarray | None = None
     base: np.ndarray | None = None
 
@@ -115,7 +123,7 @@ def _side(rot) -> _Side | None:
     if kind == "ball":  # any unit vector is a ball normal; one stands in for all
         none = np.empty((0, n))
         return _Side(payload.center[None, :], payload.radius, np.eye(n)[:1],
-                     none, none.T, none.T, none)
+                     none, none.T, none)
     hull = payload.hull
     pts = payload.vertices[hull.index]
     if n == 2:
@@ -127,8 +135,8 @@ def _side(rot) -> _Side | None:
     e = pts[hull.edges[:, 1]] - first
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     proj = np.eye(3) - e[:, :, None] * e[:, None, :]
-    return _Side(pts, 0.0, hull.normals, e, np.cross(np.eye(3)[:, None, :], e).reshape(3, -1),
-                 proj.transpose(1, 0, 2).reshape(3, -1), np.einsum("eij,ej->ei", proj, first))
+    return _Side(pts, 0.0, hull.normals, e, proj.transpose(1, 0, 2).reshape(3, -1),
+                 np.einsum("eij,ej->ei", proj, first))
 
 
 def _ridges(side: _Side, targets: np.ndarray) -> np.ndarray:
@@ -140,11 +148,15 @@ def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
     """sup over u of |h_{g D}(u) - h_K(u)| for each g in the stack ``mats``.
 
     The sup is attained in a superset of critical directions: normals of
-    both bodies, g p - q for points p of D and q of K, and in 3-D the
-    crossings (g e) x f of edges and the ridge criticals of each body's
-    edges against the other's points.  The vertex-axis min of the same
-    product gives h(-u); h is positively homogeneous, so each gap is divided
-    by its direction's length instead, and (near-)zero directions drop out.
+    both bodies, g p - q for points p of D and q of K, and in 3-D the ridge
+    criticals of each body's edges against the other's points.  Crossings
+    (g e) x f of two edges are left out: along the arc normal to f,
+    h_gD - h_K is a maximum of two sinusoids (a minimum along the arc
+    normal to g e), so it has an extremum at the crossing only where both
+    one-sided derivatives vanish, at a ridge critical already in the set.
+    The vertex-axis min of the same product gives h(-u); h is positively
+    homogeneous, so each gap is divided by its direction's length instead,
+    and (near-)zero directions drop out.
     """
     count, n = mats.shape[:2]
     rot = mats.transpose(0, 2, 1)  # row vectors: x @ g^T = g x
@@ -153,8 +165,7 @@ def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
              dp[:, :, None, :] - k.points]
     if n == 3:
         local = k.points @ mats  # g^T q: K's points in D's frame
-        parts += [(d.units @ rot) @ k.crossing,
-                  _ridges(d, local).reshape(count, -1, 3) @ rot, _ridges(k, dp)]
+        parts += [_ridges(d, local).reshape(count, -1, 3) @ rot, _ridges(k, dp)]
     v = np.concatenate([p.reshape(count, -1, n) for p in parts], axis=1)
     norms = np.sqrt(np.einsum("bji,bji->bj", v, v))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 1e-12)
@@ -178,7 +189,7 @@ def _objective(d_rot, k_rot, d_body: Body, k_values: np.ndarray, nodes: np.ndarr
         )
     dirs = len(d.normals) + len(k.normals) + len(d.points) * len(k.points)
     if nodes.shape[1] == 3:
-        dirs += len(d.units) * (len(k.units) + len(k.points)) + len(k.units) * len(d.points)
+        dirs += len(d.units) * len(k.points) + len(k.units) * len(d.points)
     block = max(1, _STACK_ENTRIES // (dirs * max(len(d.points), len(k.points))))
     return lambda mats: np.concatenate(
         [_stacked_gap(d, k, mats[i:i + block]) for i in range(0, len(mats), block)]
@@ -304,12 +315,8 @@ def congruence_distance(
     if swapped:
         best_mat = best_mat.T
         mats = mats.transpose(0, 2, 1)
-    certificate = tuple((Rotation(g), float(v)) for g, v in zip(mats, values))
-    return CongruenceResult(
-        distance=best_val,
-        optimizer=Rotation(best_mat),
-        certificate=certificate,
-    )
+    return CongruenceResult(distance=best_val, optimizer=Rotation(best_mat),
+                            candidates=mats, values=values)
 
 
 def _rotation_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -115,6 +115,13 @@ def _tri_rule():
 _SPLIT_ANGLE = 0.45  # subdivide spherical triangles wider than this (radians)
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit, without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _spherical_triangle_rule(a, b, c, depth: int = 0):
     """Quadrature points/weights for surface integrals over the spherical
     triangle with vertices a, b, c (unit vectors, assumed within an open
@@ -122,11 +129,8 @@ def _spherical_triangle_rule(a, b, c, depth: int = 0):
     triangle: dOmega = dist(0, plane) / ||x||^3 dA.  Wide triangles are
     subdivided at normalized edge midpoints to keep the chart mild.
     """
-    span = max(
-        math.acos(np.clip(a @ b, -1.0, 1.0)),
-        math.acos(np.clip(b @ c, -1.0, 1.0)),
-        math.acos(np.clip(c @ a, -1.0, 1.0)),
-    )
+    # the widest side: acos is decreasing, so it is the acos of the least cosine
+    span = math.acos(min(1.0, max(-1.0, min(float(a @ b), float(b @ c), float(c @ a)))))
     if span > _SPLIT_ANGLE and depth < 4:
         mab = a + b
         mbc = b + c
@@ -150,7 +154,7 @@ def _spherical_triangle_rule(a, b, c, depth: int = 0):
     xi, eta, wq = _tri_rule()
     ab = b - a
     bc = c - b
-    cross = np.cross(ab, bc)
+    cross = _cross3(ab, bc)
     two_area = np.linalg.norm(cross)
     if two_area < 1e-14:
         return None
@@ -158,7 +162,7 @@ def _spherical_triangle_rule(a, b, c, depth: int = 0):
     dist = abs(float(n_hat @ a))
     if dist < 1e-14:
         return None
-    pts = a[None, :] + np.outer(xi, ab) + np.outer(xi * eta, bc)
+    pts = a[None, :] + xi[:, None] * ab + (xi * eta)[:, None] * bc
     norms = np.linalg.norm(pts, axis=1)
     weights = wq * xi * two_area * dist / norms**3
     return pts / norms[:, None], weights
@@ -184,9 +188,9 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
         axis = axis / axis_norm
         # order the cone's boundary directions around the axis
         ref = np.eye(3)[np.argmin(np.abs(axis))]
-        t1 = np.cross(axis, ref)
+        t1 = _cross3(axis, ref)
         t1 /= np.linalg.norm(t1)
-        t2 = np.cross(axis, t1)
+        t2 = _cross3(axis, t1)
         ang = np.arctan2(normals @ t2, normals @ t1)
         normals = normals[np.argsort(ang)]
         m = normals.shape[0]

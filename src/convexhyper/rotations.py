@@ -1,9 +1,14 @@
-"""Deterministic finite subsets of O(n) used for scans and searches.
+"""Finite subsets of O(n): candidate scans and exact maps between polytopes.
 
 n=2: equally spaced rotations, optionally with the reflection coset.
 n=3: a near-uniform super-Fibonacci spiral over SO(3) plus the rotation
 groups of the platonic solids (useful exact symmetry candidates), again
 optionally doubled into the improper coset.
+
+``orthogonal_maps`` enumerates instead of scanning: every orthogonal g
+that carries the hull vertices of one polytope onto those of another
+(Alt, Mehlhorn, Wagner & Welzl, DCG 3, 1988), polished by an orthogonal
+Procrustes fit (Umeyama, IEEE TPAMI 13, 1991).
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ import math
 from itertools import permutations
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
-from .errors import InvalidArgumentError
+from .bodies import Polytope
+from .errors import DimensionMismatchError, InvalidArgumentError
 
+_MATCH_ENTRIES = 1 << 18  # candidate x vertex entries per matching block
 _PHI = math.sqrt(2.0)
 _PSI = 1.533751168755204288118041
 
@@ -154,3 +161,151 @@ def default_candidates(dim: int, reflections: bool = True) -> np.ndarray:
     if dim == 3:
         return sphere_candidates(576, reflections)
     raise InvalidArgumentError("candidate sets provided for n = 2 and n = 3 only")
+
+
+def _extreme_points(poly: Polytope) -> np.ndarray:
+    """Unrounded hull vertices (all distinct points when qhull gave no cones)."""
+    hull = poly.hull
+    if poly.dim == 2:
+        return poly.vertices[hull.index[hull.ring]]
+    owners = slice(None) if hull.cone_owner is None else np.unique(hull.cone_owner)
+    return poly.vertices[hull.index[owners]]
+
+
+def _frames(first: np.ndarray, second: np.ndarray | None, sign: float) -> np.ndarray:
+    """Orthonormal frames (columns) from stacked first and second vectors;
+    ``sign`` multiplies the last column (the orientation).  A zero first
+    vector or a parallel second one gives a NaN frame, which matches nothing."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e1 = first / np.linalg.norm(first, axis=-1, keepdims=True)
+        if second is None:  # n = 2: e1 and its quarter turn
+            return np.stack([e1, sign * np.stack([-e1[..., 1], e1[..., 0]], axis=-1)], axis=-1)
+        e2 = second - np.sum(second * e1, axis=-1, keepdims=True) * e1
+        e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    return np.stack([e1, e2, sign * np.cross(e1, e2)], axis=-1)
+
+
+def _matcher(b: np.ndarray, tree: cKDTree, radius: float):
+    """x |-> index of the point of b within ``radius`` of x (len(b) if none).
+
+    Points of b are sorted by their projection on a fixed generic
+    direction.  The point nearest to x in projection decides at once when
+    no other point projects within 2 radius of it; the rare crowded cases
+    go to ``tree`` (of b).
+    """
+    u = np.array([0.5257311121191336, 0.6881909602355868, 0.5])[: b.shape[1]]
+    proj = b @ u
+    order = np.argsort(proj)
+    proj = proj[order]
+    gaps = np.diff(proj) > 2.0 * radius
+    alone = np.concatenate([[True], gaps]) & np.concatenate([gaps, [True]])
+
+    def match(x: np.ndarray) -> np.ndarray:
+        px = x @ u
+        right = np.minimum(np.searchsorted(proj, px), len(b) - 1)
+        left = np.maximum(right - 1, 0)
+        j = np.where(proj[right] - px < px - proj[left], right, left)
+        hit = order[j]
+        close = np.einsum("...i,...i->...", b[hit] - x, b[hit] - x) <= radius * radius
+        hit = np.where(close, hit, len(b))
+        crowded = ~alone[j] & (np.abs(proj[j] - px) <= radius)
+        if crowded.any():
+            hit[crowded] = tree.query(x[crowded], distance_upper_bound=radius)[1]
+        return hit
+
+    return match
+
+
+def _vertex_images(match, a: np.ndarray, order: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Rows of vertex indices pi with g a_i near b_pi(i), one row per g in
+    ``mats`` that sends every point of a near a distinct point of b (the
+    others are dropped after probing the first four points of ``order``)."""
+    idx = np.empty((len(mats), len(a)), dtype=int)
+    for part in (order[:4], order[4:]):
+        hit = match(a[part] @ mats.transpose(0, 2, 1))
+        keep = (hit < len(a)).all(axis=1)
+        mats, idx = mats[keep], idx[keep]
+        idx[:, part] = hit[keep]
+    return idx[(np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1)]
+
+
+def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every orthogonal g that maps the hull vertices of P onto those of Q.
+
+    Returns ``(matrices, displacements)``: g with the smallest matched
+    displacement max_i |g v_i - w_pi(i)| over a bijection pi of the hull
+    vertices, kept when that displacement is below ``tol``.  It bounds
+    |h_gP - h_Q| everywhere, so hausdorff(g P, Q) < tol for every member.
+    Members are ordered by their vertex permutation (the identity first
+    when P is Q).  A map that meets tol only by moving a vertex onto an
+    edge or facet of Q, not onto a vertex, is not found; nor, once tol
+    nears a hundredth of the median nearest-vertex distance, is one whose
+    first guess moves a vertex by more than a third of that distance.
+
+    A basis v_1 (rarest norm among vertices of at least a quarter of the
+    largest norm) and, in 3-D, v_2 (farthest from the line through v_1)
+    is matched to every image tuple of Q with the same norms and Gram
+    entries within what tol allows; each tuple and an orientation fix g
+    on orthonormal frames.  A candidate is kept when it maps every vertex
+    near a distinct vertex (looked up by projection on a fixed direction,
+    with a KD-tree for crowded windows), and an orthogonal Procrustes fit
+    over all matched pairs polishes it.
+    """
+    n = p.dim
+    if q.dim != n:
+        raise DimensionMismatchError("polytopes live in different dimensions")
+    if n not in (2, 3):
+        raise InvalidArgumentError("orthogonal maps computed for n = 2 and n = 3 only")
+    if not (p.is_full_dimensional and q.is_full_dimensional):
+        raise InvalidArgumentError("orthogonal maps need full-dimensional polytopes")
+    if not math.isfinite(tol):
+        raise InvalidArgumentError("tol must be finite")
+    none = np.empty((0, n, n)), np.empty(0)
+    a, b = _extreme_points(p), _extreme_points(q)
+    if tol <= 0 or len(a) != len(b):
+        return none
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    big = na >= 0.25 * na.max()
+    sb = np.sort(nb)
+    count = np.searchsorted(sb, na + tol, "right") - np.searchsorted(sb, na - tol, "left")
+    i1 = int(np.lexsort((-na, np.where(big, count, len(a) + 1)))[0])
+    first = np.flatnonzero(np.abs(nb - na[i1]) <= tol)
+    if n == 2:
+        second, span = None, na[i1]
+    else:
+        # v_2: the vertex farthest from the line through v_1
+        cross = np.linalg.norm(np.cross(a[i1], a), axis=1)
+        i2 = int(np.argmax(cross))
+        span = min(na[i1], cross[i2] / na[i1])
+        gap = tol * (na[i1] + na[i2]) + tol * tol
+        # b.T made contiguous: OpenBLAS took 16 ms on the view, 0.4 ms on a copy
+        # (512 points, 2-vCPU VM)
+        gram = b[first] @ np.ascontiguousarray(b.T)
+        r, second = np.nonzero((np.abs(nb - na[i2]) <= tol)
+                               & (np.abs(gram - a[i1] @ a[i2]) <= gap))
+        first = first[r]
+    base = _frames(a[i1], None if n == 2 else a[i2], 1.0)
+    # the frames' directions are off by a few tol / span, so g0 moves a
+    # vertex well within tol * (1 + 32 R / span) of where the true map
+    # does; a third of the typical vertex spacing caps it, so that a large
+    # tol does not make every lookup crowded
+    tree = cKDTree(b)
+    spacing = float(np.median(tree.query(b, k=2)[0][:, 1]))
+    match = _matcher(b, tree, min(tol * (1.0 + 32.0 * na.max() / span), spacing / 3.0))
+    order = np.argsort(-na, kind="stable")
+    step = max(1, _MATCH_ENTRIES // len(a))
+    rows = [np.empty((0, len(a)), dtype=int)]
+    for sign in (1.0, -1.0):
+        for i in range(0, len(first), step):
+            w2 = None if n == 2 else b[second[i:i + step]]
+            mats = _frames(b[first[i:i + step]], w2, sign) @ base.T
+            rows.append(_vertex_images(match, a, order, mats))
+    idx = np.unique(np.concatenate(rows), axis=0)
+    if len(idx) == 0:
+        return none
+    u, _, vt = np.linalg.svd(b[idx].transpose(0, 2, 1) @ a)
+    mats = u @ vt
+    diff = a @ mats.transpose(0, 2, 1) - b[idx]
+    disp = np.sqrt(np.einsum("cmi,cmi->cm", diff, diff).max(axis=1))
+    keep = disp < tol
+    return mats[keep], disp[keep]

@@ -7,7 +7,9 @@ axis; each fresh face is at most ``_SHRINK`` (0.9) times as wide as the
 one before, and the cut regions stay ``_SEPARATION`` (1e-3) times the
 body's diameter apart.  A body whose flat faces all have different
 diameters admits no nontrivial orthogonal symmetry, which
-``isotropy_estimate`` verifies over a finite candidate scan.
+``isotropy_estimate`` verifies: exactly for a full-dimensional polytope
+(the orthogonal maps that permute its hull vertices), by a finite
+candidate scan for every other body.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .metrics import hausdorff, recenter, steiner
 from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
-from .rotations import default_candidates
+from .rotations import default_candidates, orthogonal_maps
 
 _FACE_TOL = 1e-9
 # desymmetrize: cut regions stay _SEPARATION * diameter apart, and each
@@ -423,14 +425,26 @@ def isotropy_estimate(
     tol: float = 1e-6,
     grid: SphericalGrid | None = None,
 ) -> list[Rotation]:
-    """Candidates g with hausdorff(gD, D) below tol (body assumed centered).
+    """Orthogonal g with hausdorff(gD, D) below tol (about the origin, so
+    the body is assumed centered).
 
-    The scan certifies symmetry only over the finite candidate set
-    ``default_candidates(n)``: a dense circle (n=2) and an SO(3) spiral
-    plus platonic groups (n=3), both doubled into the improper coset.
+    A full-dimensional polytope gets its exact group: every g that moves
+    each hull vertex within tol of a distinct hull vertex
+    (``orthogonal_maps``), identity first; ``grid`` is not used.  Other
+    bodies (balls, ellipsoids, sampled bodies, segments) are scanned.
     """
     if not math.isfinite(tol):
         raise InvalidArgumentError("tol must be finite")
+    poly = as_polytope(body)
+    if poly is not None and poly.is_full_dimensional:
+        return [Rotation(g) for g in orthogonal_maps(poly, poly, tol)[0]]
+    return _isotropy_scan(body, tol, grid)
+
+
+def _isotropy_scan(body: Body, tol: float, grid: SphericalGrid | None) -> list[Rotation]:
+    """Candidates g of ``default_candidates(n)`` (a dense circle for n=2,
+    an SO(3) spiral plus platonic groups for n=3, both doubled into the
+    improper coset) whose support on the grid moves by less than tol."""
     n = body_dim(body)
     grid = grid or default_grid(n)
     base = support_values(body, grid.nodes)

@@ -172,6 +172,46 @@ class TestIsotropy:
         mats = np.asarray([s.matrix for s in syms])
         assert any(np.allclose(m, -np.eye(2), atol=1e-12) for m in mats)
 
+    def test_ball_approximation_group_order_128(self, unit_ball_3d):
+        # behaviour change: the candidate scan found 16 of the 128 (turns
+        # by multiples of 2 pi / 32 about the grid axis, the 32 mirrors
+        # through it, each with or without the equatorial mirror)
+        approx = polytope_approximation(unit_ball_3d, 512)
+        assert len(isotropy_estimate(approx, tol=1e-6)) == 128
+
+    def test_regular_heptagon_group_order_14(self):
+        # behaviour change: the 720-angle scan found 2, since 7 does not divide 720
+        angles = 2.0 * math.pi * np.arange(7) / 7
+        heptagon = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert len(isotropy_estimate(heptagon, tol=1e-9)) == 14
+
+    @pytest.mark.parametrize("name", ["square", "cube", "symmetric-2d", "symmetric-3d"])
+    def test_scan_members_are_exact_members(self, name, square, cube, grid2, grid3_small):
+        from convexhyper.truncation import _isotropy_scan
+
+        body, tol = {
+            "square": (square, 1e-9),
+            "cube": (cube, 1e-9),
+            "symmetric-2d": (random_symmetric_polytope(23, 2, 8), 1e-8),
+            "symmetric-3d": (random_symmetric_polytope(24, 3, 10), 1e-8),
+        }[name]
+        grid = grid2 if body.dim == 2 else grid3_small
+        exact = np.asarray([s.matrix for s in isotropy_estimate(body, tol=tol, grid=grid)])
+        scan = _isotropy_scan(body, tol, grid)
+        assert scan
+        for s in scan:
+            assert np.abs(exact - s.matrix).max(axis=(1, 2)).min() < 1e-9
+
+    def test_polytopes_never_scan(self, square, cube, monkeypatch):
+        from convexhyper import truncation
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the polytope path must not scan candidates")
+
+        monkeypatch.setattr(truncation, "default_candidates", no_scan)
+        assert len(isotropy_estimate(square, tol=1e-9)) == 8
+        assert len(isotropy_estimate(cube, tol=1e-9)) == 48
+
 
 def test_lower_dimensional_rejected(grid2):
     seg = Polytope([[0.0, 0.0], [1.0, 0.0]])
