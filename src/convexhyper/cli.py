@@ -293,8 +293,11 @@ def desymmetrize(budget, in_path, out, grid_2d, grid_3d):
 @_grid_options
 @_handle_errors
 def symmetries(tol, in_path, grid_2d, grid_3d):
-    """Orthogonal symmetries of a centered body: the exact group of a polytope
-    (maps permuting its hull vertices), a candidate scan for other bodies."""
+    """Orthogonal symmetries of a centered body.
+
+    For a polytope: the maps moving each hull vertex within tol of a
+    distinct hull vertex (the grid options are not used).  Other bodies:
+    a scan of the default O(n) candidates on the grid."""
     doc = _read_doc(in_path)
     grid = _resolve_grid(body_dim(doc.body), grid_2d, grid_3d)
     kept = isotropy_estimate(doc.body, tol=tol, grid=grid)

@@ -175,7 +175,7 @@ def _extreme_points(poly: Polytope) -> np.ndarray:
 def _frames(first: np.ndarray, second: np.ndarray | None, sign: float) -> np.ndarray:
     """Orthonormal frames (columns) from stacked first and second vectors;
     ``sign`` multiplies the last column (the orientation).  A zero first
-    vector or a parallel second one gives a NaN frame, which matches nothing."""
+    vector or a parallel second one gives a NaN frame, which callers drop."""
     with np.errstate(invalid="ignore", divide="ignore"):
         e1 = first / np.linalg.norm(first, axis=-1, keepdims=True)
         if second is None:  # n = 2: e1 and its quarter turn
@@ -185,71 +185,65 @@ def _frames(first: np.ndarray, second: np.ndarray | None, sign: float) -> np.nda
     return np.stack([e1, e2, sign * np.cross(e1, e2)], axis=-1)
 
 
-def _matcher(b: np.ndarray, tree: cKDTree, radius: float):
-    """x |-> index of the point of b within ``radius`` of x (len(b) if none).
-
-    Points of b are sorted by their projection on a fixed generic
-    direction.  The point nearest to x in projection decides at once when
-    no other point projects within 2 radius of it; the rare crowded cases
-    go to ``tree`` (of b).
-    """
-    u = np.array([0.5257311121191336, 0.6881909602355868, 0.5])[: b.shape[1]]
-    proj = b @ u
-    order = np.argsort(proj)
-    proj = proj[order]
-    gaps = np.diff(proj) > 2.0 * radius
-    alone = np.concatenate([[True], gaps]) & np.concatenate([gaps, [True]])
-
-    def match(x: np.ndarray) -> np.ndarray:
-        px = x @ u
-        right = np.minimum(np.searchsorted(proj, px), len(b) - 1)
-        left = np.maximum(right - 1, 0)
-        j = np.where(proj[right] - px < px - proj[left], right, left)
-        hit = order[j]
-        close = np.einsum("...i,...i->...", b[hit] - x, b[hit] - x) <= radius * radius
-        hit = np.where(close, hit, len(b))
-        crowded = ~alone[j] & (np.abs(proj[j] - px) <= radius)
-        if crowded.any():
-            hit[crowded] = tree.query(x[crowded], distance_upper_bound=radius)[1]
-        return hit
-
-    return match
+def _basis_images(a, b, na, nb, i1, i2, first, tol, step):
+    """Index arrays of images (w_1, w_2) in b of the basis (a_i1, a_i2),
+    at most ``step`` pairs at a time: w_1 from ``first``, w_2 of the norm
+    of a_i2, and the Gram entry w_1 . w_2 within what tol allows.  The
+    Gram rows are formed in blocks of about ``_MATCH_ENTRIES`` entries."""
+    if i2 is None:  # n = 2: the image of a_i1 fixes g up to orientation
+        for i in range(0, len(first), step):
+            yield first[i:i + step], None
+        return
+    gap = tol * (na[i1] + na[i2]) + tol * tol
+    dot = a[i1] @ a[i2]
+    near = np.flatnonzero(np.abs(nb - na[i2]) <= tol)
+    # b.T made contiguous: OpenBLAS took 16 ms on the view, 0.4 ms on a copy
+    # (512 points, 2-vCPU VM)
+    bt = np.ascontiguousarray(b[near].T)
+    rows = max(1, _MATCH_ENTRIES // max(1, len(near)))
+    for i in range(0, len(first), rows):
+        r, c = np.nonzero(np.abs(b[first[i:i + rows]] @ bt - dot) <= gap)
+        for j in range(0, len(r), step):
+            yield first[i:i + rows][r[j:j + step]], near[c[j:j + step]]
 
 
-def _vertex_images(match, a: np.ndarray, order: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Rows of vertex indices pi with g a_i near b_pi(i), one row per g in
-    ``mats`` that sends every point of a near a distinct point of b (the
-    others are dropped after probing the first four points of ``order``)."""
+def _vertex_images(tree: cKDTree, radius: float, a: np.ndarray, order: np.ndarray,
+                   mats: np.ndarray) -> np.ndarray:
+    """Rows of vertex indices pi with g a_i within ``radius`` of b_pi(i),
+    one row per g in ``mats`` that sends every point of a near a distinct
+    point of b (``tree`` of b; the others are dropped after probing the
+    first four points of ``order``)."""
     idx = np.empty((len(mats), len(a)), dtype=int)
     for part in (order[:4], order[4:]):
-        hit = match(a[part] @ mats.transpose(0, 2, 1))
+        hit = tree.query(a[part] @ mats.transpose(0, 2, 1), distance_upper_bound=radius)[1]
         keep = (hit < len(a)).all(axis=1)
         mats, idx = mats[keep], idx[keep]
         idx[:, part] = hit[keep]
     return idx[(np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1)]
 
 
-def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> np.ndarray:
     """Every orthogonal g that maps the hull vertices of P onto those of Q.
 
-    Returns ``(matrices, displacements)``: g with the smallest matched
-    displacement max_i |g v_i - w_pi(i)| over a bijection pi of the hull
-    vertices, kept when that displacement is below ``tol``.  It bounds
-    |h_gP - h_Q| everywhere, so hausdorff(g P, Q) < tol for every member.
-    Members are ordered by their vertex permutation (the identity first
-    when P is Q).  A map that meets tol only by moving a vertex onto an
-    edge or facet of Q, not onto a vertex, is not found; nor, once tol
-    nears a hundredth of the median nearest-vertex distance, is one whose
-    first guess moves a vertex by more than a third of that distance.
+    Returns the stacked matrices g whose smallest matched displacement
+    max_i |g v_i - w_pi(i)| over a bijection pi of the hull vertices is
+    below ``tol``.  That displacement bounds |h_gP - h_Q| everywhere, so
+    hausdorff(g P, Q) < tol for every member; the converse fails: a map
+    that meets tol only by moving a vertex onto an edge or facet of Q, not
+    onto a vertex, is not found, and neither, once tol nears a hundredth
+    of the median nearest-vertex distance, is one whose first guess moves
+    a vertex by more than a third of that distance.  Members are ordered
+    by their vertex permutation (the identity first when P is Q).
 
     A basis v_1 (rarest norm among vertices of at least a quarter of the
     largest norm) and, in 3-D, v_2 (farthest from the line through v_1)
     is matched to every image tuple of Q with the same norms and Gram
     entries within what tol allows; each tuple and an orientation fix g
-    on orthonormal frames.  A candidate is kept when it maps every vertex
-    near a distinct vertex (looked up by projection on a fixed direction,
-    with a KD-tree for crowded windows), and an orthogonal Procrustes fit
-    over all matched pairs polishes it.
+    on orthonormal frames.  A candidate is kept when a KD-tree of Q's
+    vertices finds every vertex near a distinct vertex, and an orthogonal
+    Procrustes fit over all matched pairs polishes it.  Work is done in
+    blocks of about ``_MATCH_ENTRIES`` entries; the candidate count, and
+    so the time, grows with tol on bodies with many equal Gram entries.
     """
     n = p.dim
     if q.dim != n:
@@ -260,10 +254,9 @@ def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> tuple[np.ndarray, n
         raise InvalidArgumentError("orthogonal maps need full-dimensional polytopes")
     if not math.isfinite(tol):
         raise InvalidArgumentError("tol must be finite")
-    none = np.empty((0, n, n)), np.empty(0)
     a, b = _extreme_points(p), _extreme_points(q)
     if tol <= 0 or len(a) != len(b):
-        return none
+        return np.empty((0, n, n))
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     big = na >= 0.25 * na.max()
     sb = np.sort(nb)
@@ -271,41 +264,33 @@ def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> tuple[np.ndarray, n
     i1 = int(np.lexsort((-na, np.where(big, count, len(a) + 1)))[0])
     first = np.flatnonzero(np.abs(nb - na[i1]) <= tol)
     if n == 2:
-        second, span = None, na[i1]
+        i2, span = None, na[i1]
     else:
         # v_2: the vertex farthest from the line through v_1
         cross = np.linalg.norm(np.cross(a[i1], a), axis=1)
         i2 = int(np.argmax(cross))
         span = min(na[i1], cross[i2] / na[i1])
-        gap = tol * (na[i1] + na[i2]) + tol * tol
-        # b.T made contiguous: OpenBLAS took 16 ms on the view, 0.4 ms on a copy
-        # (512 points, 2-vCPU VM)
-        gram = b[first] @ np.ascontiguousarray(b.T)
-        r, second = np.nonzero((np.abs(nb - na[i2]) <= tol)
-                               & (np.abs(gram - a[i1] @ a[i2]) <= gap))
-        first = first[r]
-    base = _frames(a[i1], None if n == 2 else a[i2], 1.0)
+    base = _frames(a[i1], None if i2 is None else a[i2], 1.0)
     # the frames' directions are off by a few tol / span, so g0 moves a
     # vertex well within tol * (1 + 32 R / span) of where the true map
     # does; a third of the typical vertex spacing caps it, so that a large
-    # tol does not make every lookup crowded
+    # tol does not let one lookup reach several vertices
     tree = cKDTree(b)
     spacing = float(np.median(tree.query(b, k=2)[0][:, 1]))
-    match = _matcher(b, tree, min(tol * (1.0 + 32.0 * na.max() / span), spacing / 3.0))
+    radius = min(tol * (1.0 + 32.0 * na.max() / span), spacing / 3.0)
     order = np.argsort(-na, kind="stable")
     step = max(1, _MATCH_ENTRIES // len(a))
     rows = [np.empty((0, len(a)), dtype=int)]
-    for sign in (1.0, -1.0):
-        for i in range(0, len(first), step):
-            w2 = None if n == 2 else b[second[i:i + step]]
-            mats = _frames(b[first[i:i + step]], w2, sign) @ base.T
-            rows.append(_vertex_images(match, a, order, mats))
+    for j1, j2 in _basis_images(a, b, na, nb, i1, i2, first, tol, step):
+        for sign in (1.0, -1.0):
+            mats = _frames(b[j1], None if j2 is None else b[j2], sign) @ base.T
+            mats = mats[np.isfinite(mats).all(axis=(1, 2))]
+            rows.append(_vertex_images(tree, radius, a, order, mats))
     idx = np.unique(np.concatenate(rows), axis=0)
     if len(idx) == 0:
-        return none
+        return np.empty((0, n, n))
     u, _, vt = np.linalg.svd(b[idx].transpose(0, 2, 1) @ a)
     mats = u @ vt
     diff = a @ mats.transpose(0, 2, 1) - b[idx]
     disp = np.sqrt(np.einsum("cmi,cmi->cm", diff, diff).max(axis=1))
-    keep = disp < tol
-    return mats[keep], disp[keep]
+    return mats[disp < tol]

@@ -7,9 +7,10 @@ axis; each fresh face is at most ``_SHRINK`` (0.9) times as wide as the
 one before, and the cut regions stay ``_SEPARATION`` (1e-3) times the
 body's diameter apart.  A body whose flat faces all have different
 diameters admits no nontrivial orthogonal symmetry, which
-``isotropy_estimate`` verifies: exactly for a full-dimensional polytope
-(the orthogonal maps that permute its hull vertices), by a finite
-candidate scan for every other body.
+``isotropy_estimate`` verifies: for a full-dimensional polytope by the
+orthogonal maps that move each hull vertex within tol of a distinct one
+(exact, but blind to a near-symmetry that changes how vertices pair up),
+by a finite candidate scan for every other body.
 """
 
 from __future__ import annotations
@@ -425,19 +426,23 @@ def isotropy_estimate(
     tol: float = 1e-6,
     grid: SphericalGrid | None = None,
 ) -> list[Rotation]:
-    """Orthogonal g with hausdorff(gD, D) below tol (about the origin, so
-    the body is assumed centered).
+    """Orthogonal g (about the origin, so the body is assumed centered)
+    that move the body by less than tol.
 
-    A full-dimensional polytope gets its exact group: every g that moves
-    each hull vertex within tol of a distinct hull vertex
-    (``orthogonal_maps``), identity first; ``grid`` is not used.  Other
-    bodies (balls, ellipsoids, sampled bodies, segments) are scanned.
+    A full-dimensional polytope gets every g that moves each hull vertex
+    within tol of a distinct hull vertex (``orthogonal_maps``), identity
+    first; ``grid`` is not used.  These form a subset of
+    {g : hausdorff(gD, D) < tol}: a map that moves D by less than tol but
+    changes how vertices pair up (a cube with one corner cut far below
+    tol keeps 6 of its 48 maps) is left out.  Other bodies (balls,
+    ellipsoids, sampled bodies, segments) are scanned: candidates g whose
+    support on ``grid`` moves by less than tol.
     """
     if not math.isfinite(tol):
         raise InvalidArgumentError("tol must be finite")
     poly = as_polytope(body)
     if poly is not None and poly.is_full_dimensional:
-        return [Rotation(g) for g in orthogonal_maps(poly, poly, tol)[0]]
+        return [Rotation(g) for g in orthogonal_maps(poly, poly, tol)]
     return _isotropy_scan(body, tol, grid)
 
 

@@ -185,6 +185,28 @@ class TestIsotropy:
         heptagon = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
         assert len(isotropy_estimate(heptagon, tol=1e-9)) == 14
 
+    def test_shallow_cut_cube_keeps_vertex_permuting_maps(self, cube):
+        # a polytope's members are the maps moving each hull vertex within
+        # tol of a distinct one, a subset of {g : hausdorff(gD, D) < tol}:
+        # with one corner cut 1e-9 deep all 48 cube maps move the body by
+        # about 1e-9 (the scan keeps them all), but only the 6 that fix the
+        # cut corner permute its 10 vertices
+        from convexhyper.bodies import rigid_motion
+        from convexhyper.metrics import exact_hausdorff
+        from convexhyper.rotations import octahedral_rotations
+
+        s = math.sqrt(3.0) * 1e-9
+        corner = np.ones(3)
+        verts = [v for v in cube.vertices if not np.array_equal(v, corner)]
+        body = Polytope(np.vstack([verts, corner - s * np.eye(3)]))
+        rots = octahedral_rotations()
+        for g in np.concatenate([rots, -rots]):
+            assert exact_hausdorff(rigid_motion(body, g), body) < 1e-6
+        syms = isotropy_estimate(body, tol=1e-6)
+        assert len(syms) == 6
+        for g in syms:
+            np.testing.assert_allclose(g.matrix @ corner, corner, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("name", ["square", "cube", "symmetric-2d", "symmetric-3d"])
     def test_scan_members_are_exact_members(self, name, square, cube, grid2, grid3_small):
         from convexhyper.truncation import _isotropy_scan
