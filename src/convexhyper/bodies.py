@@ -413,13 +413,16 @@ def sampled_cell_angle(body: Body) -> float:
 def _polytope_support(vertices: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     n_dirs = dirs.shape[0]
     n_vert = vertices.shape[0]
+    # a contiguous vertices.T multiplies faster than the transposed view, and
+    # in 2-D and 3-D rounds the same for two or more rows (one row does not)
+    vt = np.ascontiguousarray(vertices.T) if n_dirs > 1 and vertices.shape[1] <= 3 else vertices.T
     if n_dirs * n_vert <= _BLOCK_ENTRIES:
-        return (dirs @ vertices.T).max(axis=1)
+        return (dirs @ vt).max(axis=1)
     out = np.empty(n_dirs)
     block = max(1, _BLOCK_ENTRIES // n_vert)
     for start in range(0, n_dirs, block):
         stop = min(start + block, n_dirs)
-        out[start:stop] = (dirs[start:stop] @ vertices.T).max(axis=1)
+        out[start:stop] = (dirs[start:stop] @ (vt if stop - start > 1 else vertices.T)).max(axis=1)
     return out
 
 

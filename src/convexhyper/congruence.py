@@ -35,6 +35,7 @@ _EXACT_VERTEX_LIMIT = 60
 _REFINE_TOL = 1e-9  # refinement tolerance: golden section at 1e-2 of it
 _EARLY_EXIT = 1e-9  # no further refinement once the best value is below this
 _STACK_ENTRIES = 16_000  # rotation x vertex x direction entries per objective block
+_MAX_COARSE = 1 << 16  # larger coarse grids are refused, not allocated
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ class SearchParams:
     max_iterations: int = 800
 
     def __post_init__(self):
-        if self.coarse is not None and self.coarse < 4:
-            raise InvalidArgumentError("coarse grid must have at least 4 points")
+        if self.coarse is not None and not 4 <= self.coarse <= _MAX_COARSE:
+            raise InvalidArgumentError(f"coarse grid must have 4 to {_MAX_COARSE} points")
         if self.starts < 1:
             raise InvalidArgumentError("need at least one refinement start")
 

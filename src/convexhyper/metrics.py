@@ -7,9 +7,10 @@ computed in support-function space.
 The Steiner point  s(D) = (1/vol B^n) * integral over S^{n-1} of u h_D(u)
 is evaluated exactly for polytopes by integrating over the normal fan
 (closed forms on circular arcs for n=2, per-vertex spherical-polygon
-quadrature for n=3, the only user of it).  The second moment of a polytope,
-integral of u u^T h_D(u), comes in closed form from its first area
-measure, a sum over edges.  Grid quadrature is the fallback for sampled
+quadrature for n=3, the only user of it, batched over all cone triangles
+and bit-identical to a per-triangle recursion).  The second moment of a
+polytope, integral of u u^T h_D(u), comes in closed form from its first
+area measure, a sum over edges.  Grid quadrature is the fallback for sampled
 bodies.  Both routes keep rigid-motion equivariance at floating-point
 level, which plain grid quadrature cannot do for kinked integrands.
 
@@ -54,21 +55,10 @@ _REFINE_STARTS = 5  # hausdorff refines from the largest grid differences
 
 def _arc_moment_1(a: float, b: float) -> np.ndarray:
     """integral over [a,b] of u(t) u(t)^T dt, closed form (2x2)."""
-    def f_cc(t):
-        return 0.5 * t + 0.25 * math.sin(2.0 * t)
-
-    def f_cs(t):
-        return -0.25 * math.cos(2.0 * t)
-
-    def f_ss(t):
-        return 0.5 * t - 0.25 * math.sin(2.0 * t)
-
-    return np.array(
-        [
-            [f_cc(b) - f_cc(a), f_cs(b) - f_cs(a)],
-            [f_cs(b) - f_cs(a), f_ss(b) - f_ss(a)],
-        ]
-    )
+    cc = (0.5 * b + 0.25 * math.sin(2.0 * b)) - (0.5 * a + 0.25 * math.sin(2.0 * a))
+    cs = (-0.25 * math.cos(2.0 * b)) - (-0.25 * math.cos(2.0 * a))
+    ss = (0.5 * b - 0.25 * math.sin(2.0 * b)) - (0.5 * a - 0.25 * math.sin(2.0 * a))
+    return np.array([[cc, cs], [cs, ss]])
 
 
 def _polygon_fan_arcs(poly: Polytope):
@@ -100,19 +90,19 @@ def _steiner_polygon(poly: Polytope) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GL_TRI = 12  # tensor Gauss-Legendre order per spherical-triangle chart
+_SPLIT_ANGLE = 0.45  # subdivide spherical triangles wider than this (radians)
+_SPLIT_DEPTH = 4  # ... at most this many times
+_LEAF_BLOCK = 32  # leaf triangles whose quadrature nodes are built at once
+# children (a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca) of (a, b, c, mab, mbc, mca)
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 @lru_cache(maxsize=1)
 def _tri_rule():
+    """Nodes (xi, xi eta) and weights w xi of the chart a + xi ab + xi eta bc."""
     x, w = np.polynomial.legendre.leggauss(_GL_TRI)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    xi, eta = np.meshgrid(x, x, indexing="ij")
-    wq = np.outer(w, w).ravel()
-    return xi.ravel(), eta.ravel(), wq
-
-
-_SPLIT_ANGLE = 0.45  # subdivide spherical triangles wider than this (radians)
+    xi, eta = np.meshgrid(0.5 * (x + 1.0), 0.5 * (x + 1.0), indexing="ij")
+    return xi.ravel(), (xi * eta).ravel(), np.outer(0.5 * w, 0.5 * w).ravel() * xi.ravel()
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,62 +112,53 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _spherical_triangle_rule(a, b, c, depth: int = 0):
-    """Quadrature points/weights for surface integrals over the spherical
-    triangle with vertices a, b, c (unit vectors, assumed within an open
-    hemisphere).  Integrates f via the radial projection of the flat
-    triangle: dOmega = dist(0, plane) / ||x||^3 dA.  Wide triangles are
-    subdivided at normalized edge midpoints to keep the chart mild.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] as BLAS rounds it (einsum and sums round differently)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _split_triangles(tris: np.ndarray):
+    """Leaves of the subdivision of spherical triangles ``tris[k] = (a, b, c)``.
+
+    A triangle whose widest side exceeds ``_SPLIT_ANGLE`` is split into
+    ``_CHILDREN`` at its normalized edge midpoints, up to ``_SPLIT_DEPTH``
+    times; each level splits all its triangles at once.  Returns the
+    leaves, in depth-first order, and the triangle each came from.
     """
-    # the widest side: acos is decreasing, so it is the acos of the least cosine
-    span = math.acos(min(1.0, max(-1.0, min(float(a @ b), float(b @ c), float(c @ a)))))
-    if span > _SPLIT_ANGLE and depth < 4:
-        mab = a + b
-        mbc = b + c
-        mca = c + a
-        mab /= np.linalg.norm(mab)
-        mbc /= np.linalg.norm(mbc)
-        mca /= np.linalg.norm(mca)
-        parts = [
-            _spherical_triangle_rule(a, mab, mca, depth + 1),
-            _spherical_triangle_rule(mab, b, mbc, depth + 1),
-            _spherical_triangle_rule(mca, mbc, c, depth + 1),
-            _spherical_triangle_rule(mab, mbc, mca, depth + 1),
-        ]
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return None
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-    xi, eta, wq = _tri_rule()
-    ab = b - a
-    bc = c - b
-    cross = _cross3(ab, bc)
-    two_area = np.linalg.norm(cross)
-    if two_area < 1e-14:
-        return None
-    n_hat = cross / two_area
-    dist = abs(float(n_hat @ a))
-    if dist < 1e-14:
-        return None
-    pts = a[None, :] + xi[:, None] * ab + (xi * eta)[:, None] * bc
-    norms = np.linalg.norm(pts, axis=1)
-    weights = wq * xi * two_area * dist / norms**3
-    return pts / norms[:, None], weights
+    key = np.arange(len(tris)) * 4**_SPLIT_DEPTH  # the triangle, then child digits in base 4
+    leaves, keys = [], []
+    for depth in range(_SPLIT_DEPTH):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        # the widest side: acos is decreasing, so it is the acos of the least cosine
+        cos = np.minimum(np.minimum(_dots(a, b), _dots(b, c)), _dots(c, a)).tolist()
+        split = np.array([math.acos(min(1.0, max(-1.0, x))) > _SPLIT_ANGLE for x in cos], dtype=bool)
+        leaves.append(tris[~split])
+        keys.append(key[~split])
+        a, b, c = a[split], b[split], c[split]
+        mids = [a + b, b + c, c + a]
+        for m in mids:
+            m /= np.sqrt(_dots(m, m))[:, None]
+        tris = np.stack([a, b, c, *mids], axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
+        key = (key[split, None] + np.arange(4) * 4 ** (_SPLIT_DEPTH - 1 - depth)).ravel()
+    key = np.concatenate(keys + [key])
+    rank = np.argsort(key)
+    return np.concatenate(leaves + [tris])[rank], key[rank] // 4**_SPLIT_DEPTH
 
 
 def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
     """Steiner point by quadrature over the normal fan.
 
-    The quadrature nodes are built from the cone geometry itself, so they
-    co-rotate with the body and the integral is equivariant to rounding.
+    Each vertex cone is cut into spherical triangles (axis, n_i, n_i+1)
+    around its mean normal.  The subdivided triangles are integrated with a
+    tensor Gauss-Legendre rule through the radial projection of the flat
+    triangle, dOmega = dist(0, plane) / ||x||^3 dA.  The quadrature nodes
+    are built from the cone geometry itself, so they co-rotate with the
+    body and the integral is equivariant to rounding.
     """
     hull = poly.hull
     if hull.normals is None:
         return None
-    s = np.zeros(3)
+    rims, axes, points = [], [], []
     for v, normals in hull.vertex_cones():
         if normals.shape[0] < 3:
             continue
@@ -192,17 +173,42 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
         t1 /= np.linalg.norm(t1)
         t2 = _cross3(axis, t1)
         ang = np.arctan2(normals @ t2, normals @ t1)
-        normals = normals[np.argsort(ang)]
-        m = normals.shape[0]
-        dirs_list, w_list = [], []
-        for i in range(m):
-            rule = _spherical_triangle_rule(axis, normals[i], normals[(i + 1) % m])
-            if rule is not None:
-                dirs_list.append(rule[0])
-                w_list.append(rule[1])
-        if dirs_list:
-            dirs, w = np.concatenate(dirs_list), np.concatenate(w_list)
-            s += (w * (dirs @ hull.points[v])) @ dirs
+        rims.append(normals[np.argsort(ang)])
+        axes.append(axis)
+        points.append(hull.points[v])
+    sizes = np.array([len(r) for r in rims])
+    rim, stops = np.concatenate(rims), np.cumsum(sizes)
+    succ = np.arange(1, len(rim) + 1)  # n_i+1, wrapping around each cone
+    succ[stops - 1] = stops - sizes
+    leaves, owner = _split_triangles(np.stack([np.repeat(axes, sizes, axis=0), rim, rim[succ]], 1))
+    a, ab, bc = leaves[:, 0], leaves[:, 1] - leaves[:, 0], leaves[:, 2] - leaves[:, 1]
+    cross = np.cross(ab, bc)
+    two_area = np.sqrt(_dots(cross, cross))
+    keep = ~(two_area < 1e-14)  # degenerate charts carry no weight
+    dist = np.abs(_dots(cross / np.where(keep, two_area, 1.0)[:, None], a))
+    keep &= ~(dist < 1e-14)
+    a, ab, bc, two_area, dist = a[keep].T, ab[keep].T, bc[keep].T, two_area[keep], dist[keep]
+    ends = np.searchsorted(np.repeat(np.arange(len(rims)), sizes)[owner[keep]], np.arange(len(rims)), "right")
+    xi, xi_eta, w_xi = _tri_rule()
+    s = np.zeros(3)
+    built = 0  # nodes exist for the leaves base:built, whole vertices at a time
+    for v, p in enumerate(points):
+        lo, hi = (ends[v - 1] if v else 0), ends[v]
+        if lo == hi:
+            continue
+        if hi > built:
+            base = lo
+            built = ends[max(v, np.searchsorted(ends, lo + _LEAF_BLOCK, "right") - 1)]
+            blk = slice(base, built)
+            # coordinates first, (3, leaves, nodes), for speed; the roundings are unchanged
+            pts = a[:, blk, None] + xi * ab[:, blk, None] + xi_eta * bc[:, blk, None]
+            norms = np.sqrt((pts * pts).sum(axis=0))
+            weights = w_xi * two_area[blk, None] * dist[blk, None] / norms**3
+            dirs = np.empty(pts.shape[1:] + (3,))
+            np.divide(pts, norms, out=dirs.transpose(2, 0, 1))
+        # one product per vertex, over its nodes in depth-first order, as the sums round
+        d = dirs[lo - base : hi - base].reshape(-1, 3)
+        s += (weights[lo - base : hi - base].ravel() * (d @ p)) @ d
     return s / ball_volume(3)
 
 
@@ -503,10 +509,7 @@ def _refine_candidates(body: Body, dim: int) -> np.ndarray | None:
     if dim == 2 and verts.shape[0] >= 3:
         ang = poly.hull.normal_angles
         dirs.append(np.column_stack([np.cos(ang), np.sin(ang)]))
-    if not dirs:
-        return None
-    out = np.vstack(dirs)
-    return out[:512]
+    return np.vstack(dirs)[:512]
 
 
 def _tangent_frame(u: np.ndarray):
@@ -555,9 +558,8 @@ def hausdorff(
             best = max(best, float(vals.max()))
             starts = np.vstack([starts, extra[np.argsort(vals)[::-1][:2]]])
 
+    spacing = grid.max_cell_angle
     if dim == 2:
-        spacing = grid.max_cell_angle
-
         def neg(theta):
             u = np.array([[math.cos(theta), math.sin(theta)]])
             return -abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
@@ -568,8 +570,6 @@ def hausdorff(
         return best
 
     if dim == 3:
-        spacing = grid.max_cell_angle
-
         for u0 in starts:
             e1, e2 = _tangent_frame(u0)
 

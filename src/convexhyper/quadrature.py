@@ -24,6 +24,8 @@ from .errors import InvalidArgumentError
 DEFAULT_NODES_2D = 2048
 DEFAULT_LAT_3D = 64
 DEFAULT_LON_3D = 128
+_MAX_GRID_NODES = 1 << 20  # larger structured grids are refused, not allocated
+_MAX_LAT_3D = 1024  # Gauss-Legendre latitudes solve an n_lat x n_lat eigenproblem
 
 
 def sphere_area(n: int) -> float:
@@ -103,8 +105,8 @@ class SphericalGrid:
 
 def make_grid_2d(m: int) -> SphericalGrid:
     """Trapezoid-rule grid of m equally spaced directions on the circle."""
-    if m < 4:
-        raise InvalidArgumentError(f"need at least 4 nodes, got {m}")
+    if not 4 <= m <= _MAX_GRID_NODES:
+        raise InvalidArgumentError(f"need 4 to {_MAX_GRID_NODES} nodes, got {m}")
     angles = 2.0 * math.pi * np.arange(m) / m
     nodes = np.column_stack([np.cos(angles), np.sin(angles)])
     weights = np.full(m, 2.0 * math.pi / m)
@@ -120,6 +122,10 @@ def make_grid_3d(n_lat: int, n_lon: int) -> SphericalGrid:
     if n_lat < 2 or n_lon < 4:
         raise InvalidArgumentError(
             f"need n_lat >= 2 and n_lon >= 4, got {n_lat} x {n_lon}"
+        )
+    if n_lat > _MAX_LAT_3D or n_lat * n_lon > _MAX_GRID_NODES:
+        raise InvalidArgumentError(
+            f"need n_lat <= {_MAX_LAT_3D} and at most {_MAX_GRID_NODES} nodes, got {n_lat} x {n_lon}"
         )
     z, glw = np.polynomial.legendre.leggauss(n_lat)
     # descending z = ascending polar angle theta

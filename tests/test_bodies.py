@@ -399,3 +399,34 @@ def test_carried_hull_matches_fresh_build(dim, monkeypatch):
                     assert np.abs(heights - offsets[facets, None]).max() < 1e-10
         assert abs(exact_hausdorff(carried, other) - exact_hausdorff(fresh_poly, other)) < 1e-12
         np.testing.assert_allclose(steiner(carried), steiner(fresh_poly), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n_dirs", [2, 7, 4096])
+def test_polytope_support_bits_match_transposed_product(dim, n_dirs):
+    rng = np.random.default_rng(dim * 10_000 + n_dirs)
+    vertices = rng.standard_normal((16, dim)) * 3.0
+    dirs = rng.standard_normal((n_dirs, dim))
+    assert np.array_equal(bodies._polytope_support(vertices, dirs), (dirs @ vertices.T).max(axis=1))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_polytope_support_bits_one_row(dim):
+    # one-row products with a contiguous vertices.T round differently (in
+    # 3-D for most rows), so many single rows are checked
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        vertices = rng.standard_normal((16, dim)) * 3.0
+        d = rng.standard_normal((1, dim))
+        assert np.array_equal(bodies._polytope_support(vertices, d), (d @ vertices.T).max(axis=1))
+
+
+def test_polytope_support_bits_with_one_row_last_block(monkeypatch):
+    # 5 rows per block of 16 vertices: blocks of 5, 5 and a last one of 1 row
+    monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 80)
+    rng = np.random.default_rng(11)
+    for dim in (2, 3):
+        vertices = rng.standard_normal((16, dim))
+        dirs = rng.standard_normal((11, dim))
+        blocks = [(dirs[i : i + 5] @ vertices.T).max(axis=1) for i in range(0, 11, 5)]
+        assert np.array_equal(bodies._polytope_support(vertices, dirs), np.concatenate(blocks))

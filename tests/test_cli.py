@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import convexhyper
 from convexhyper.cli import main
@@ -286,3 +287,57 @@ def test_sample_command(runner, ball_file, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["body"]["type"] == "sampled"
     assert all(abs(v - 1.0) < 1e-12 for v in doc["body"]["values"])
+
+
+# Flag values of every shape: integers of any size, floats with nan and
+# inf, and short arbitrary text.
+_ANY = st.one_of(st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+_INT = st.one_of(st.integers(min_value=-4, max_value=64).map(str), _ANY)
+_LAT_LON = st.one_of(st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]}x{t[1]}"), _ANY)
+_VECTOR = st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))), _ANY
+)
+_GRIDS = {"--grid-2d": _INT, "--grid-3d": _LAT_LON}
+# command -> (body pairs or single bodies, flags); congruence runs on
+# polygon pairs, whose exact objective keeps a 65,536-point coarse scan fast
+_FUZZ = {
+    "steiner": ([("square",), ("tri",), ("poly3",), ("sum2",)], _GRIDS),
+    "support": ([("square",), ("poly3",), ("sum2",)], {"--dir": _VECTOR}),
+    "hausdorff": ([("square", "tri"), ("poly3", "poly3b"), ("tri", "sum2")], _GRIDS),
+    "congruence": ([("square", "tri"), ("tri", "tri")], {"--tol": _ANY, "--coarse": _INT, **_GRIDS}),
+    "symmetries": ([("square",), ("poly3",), ("sum2",)], {"--tol": _ANY, **_GRIDS}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "square": {"type": "polytope", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+        "tri": {"type": "polytope", "vertices": [[1.0, 0.0], [0.0, 1.5], [-1.0, -0.5]]},
+        "poly3": {"type": "polytope", "vertices": [[1, 1, 1], [-1, 1, 0], [0, -1, 1], [1, -1, -1], [0, 0, -1]]},
+        "poly3b": {"type": "polytope", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]},
+        "sum2": {"type": "sum", "left": {"type": "polytope", "vertices": [[1, 0], [0, 1], [-1, -0.5]]},
+                 "right": {"type": "ball", "center": [0, 0], "radius": 0.3}},
+    }
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(root / f"{name}.json") for name in docs}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ)))
+    bodies, flags = _FUZZ[command]
+    names = data.draw(st.sampled_from(bodies))
+    args = [command] + (["--in"] if command == "symmetries" else []) + [fuzz_files[n] for n in names]
+    for flag, values in flags.items():
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            args += [flag, value]
+    if command == "congruence" and data.draw(st.booleans(), label="--so-n"):
+        args.append("--so-n")
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 2, 3, 4), (args, res.output, res.exception)
+    assert "Traceback" not in res.output

@@ -7,6 +7,7 @@ import pytest
 from convexhyper import (
     Ball,
     DimensionMismatchError,
+    InvalidArgumentError,
     Polytope,
     SearchParams,
     congruence_distance,
@@ -113,6 +114,13 @@ def test_pseudometric_laws(grid2):
     tol = 1e-6
     assert abs(d[0, 1] - d[1, 0]) < 2 * tol
     assert d[0, 2] <= d[0, 1] + d[1, 2] + 2 * tol
+
+
+@pytest.mark.parametrize("coarse", [3, 2**16 + 1, 10**14])
+def test_coarse_size_checked(coarse):
+    # 10**14 coarse angles once filled memory building the candidate list
+    with pytest.raises(InvalidArgumentError):
+        SearchParams(coarse=coarse)
 
 
 def test_dimension_mismatch(square, unit_ball_3d, grid2):

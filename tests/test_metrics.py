@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from convexhyper import (
     Rotated,
     Scaled,
     Sum,
+    TruncationSpec,
     hausdorff,
+    polytope_approximation,
     polytope_sum,
     random_polytope,
     random_rotation,
@@ -19,11 +22,13 @@ from convexhyper import (
     steiner,
     steiner_quadrature,
     translate,
+    truncate,
     width,
 )
 from convexhyper import metrics
 from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import support_moment_matrix
+from convexhyper.quadrature import ball_volume
 from convexhyper.rotations import circle_candidates
 from oracles import brute_moment, brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
 
@@ -210,6 +215,162 @@ class TestRecenter:
         assert np.linalg.norm(steiner(out, grid3)) < 1e-12
 
 
+def _symmetric_polytope(seed, n):
+    half = np.random.default_rng(seed).standard_normal((n // 2, 3))
+    return Polytope(np.vstack([half, -half]) + np.array([0.3, -0.2, 0.1]))
+
+
+def _pinned_bodies():
+    cube = Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    cut_source = random_polytope(7, 3, 16)
+    return {
+        "cube": cube,
+        "moved cube": rigid_motion(cube, random_rotation(3, 3).matrix, np.array([0.5, -1.25, 2.0])),
+        "ball approximation": polytope_approximation(Ball(np.zeros(3), 1.0), 512),
+        **{f"random {n}": random_polytope(40 + n, 3, n) for n in (4, 10, 16, 60)},
+        **{f"symmetric {n}": _symmetric_polytope(n, n) for n in (6, 10, 16, 60)},
+        "cut": truncate(cut_source, TruncationSpec(u, 0.3 * width(cut_source, u))),
+        "sum": Sum(random_polytope(8, 3, 12), Ball(np.array([0.1, 0.0, -0.2]), 0.25)),
+    }
+
+
+# float.hex of the 3-D Steiner points from the recursive fan quadrature the
+# batched one replaced, which keeps every rounding.  The last bits depend on
+# the BLAS kernels behind the 3-vector products, so each body has two
+# recordings (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): its AVX-512
+# SkylakeX kernels, then its AVX2 Haswell kernels (also used for Zen).
+_STEINER_PINS = {
+    "cube": (
+        ('0x1.50229f13816c7p-49', '0x1.e8ec8a4aeacc5p-55', '0x0.0p+0'),
+        ('0x1.7df8cc0a876fap-49', '0x1.e8ec8a4aeacc5p-55', '0x0.0p+0'),
+    ),
+    "moved cube": (
+        ('0x1.0000000000006p-1', '-0x1.3fffffffffff4p+0', '0x1.0000000000001p+1'),
+        ('0x1.0000000000005p-1', '-0x1.3fffffffffff4p+0', '0x1.0000000000002p+1'),
+    ),
+    "ball approximation": (
+        ('-0x1.fceaf692ab166p-47', '-0x1.beab0388a25a9p-44', '0x1.2c706c09c1b08p-45'),
+        ('-0x1.fa0d93c33ab62p-47', '-0x1.bea97f97f31fep-44', '0x1.2c2f0264412a9p-45'),
+    ),
+    "random 4": (
+        ('0x1.f1e262893229ep-4', '-0x1.8fc913784474cp-4', '0x1.7a4c40cdc6ee6p-3'),
+        ('0x1.f1e26289322a2p-4', '-0x1.8fc9137844756p-4', '0x1.7a4c40cdc6ee9p-3'),
+    ),
+    "random 10": (
+        ('0x1.139661a730b2bp-4', '0x1.4139a9cbaa7e7p-5', '-0x1.284d20f39ed18p-4'),
+        ('0x1.139661a730b2dp-4', '0x1.4139a9cbaa7dap-5', '-0x1.284d20f39ed10p-4'),
+    ),
+    "random 16": (
+        ('0x1.b58f042ed1642p-3', '-0x1.86fca176e4093p-3', '0x1.6082fca8788e5p-3'),
+        ('0x1.b58f042ed1640p-3', '-0x1.86fca176e4092p-3', '0x1.6082fca8788e3p-3'),
+    ),
+    "random 60": (
+        ('0x1.a5049d560108ap-6', '0x1.237fb9729b457p-6', '0x1.15923fd7d20d8p-8'),
+        ('0x1.a5049d5601092p-6', '0x1.237fb9729b440p-6', '0x1.15923fd7d2115p-8'),
+    ),
+    "symmetric 6": (
+        ('0x1.333333333332dp-2', '-0x1.9999999999a1bp-3', '0x1.9999999999873p-4'),
+        ('0x1.333333333332fp-2', '-0x1.9999999999a22p-3', '0x1.9999999999863p-4'),
+    ),
+    "symmetric 10": (
+        ('0x1.333333333330dp-2', '-0x1.99999999999a0p-3', '0x1.99999999999a4p-4'),
+        ('0x1.333333333330bp-2', '-0x1.999999999999dp-3', '0x1.99999999999a8p-4'),
+    ),
+    "symmetric 16": (
+        ('0x1.3333333333320p-2', '-0x1.9999999999a22p-3', '0x1.99999999999b4p-4'),
+        ('0x1.3333333333324p-2', '-0x1.9999999999a26p-3', '0x1.99999999999b4p-4'),
+    ),
+    "symmetric 60": (
+        ('0x1.333333333333cp-2', '-0x1.99999999999cap-3', '0x1.9999999999958p-4'),
+        ('0x1.3333333333344p-2', '-0x1.99999999999cap-3', '0x1.9999999999967p-4'),
+    ),
+    "cut": (
+        ('-0x1.dc79f09f95850p-39', '-0x1.74cf7d6328115p-42', '-0x1.4c23e44839b65p-41'),
+        ('-0x1.dc78fc29505f9p-39', '-0x1.74f4bb67b0c63p-42', '-0x1.4c332bac8c0dap-41'),
+    ),
+    "sum": (
+        ('-0x1.07f6efa39c046p-4', '0x1.6cfbc115d8f18p-6', '-0x1.f963521a5068ap-3'),
+        ('-0x1.07f6efa39c03ep-4', '0x1.6cfbc115d8f01p-6', '-0x1.f963521a5068dp-3'),
+    ),
+}
+
+
+def _reference_triangle_rule(a, b, c, depth=0):
+    """The per-triangle recursion the batched quadrature replaced."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    xi, eta = np.meshgrid(0.5 * (x + 1.0), 0.5 * (x + 1.0), indexing="ij")
+    xi, eta, wq = xi.ravel(), eta.ravel(), np.outer(0.5 * w, 0.5 * w).ravel()
+    span = math.acos(min(1.0, max(-1.0, min(float(a @ b), float(b @ c), float(c @ a)))))
+    if span > 0.45 and depth < 4:
+        mab, mbc, mca = a + b, b + c, c + a
+        mab /= np.linalg.norm(mab)
+        mbc /= np.linalg.norm(mbc)
+        mca /= np.linalg.norm(mca)
+        children = [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        parts = [r for r in (_reference_triangle_rule(*t, depth + 1) for t in children) if r]
+        if not parts:
+            return None
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    ab, bc = b - a, c - b
+    cross = np.cross(ab, bc)
+    two_area = np.linalg.norm(cross)
+    if two_area < 1e-14:
+        return None
+    dist = abs(float((cross / two_area) @ a))
+    if dist < 1e-14:
+        return None
+    pts = a[None, :] + xi[:, None] * ab + (xi * eta)[:, None] * bc
+    norms = np.linalg.norm(pts, axis=1)
+    return pts / norms[:, None], wq * xi * two_area * dist / norms**3
+
+
+def _reference_steiner_3d(poly):
+    hull, s = poly.hull, np.zeros(3)
+    for v, normals in hull.vertex_cones():
+        axis = normals.sum(axis=0)
+        axis = axis / np.linalg.norm(axis)
+        t1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+        t1 /= np.linalg.norm(t1)
+        normals = normals[np.argsort(np.arctan2(normals @ np.cross(axis, t1), normals @ t1))]
+        rules = [_reference_triangle_rule(axis, n, m) for n, m in zip(normals, np.roll(normals, -1, 0))]
+        rules = [r for r in rules if r]
+        if rules:
+            dirs, w = np.concatenate([r[0] for r in rules]), np.concatenate([r[1] for r in rules])
+            s += (w * (dirs @ hull.points[v])) @ dirs
+    return s / ball_volume(3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_steiner_3d_bits_match_recursion(seed):
+    # holds with any BLAS: both forms make the same products in the same order
+    bodies = [random_polytope(900 + seed, 3, 4 + 5 * seed), _symmetric_polytope(seed, 6 + 4 * seed)]
+    if seed == 0:
+        bodies.append(_pinned_bodies()["cut"])
+    for body in bodies:
+        assert metrics._steiner_polytope_3d(body).tobytes() == _reference_steiner_3d(body).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_STEINER_PINS))
+def test_steiner_3d_bits_pinned(name):
+    s = steiner(_pinned_bodies()[name])
+    assert tuple(float(x).hex() for x in s) in _STEINER_PINS[name]
+
+
+def test_steiner_memory_bounded():
+    # the fan nodes are built a block of leaf triangles at a time; all of the
+    # ball approximation's leaves at once peaked at about 19 MB
+    ball = polytope_approximation(Ball(np.zeros(3), 1.0), 512)
+    ball.hull
+    tracemalloc.start()
+    try:
+        steiner(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def _box(*half):
     return Polytope(np.array(np.meshgrid(*[(-h, h) for h in half])).reshape(len(half), -1).T)
 
@@ -258,7 +419,7 @@ class TestSupportMoment:
         def refuse(*args, **kwargs):
             raise AssertionError("a polytope moment must not use quadrature")
 
-        monkeypatch.setattr(metrics, "_spherical_triangle_rule", refuse)
+        monkeypatch.setattr(metrics, "_split_triangles", refuse)
         monkeypatch.setattr(metrics, "default_grid", refuse)
         bodies = [random_polytope(310, 2, 9), random_polytope(311, 3, 12), _box(1.0, 2.0, 0.5),
                   Polytope([[0.0, 0.0], [1.0, 2.0]]), Polytope([[0.4, 0.1]]),

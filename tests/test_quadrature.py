@@ -60,6 +60,16 @@ def test_grid_3d_rejects_small():
         make_grid_3d(8, 3)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: make_grid_2d(2**20 + 1), lambda: make_grid_2d(10**30),
+             lambda: make_grid_3d(1025, 4), lambda: make_grid_3d(1024, 1025)],
+)
+def test_huge_grids_rejected_before_allocation(make):
+    # 10**30 nodes once ended in numpy's "Maximum allowed size exceeded"
+    with pytest.raises(InvalidArgumentError):
+        make()
+
+
 def test_grid_3d_constant(grid3):
     assert abs(integrate(grid3, lambda u: 1.0) - 4 * math.pi) < 1e-10
 
