@@ -321,8 +321,8 @@ def symmetries(tol, in_path, grid_2d, grid_3d):
 @_handle_errors
 def congruence(body_a, body_b, tol, proper_only, coarse, grid_2d, grid_3d):
     """Distance between congruence classes, minimized over O(n)."""
-    if tol is not None and not math.isfinite(tol):
-        raise InvalidArgumentError("--tol must be finite")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise InvalidArgumentError("--tol must be positive and finite")
     a = _read_doc(body_a).body
     b = _read_doc(body_b).body
     grid = _resolve_grid(body_dim(a), grid_2d, grid_3d)

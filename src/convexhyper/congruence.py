@@ -8,8 +8,9 @@ true orbit distance together with the coarse evaluations as an audit
 certificate.
 
 The objective maps a stack of orthogonal matrices to one exact Hausdorff
-value each: the coarse scan is one call, each 3-D Nelder-Mead step a stack
-of one, and 2-D golden section keeps calling ``exact_hausdorff``.
+value each: the coarse scan is one call, each 3-D Nelder-Mead step
+(``metrics.nelder_mead``, bit-identical to scipy's) a stack of one, and 2-D
+golden section keeps calling ``exact_hausdorff``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bodies import Ball, Body, Rotation, as_polytope, body_dim, rigid_motion, support_values
 from .errors import DimensionMismatchError, InvalidArgumentError
-from .metrics import exact_hausdorff, recenter, support_moment_matrix
+from .metrics import exact_hausdorff, nelder_mead, recenter, support_moment_matrix
 # the 2-D refinement calls golden section by this module-level name, so
 # perfbench's tracer can wrap it here without touching hausdorff's use
 from .metrics import golden_section_min as _golden_min
@@ -300,14 +300,12 @@ def congruence_distance(
             # a second run restarts from the incumbent with a tighter simplex
             runs, x0, scale = [], np.zeros(3), spacing * 0.5
             for xatol, fatol in ((1.0, 1e-3), (1e-2, 1e-4)):
-                runs.append(minimize(f_w, x0, method="Nelder-Mead", options={
-                    "xatol": _REFINE_TOL * xatol, "fatol": _REFINE_TOL * fatol,
-                    "maxiter": search.max_iterations,
-                    "initial_simplex": x0 + _initial_simplex(scale)}))
-                x0, scale = runs[-1].x, 1e-4
-            res, res2 = runs
-            w_star = res2.x if res2.fun <= res.fun else res.x
-            v_star = float(min(res.fun, res2.fun))
+                runs.append(nelder_mead(f_w, x0 + _initial_simplex(scale), _REFINE_TOL * xatol,
+                                        _REFINE_TOL * fatol, search.max_iterations))
+                x0, scale = runs[-1][0], 1e-4
+            (w1, v1), (w2, v2) = runs
+            w_star = w2 if v2 <= v1 else w1
+            v_star = float(min(v1, v2))
             g_star = g0 @ axis_angle_matrix_safe(w_star)
         if v_star < best_val:
             best_val = v_star
@@ -362,6 +360,6 @@ def same_congruence_class(
     search: SearchParams | None = None,
 ) -> bool:
     """True iff the congruence distance falls below tol."""
-    if not math.isfinite(tol):
-        raise InvalidArgumentError("tol must be finite")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError("tol must be positive and finite")
     return congruence_distance(d, k, grid, search).distance < tol

@@ -18,6 +18,10 @@ Every polytope routine here reads the hull combinatorics (CCW ring,
 edges, facet normals, vertex normal cones) from ``Polytope.hull``, which
 is computed once per polytope and carried through rigid motions
 (``translate``, ``rigid_motion``), so rotating a body never calls qhull.
+
+The refinements here and in ``congruence`` use two in-repo minimizers:
+golden section on an interval and Nelder-Mead (``nelder_mead``, a port of
+scipy's that returns the same bits), so nothing loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bodies import (
     Ball,
@@ -358,6 +361,55 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
     return best[1], best[0], 0.5 * (a + b)
 
 
+def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
+    """Nelder-Mead minimization (Nelder & Mead, Comput. J. 7, 1965) from an
+    initial simplex of n + 1 rows.
+
+    A port of scipy's ``minimize(method="Nelder-Mead")`` for its standard
+    coefficients (reflection 1, expansion 2, contraction and shrink 1/2),
+    no bounds and no evaluation cap; every step rounds as scipy's does, so
+    both return the same bits.  Stops once every vertex lies within xatol
+    of the best one and every value within fatol of the best value, or
+    after maxiter iterations.  Returns the best vertex and the least value.
+    """
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # sorted twice as in scipy: argsort need not keep the order of ties
+    sim, fsim = by_value(*by_value(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            accept = fxc <= fxr if outside else fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [f(x) for x in sim[1:]]
+        iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def _arc_sup(w: np.ndarray, a: float, b: float, r: float = 0.0) -> float:
     """max over t in [a, b] of |<w, u(t)> - r|.
 
@@ -578,20 +630,8 @@ def hausdorff(
                 u = (u / np.linalg.norm(u))[None, :]
                 return -abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
 
-            res = minimize(
-                neg,
-                np.zeros(2),
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-10,
-                    "fatol": 1e-14,
-                    "initial_simplex": np.array(
-                        [[0.0, 0.0], [spacing, 0.0], [0.0, spacing]]
-                    ),
-                    "maxiter": 400,
-                },
-            )
-            best = max(best, -float(res.fun))
+            simplex = np.array([[0.0, 0.0], [spacing, 0.0], [0.0, spacing]])
+            best = max(best, -float(nelder_mead(neg, simplex, 1e-10, 1e-14, 400)[1]))
         return best
 
     return best

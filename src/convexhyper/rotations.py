@@ -252,10 +252,10 @@ def orthogonal_maps(p: Polytope, q: Polytope, tol: float) -> np.ndarray:
         raise InvalidArgumentError("orthogonal maps computed for n = 2 and n = 3 only")
     if not (p.is_full_dimensional and q.is_full_dimensional):
         raise InvalidArgumentError("orthogonal maps need full-dimensional polytopes")
-    if not math.isfinite(tol):
-        raise InvalidArgumentError("tol must be finite")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError("tol must be positive and finite")
     a, b = _extreme_points(p), _extreme_points(q)
-    if tol <= 0 or len(a) != len(b):
+    if len(a) != len(b):
         return np.empty((0, n, n))
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     big = na >= 0.25 * na.max()

@@ -438,8 +438,8 @@ def isotropy_estimate(
     ellipsoids, sampled bodies, segments) are scanned: candidates g whose
     support on ``grid`` moves by less than tol.
     """
-    if not math.isfinite(tol):
-        raise InvalidArgumentError("tol must be finite")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError("tol must be positive and finite")
     poly = as_polytope(body)
     if poly is not None and poly.is_full_dimensional:
         return [Rotation(g) for g in orthogonal_maps(poly, poly, tol)]

@@ -168,6 +168,22 @@ def test_non_finite_argument_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: isotropy_estimate(_SQUARE, tol=tol),
+        lambda tol: isotropy_estimate(_DISC, tol=tol, grid=make_grid_2d(64)),
+        lambda tol: same_congruence_class(_SQUARE, _SQUARE, tol),
+    ],
+    ids=["isotropy-polytope", "isotropy-scan", "congruence"],
+)
+def test_non_positive_tolerance_rejected(call, tol):
+    # a tolerance of 0 or less admits no map, not even the identity
+    with pytest.raises(InvalidArgumentError):
+        call(tol)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -205,6 +205,19 @@ def test_non_finite_scalar_exit_code_2(runner, square_file, ball_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize(
+    "args",
+    [["symmetries", "--in", "{square}", "--tol"], ["congruence", "{square}", "{square}", "--tol"]],
+    ids=["symmetries", "congruence"],
+)
+def test_non_positive_tol_exit_code_2(runner, square_file, args, tol):
+    res = runner.invoke(main, [a.format(square=square_file) for a in args] + [tol])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.output
+
+
 def test_symmetries_4d_exit_code_2(runner, tmp_path):
     # there is no candidate set of rotations for n = 4
     body = tmp_path / "poly4.json"
@@ -260,11 +273,13 @@ def test_bad_corpus_spec_exit_code_2(runner, tmp_path, spec):
     assert res.stderr.startswith("error:")
 
 
-def test_import_skips_scipy_integrate():
-    # the smoothing kernel is rescaled to unit mass, so nothing integrates its bump
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_import_skips_scipy(module):
+    # the smoothing kernel is rescaled to unit mass, so nothing integrates its
+    # bump, and Nelder-Mead is in-repo
     src = os.path.dirname(os.path.dirname(convexhyper.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import convexhyper.cli, sys; sys.exit('scipy.integrate' in sys.modules)"
+    code = f"import convexhyper.cli, sys; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

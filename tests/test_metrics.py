@@ -21,15 +21,16 @@ from convexhyper import (
     sample_support,
     steiner,
     steiner_quadrature,
+    support_values,
     translate,
     truncate,
     width,
 )
-from convexhyper import metrics
+from convexhyper import congruence, metrics
 from convexhyper.bodies import rigid_motion
-from convexhyper.metrics import support_moment_matrix
-from convexhyper.quadrature import ball_volume
-from convexhyper.rotations import circle_candidates
+from convexhyper.metrics import nelder_mead, support_moment_matrix
+from convexhyper.quadrature import ball_volume, make_grid_3d
+from convexhyper.rotations import circle_candidates, sphere_candidates
 from oracles import brute_moment, brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
 
 SQRT2 = math.sqrt(2.0)
@@ -443,3 +444,53 @@ def test_steiner_lipschitz_regression_bound(grid2):
         k_body = random_polytope(700 + seed, 2, 10)
         gap = np.linalg.norm(steiner(d_body, grid2) - steiner(k_body, grid2))
         assert gap <= C * hausdorff(d_body, k_body, grid2)
+
+
+def _rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+def _congruence_objective_3d():
+    grid = make_grid_3d(16, 32)
+    d = recenter(random_polytope(41, 3, 12), grid)
+    k = recenter(random_polytope(42, 3, 12), grid)
+    objective = congruence._objective(congruence._rotatable(d), congruence._rotatable(k), d,
+                                      support_values(k, grid.nodes), grid.nodes)
+    g0 = sphere_candidates(64, True)[5]
+    return lambda w: float(objective((g0 @ congruence.axis_angle_matrix_safe(w))[None])[0])
+
+
+# name: (objective, or a function building it; initial simplex, xatol, fatol, maxiter)
+_NELDER_MEAD_CASES = {
+    "quadratic": (lambda x: float((x[0] - 0.3) ** 2 + 4.0 * (x[1] + 0.7) ** 2 + x[0] * x[1]),
+                  [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], 1e-10, 1e-14, 400),
+    "rosenbrock": (_rosenbrock, [[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]], 1e-10, 1e-14, 2000),
+    "shrink": (lambda x: float(np.floor(8.0 * abs(x[0])) + np.floor(8.0 * abs(x[1] - 0.1))
+                               + 0.01 * x[0] ** 2),
+               [[0.9, 0.9], [1.0, 0.8], [0.7, 1.1]], 1e-8, 1e-14, 400),
+    "maxiter": (_rosenbrock, [[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]], 1e-10, 1e-14, 37),
+    "congruence-3d": (_congruence_objective_3d, congruence._initial_simplex(0.2), 1e-9, 1e-12,
+                      800),
+}
+
+
+@pytest.mark.parametrize("name", list(_NELDER_MEAD_CASES))
+def test_nelder_mead_matches_scipy_bit_for_bit(name):
+    from scipy.optimize import minimize  # the reference only
+
+    f, simplex, xatol, fatol, maxiter = _NELDER_MEAD_CASES[name]
+    if name == "congruence-3d":
+        f = f()
+    simplex = np.asarray(simplex, dtype=float)
+    # the capped case checks every cap up to maxiter: one step too many or
+    # too few changes the best vertex at some cap
+    for cap in range(1, maxiter + 1) if name == "maxiter" else [maxiter]:
+        ref = minimize(f, simplex[0], method="Nelder-Mead", options={
+            "xatol": xatol, "fatol": fatol, "maxiter": cap, "initial_simplex": simplex})
+        x, fx = nelder_mead(f, simplex, xatol, fatol, cap)
+        assert np.array_equal(x, ref.x) and np.array_equal(fx, ref.fun), cap
+    # the cases reach the paths they are named for: a step without a shrink
+    # evaluates f once or twice, a shrink n + 2 times
+    if name == "shrink":
+        assert ref.nfev > simplex.shape[0] + 2 * (ref.nit - 1)
+    assert (ref.nit >= maxiter) == (name == "maxiter")

@@ -117,4 +117,6 @@ def test_rejects_invalid_input():
     body4 = Polytope(np.random.default_rng(4).normal(size=(12, 4)))
     with pytest.raises(InvalidArgumentError):
         orthogonal_maps(body4, body4, 1e-6)
-    assert len(orthogonal_maps(_SQUARE, _SQUARE, 0.0)) == 0
+    for tol in (-1.0, 0.0, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            orthogonal_maps(_SQUARE, _SQUARE, tol)
