@@ -611,22 +611,27 @@ def polytope_sum(a: Polytope, b: Polytope) -> Polytope:
 def as_polytope(body: Body) -> Polytope | None:
     """Flatten an expression tree to an explicit Polytope when possible.
 
-    Each term a G P becomes ``rigid_motion(P, G)`` (the hull is carried)
-    scaled by a, and the terms are summed with ``polytope_sum``; a bare
-    polytope is returned as it is and a body with no terms (everything
-    scaled by zero) is the origin.  Returns None when some leaf is a
-    Ball, Ellipsoid or Sampled.
+    A bare polytope is returned as it is, any other body whose leaves
+    are all polytopes through ``polytope_of_terms``.  Returns None when
+    some leaf is a Ball, Ellipsoid or Sampled.
     """
     if isinstance(body, Polytope):  # the congruence objective's hot path
         return body
     parts = terms(body)
     if not all(isinstance(leaf, Polytope) for _, _, leaf in parts):
         return None
+    return polytope_of_terms(parts, body_dim(body))
+
+
+def polytope_of_terms(parts: list[Term], dim: int) -> Polytope:
+    """The sum of polytope terms a G P as one Polytope: each term is
+    ``rigid_motion(P, G)`` (the hull is carried) scaled by a, summed with
+    ``polytope_sum``; one term 1 P is P itself, and no terms the origin."""
     polys = []
     for a, g, leaf in parts:
         poly = leaf if g is None else rigid_motion(leaf, g)
         polys.append(poly if a == 1.0 else Polytope(poly.vertices * a))
-    return reduce(polytope_sum, polys) if polys else Polytope(np.zeros((1, body_dim(body))))
+    return reduce(polytope_sum, polys) if polys else Polytope(np.zeros((1, dim)))
 
 
 def sublinearity_violation(body: Sampled, n_trials: int = 64, seed: int = 0) -> float:

@@ -8,9 +8,11 @@ true orbit distance together with the coarse evaluations as an audit
 certificate.
 
 The objective maps a stack of orthogonal matrices to one exact Hausdorff
-value each: the coarse scan is one call, each 3-D Nelder-Mead step
+value each (``metrics._stacked_gap``) when both bodies' terms are polytopes
+and balls: the coarse scan is one call, each 3-D Nelder-Mead step
 (``metrics.nelder_mead``, bit-identical to scipy's) a stack of one, and 2-D
-golden section keeps calling ``exact_hausdorff``.
+golden section calls ``exact_hausdorff`` on polygon pairs only.  Other
+bodies use the grid maximum, a lower bound at each rotation.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .bodies import Ball, Body, Rotation, as_polytope, body_dim, rigid_motion, support_values
+from .bodies import Body, Rotation, as_polytope, body_dim, rigid_motion, support_values
 from .errors import DimensionMismatchError, InvalidArgumentError
+# perfbench's tracer wraps the 2-D polygon refinement's calls through this binding
 from .metrics import exact_hausdorff, nelder_mead, recenter, support_moment_matrix
+from .metrics import _kernel_size, _side, _Side, _stacked_gap
 # the 2-D refinement calls golden section by this module-level name, so
 # perfbench's tracer can wrap it here without touching hausdorff's use
 from .metrics import golden_section_min as _golden_min
@@ -90,122 +93,40 @@ def _canonical_key(body: Body) -> tuple:
     return tuple(np.round(np.concatenate([[np.trace(m)], evals]), 9).tolist())
 
 
-def _rotatable(body: Body):
-    """(kind, payload) when g |-> g body admits an exact-hausdorff form."""
-    poly = as_polytope(body)
-    if poly is not None and poly.vertices.shape[0] <= _EXACT_VERTEX_LIMIT:
-        poly.hull  # built once here; the objective only carries it
-        return "polytope", poly
-    if isinstance(body, Ball):
-        return "ball", body
-    return None
+def _rotatable(body: Body) -> _Side | None:
+    """The exact kernel's side of ``body`` (``metrics._side``) when it has at
+    most ``_EXACT_VERTEX_LIMIT`` points, since a search evaluates it at
+    about 1,000 rotations; None otherwise."""
+    side = _side(body)
+    return side if side is not None and len(side.points) <= _EXACT_VERTEX_LIMIT else None
 
 
-class _Side(NamedTuple):
-    """A rotatable body in its own frame: h(u) = max <p, u> + radius over
-    ``points`` (a ball is its centre), ``normals`` of facets (3-D) or edges
-    (2-D).  In 3-D each edge (first end p, unit e) has a 3 x 3 block of
-    ``projector`` P = I - e e^T, and P p in ``base``."""
-
-    points: np.ndarray
-    radius: float
-    normals: np.ndarray
-    units: np.ndarray | None = None
-    projector: np.ndarray | None = None
-    base: np.ndarray | None = None
-
-
-def _side(rot) -> _Side | None:
-    """The pieces of a ``_rotatable`` body, or None when it has no exact form."""
-    if rot is None:
-        return None
-    kind, payload = rot
-    n = payload.dim
-    if kind == "ball":  # any unit vector is a ball normal; one stands in for all
-        none = np.empty((0, n))
-        return _Side(payload.center[None, :], payload.radius, np.eye(n)[:1],
-                     none, none.T, none)
-    hull = payload.hull
-    pts = payload.vertices[hull.index]
-    if n == 2:
-        e = np.roll(pts[hull.ring], -1, axis=0) - pts[hull.ring]
-        return _Side(pts, 0.0, np.column_stack([-e[:, 1], e[:, 0]]))
-    if hull.normals is None:
-        return None
-    first = pts[hull.edges[:, 0]]
-    e = pts[hull.edges[:, 1]] - first
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
-    proj = np.eye(3) - e[:, :, None] * e[:, None, :]
-    return _Side(pts, 0.0, hull.normals, e, proj.transpose(1, 0, 2).reshape(3, -1),
-                 np.einsum("eij,ej->ei", proj, first))
-
-
-def _ridges(side: _Side, targets: np.ndarray) -> np.ndarray:
-    """(I - e e^T)(p - t) for each edge (p, e) of ``side`` and stacked target t."""
-    return side.base - (targets @ side.projector).reshape(*targets.shape[:2], -1, 3)
-
-
-def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
-    """sup over u of |h_{g D}(u) - h_K(u)| for each g in the stack ``mats``.
-
-    The sup is attained in a superset of critical directions: normals of
-    both bodies, g p - q for points p of D and q of K, and in 3-D the ridge
-    criticals of each body's edges against the other's points.  Crossings
-    (g e) x f of two edges are left out: along the arc normal to f,
-    h_gD - h_K is a maximum of two sinusoids (a minimum along the arc
-    normal to g e), so it has an extremum at the crossing only where both
-    one-sided derivatives vanish, at a ridge critical already in the set.
-    The vertex-axis min of the same product gives h(-u); h is positively
-    homogeneous, so each gap is divided by its direction's length instead,
-    and (near-)zero directions drop out.
-    """
-    count, n = mats.shape[:2]
-    rot = mats.transpose(0, 2, 1)  # row vectors: x @ g^T = g x
-    dp = d.points @ rot
-    parts = [d.normals @ rot, np.broadcast_to(k.normals, (count, *k.normals.shape)),
-             dp[:, :, None, :] - k.points]
-    if n == 3:
-        local = k.points @ mats  # g^T q: K's points in D's frame
-        parts += [_ridges(d, local).reshape(count, -1, 3) @ rot, _ridges(k, dp)]
-    v = np.concatenate([p.reshape(count, -1, n) for p in parts], axis=1)
-    norms = np.sqrt(np.einsum("bji,bji->bj", v, v))
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 1e-12)
-    hd, hk = dp @ v.transpose(0, 2, 1), k.points @ v.transpose(0, 2, 1)
-    dr = (d.radius - k.radius) * norms
-    gap = np.maximum(np.abs(hd.max(axis=1) - hk.max(axis=1) + dr),
-                     np.abs(hd.min(axis=1) - hk.min(axis=1) - dr))
-    return (gap * scale).max(axis=1)
-
-
-def _objective(d_rot, k_rot, d_body: Body, k_values: np.ndarray, nodes: np.ndarray):
+def _objective(d, k, d_body: Body, k_values: np.ndarray, nodes: np.ndarray):
     """values[b] = hausdorff(mats[b] D, K) for a stack ``mats`` of orthogonal
-    matrices: exact for polytope and ball pairs (``_stacked_gap``, in blocks
-    of at most ``_STACK_ENTRIES`` entries), which keeps the metric symmetric
-    and O(n)-invariant at refinement accuracy; else the grid max (sampled or
-    large bodies), exact at the identity and a lower bound elsewhere."""
-    d, k = _side(d_rot), _side(k_rot)
+    matrices: exact when both bodies are ``_rotatable`` (``_stacked_gap``, in
+    blocks of at most ``_STACK_ENTRIES`` entries), which keeps the metric
+    symmetric and O(n)-invariant at refinement accuracy; else the grid max
+    (ellipsoids, sampled or large bodies), exact at the identity and a lower
+    bound elsewhere."""
     if d is None or k is None:
         return lambda mats: np.array(
             [np.abs(support_values(d_body, nodes @ g) - k_values).max() for g in mats]
         )
-    dirs = len(d.normals) + len(k.normals) + len(d.points) * len(k.points)
-    if nodes.shape[1] == 3:
-        dirs += len(d.units) * len(k.points) + len(k.units) * len(d.points)
-    block = max(1, _STACK_ENTRIES // (dirs * max(len(d.points), len(k.points))))
+    block = max(1, _STACK_ENTRIES // _kernel_size(d, k))
     return lambda mats: np.concatenate(
         [_stacked_gap(d, k, mats[i:i + block]) for i in range(0, len(mats), block)]
     )
 
 
-def _scalar_2d(d_rot, k_rot, objective):
-    """The objective at one 2-D matrix for golden section: ``exact_hausdorff``
-    for polytope and ball pairs, whose byte-exact outputs the benchmark
-    records (a stack of one once they are re-recorded)."""
-    if d_rot is None or k_rot is None:
+def _scalar_2d(dc: Body, kc: Body, objective):
+    """The objective at one 2-D matrix for golden section: the arc path of
+    ``exact_hausdorff`` for polygon pairs of at most ``_EXACT_VERTEX_LIMIT``
+    vertices, whose byte-exact outputs the benchmark records (a stack of
+    one once they are re-recorded), and a stack of one for other pairs."""
+    pd, pk = as_polytope(dc), as_polytope(kc)
+    if pd is None or pk is None or max(len(pd.vertices), len(pk.vertices)) > _EXACT_VERTEX_LIMIT:
         return lambda g: float(objective(g[None])[0])
-    if d_rot[0] == "ball":
-        return lambda g: exact_hausdorff(Ball(g @ d_rot[1].center, d_rot[1].radius), k_rot[1])
-    return lambda g: exact_hausdorff(rigid_motion(d_rot[1], g), k_rot[1])
+    return lambda g: exact_hausdorff(rigid_motion(pd, g), pk)
 
 
 def congruence_distance(
@@ -218,7 +139,8 @@ def congruence_distance(
 
     The coarse scan is one stacked objective call and Nelder-Mead (n=3)
     evaluates stacks of one; golden section (n=2) calls ``exact_hausdorff``
-    per angle for polytope and ball pairs, bit-identical to earlier outputs.
+    per angle for polygon pairs, bit-identical to earlier outputs, and the
+    objective on a stack of one for every other pair.
 
     The reported distance is the smallest of the coarse minimum and the
     value each refinement returns: in 3-D the lowest value Nelder-Mead
@@ -262,7 +184,7 @@ def congruence_distance(
 
     if n == 2:
         min_sep = 1.5 * (2.0 * math.pi / coarse_n)
-        scalar = _scalar_2d(d_rot, k_rot, objective)
+        scalar = _scalar_2d(dc, kc, objective)
     else:
         min_sep = 1.2 * (8.0 * math.pi**2 / coarse_n) ** (1.0 / 3.0)
     start_indices = _diverse_starts(mats, order, search.starts, min_sep)

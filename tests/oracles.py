@@ -10,12 +10,15 @@ evaluates the support function on every shifted copy u + z_k of the
 directions, one kernel node at a time.
 The ladder oracle evaluates an expression tree by recursion over its
 Sum/Scaled/Rotated nodes and calls the library only on leaves.
+The enumerated Hausdorff oracle takes the largest support gap of two
+polytopes, or a polytope and a ball, over every critical direction of
+their normal fans (crossings included), with hulls from scipy.
 """
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from convexhyper.bodies import Rotated, Scaled, Sum, support_values
+from convexhyper.bodies import Ball, Rotated, Scaled, Sum, support_values
 from convexhyper.curvature import support_point
 from convexhyper.metrics import steiner, support_moment_matrix
 
@@ -126,3 +129,51 @@ def ladder(body, kind: str, x=None, grid=None) -> np.ndarray:
             return g @ ladder(body.inner, kind, x, grid) @ g.T
         return g @ ladder(body.inner, kind, g.T @ x, grid)
     return _LADDER_LEAF[kind](body, x, grid)
+
+
+def _unit_both(vecs: np.ndarray) -> list:
+    """The non-zero rows of vecs, normalized, and their negatives."""
+    norms = np.linalg.norm(vecs, axis=1)
+    good = vecs[norms > 1e-12] / norms[norms > 1e-12, None]
+    return [good, -good]
+
+
+def _ridge_criticals(pts, edges, targets):
+    """Critical directions of <p - t, u> on edge-normal great circles."""
+    p = pts[edges[:, 0]]
+    e_hat = p - pts[edges[:, 1]]
+    e_hat = e_hat / np.linalg.norm(e_hat, axis=1, keepdims=True)
+    w = p[:, None, :] - targets[None, :, :]
+    proj = w - (w * e_hat[:, None, :]).sum(axis=2, keepdims=True) * e_hat[:, None, :]
+    return proj.reshape(-1, 3)
+
+
+def _fan_pieces(body):
+    """(points, radius, facet normals, edges) of a Polytope or Ball."""
+    if isinstance(body, Ball):
+        return body.center[None, :], body.radius, np.empty((0, body.dim)), np.empty((0, 2), int)
+    hull = ConvexHull(body.vertices)
+    edges = {tuple(sorted((s[i], s[i - 1]))) for s in hull.simplices for i in range(len(s))}
+    return body.vertices, 0.0, hull.equations[:, :-1], np.array(sorted(edges))
+
+
+def enumerated_hausdorff(a, b) -> float:
+    """Exact Hausdorff distance of two 2-D or 3-D polytopes, or a polytope
+    and a ball, as the largest |h_A - h_B| over a superset of critical
+    directions: the coordinate axes, facet (edge) normals of both, unit
+    differences p - q of their points, and in 3-D the crossings e x f of
+    their edges and the ridge criticals of each body's edges against the
+    other's points, each with its negative.  Supports are plain maxima."""
+    pa, ra, na, ea = _fan_pieces(a)
+    pb, rb, nb, eb = _fan_pieces(b)
+    n = pa.shape[1]
+    cands = [np.eye(n), -np.eye(n), na, -na, nb, -nb]
+    cands += _unit_both((pa[:, None, :] - pb[None, :, :]).reshape(-1, n))
+    if n == 3:
+        da, db = pa[ea[:, 0]] - pa[ea[:, 1]], pb[eb[:, 0]] - pb[eb[:, 1]]
+        cands += _unit_both(np.cross(da[:, None, :], db[None, :, :]).reshape(-1, 3))
+        cands += _unit_both(_ridge_criticals(pa, ea, pb))
+        cands += _unit_both(_ridge_criticals(pb, eb, pa))
+    dirs = np.vstack(cands).T
+    gap = (pa @ dirs).max(axis=0) + ra - (pb @ dirs).max(axis=0) - rb
+    return float(np.abs(gap).max())

@@ -314,12 +314,13 @@ _VECTOR = st.one_of(
 )
 _GRIDS = {"--grid-2d": _INT, "--grid-3d": _LAT_LON}
 # command -> (body pairs or single bodies, flags); congruence runs on
-# polygon pairs, whose exact objective keeps a 65,536-point coarse scan fast
+# polygon pairs and a polygon against a parallel body, whose exact
+# objective keeps a 65,536-point coarse scan fast
 _FUZZ = {
     "steiner": ([("square",), ("tri",), ("poly3",), ("sum2",)], _GRIDS),
     "support": ([("square",), ("poly3",), ("sum2",)], {"--dir": _VECTOR}),
     "hausdorff": ([("square", "tri"), ("poly3", "poly3b"), ("tri", "sum2")], _GRIDS),
-    "congruence": ([("square", "tri"), ("tri", "tri")], {"--tol": _ANY, "--coarse": _INT, **_GRIDS}),
+    "congruence": ([("square", "tri"), ("tri", "tri"), ("tri", "sum2")], {"--tol": _ANY, "--coarse": _INT, **_GRIDS}),
     "symmetries": ([("square",), ("poly3",), ("sum2",)], {"--tol": _ANY, **_GRIDS}),
 }
 

@@ -31,7 +31,13 @@ from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import nelder_mead, support_moment_matrix
 from convexhyper.quadrature import ball_volume, make_grid_3d
 from convexhyper.rotations import circle_candidates, sphere_candidates
-from oracles import brute_moment, brute_steiner_2d, cloud_hausdorff, polygon_boundary_cloud
+from oracles import (
+    brute_moment,
+    brute_steiner_2d,
+    cloud_hausdorff,
+    enumerated_hausdorff,
+    polygon_boundary_cloud,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +118,129 @@ class TestHausdorff:
             sweep = np.abs((moved.vertices @ dirs).max(axis=0) - h_q).max()
             exact = metrics.exact_hausdorff(moved, q)
             assert sweep - 1e-12 <= exact <= sweep + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# exact Hausdorff: arcs for polygon pairs, the stacked kernel for the rest
+# ---------------------------------------------------------------------------
+
+def _sphere_polytope(seed, count):
+    """``count`` random points of the unit sphere, all of them hull vertices."""
+    pts = np.random.default_rng(seed).standard_normal((count, 3))
+    return Polytope(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def test_exact_hausdorff_matches_enumeration_3d():
+    # the kernel leaves out edge crossings; the oracle enumerates them
+    rng = np.random.default_rng(77)
+    for seed in range(50):
+        a = random_polytope(1000 + seed, 3, int(rng.integers(4, 24)))
+        b = random_polytope(2000 + seed, 3, int(rng.integers(4, 24)))
+        assert abs(metrics.exact_hausdorff(a, b) - enumerated_hausdorff(a, b)) <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_hausdorff_polytope_ball_matches_enumeration(dim):
+    rng = np.random.default_rng(78 + dim)
+    for seed in range(10):
+        poly = random_polytope(3000 + seed, dim, int(rng.integers(dim + 1, 20)))
+        ball = Ball(rng.uniform(-0.3, 0.3, dim), rng.uniform(0.2, 1.5))
+        for a, b in ((poly, ball), (ball, poly)):
+            assert abs(metrics.exact_hausdorff(a, b) - enumerated_hausdorff(a, b)) <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_hausdorff_parallel_body_bounds_dense_sweep(dim):
+    # h of P + B(c, r) is h_P + <c, u> + r; the kernel is exact for it.  The
+    # gap is about 1.5-Lipschitz and may peak at a kink, so a sweep with
+    # cells of angle delta falls short by up to about 1.5 delta
+    poly, other = random_polytope(3100 + dim, dim, 10), random_polytope(3200 + dim, dim, 9)
+    body = Sum(Rotated(random_rotation(3300, dim), Scaled(0.8, poly)), Ball(np.full(dim, 0.1), 0.2))
+    if dim == 2:
+        theta = 2.0 * math.pi * np.arange(2**18) / 2**18
+        dirs, slack = np.column_stack([np.cos(theta), np.sin(theta)]), 1e-4
+    else:
+        dirs, slack = make_grid_3d(512, 1024).nodes, 1e-2
+    sweep = np.abs(support_values(body, dirs) - support_values(other, dirs)).max()
+    for a, b in ((body, other), (other, body)):
+        exact = metrics.exact_hausdorff(a, b)
+        assert sweep - 1e-12 <= exact <= sweep + slack
+
+
+def test_exact_hausdorff_size_rule():
+    # one limit on directions x points replaces the vertex caps: the largest
+    # pairs the caps let through (120 vertices, or 600 against a ball) stay exact
+    ball = Ball(np.array([0.1, 0.0, -0.05]), 0.9)
+    for a, b in ((_sphere_polytope(1, 60), _sphere_polytope(2, 60)),
+                 (_sphere_polytope(3, 75), _sphere_polytope(4, 45)),
+                 (_sphere_polytope(5, 600), ball)):
+        assert metrics.exact_hausdorff(a, b) is not None
+        assert metrics.exact_hausdorff(b, a) is not None
+    approx = polytope_approximation(Ball(np.zeros(3), 1.0), 512)
+    assert metrics.exact_hausdorff(approx, rigid_motion(approx, random_rotation(6, 3).matrix)) is None
+
+
+def test_exact_hausdorff_memory_bound():
+    a, b = _sphere_polytope(1, 60), _sphere_polytope(2, 60)
+    a.hull, b.hull
+    tracemalloc.start()
+    try:
+        metrics.exact_hausdorff(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+# the seed-1 inputs p2a, p2b, p3a and p3b of the benchmark's cli workload,
+# whose hausdorff outputs its reference records byte for byte
+_CLI_P2A = [[-0.8390548461510116, 0.49196532244433444], [0.5302347891253072, -0.74234437776927],
+            [0.9597806148946194, -0.05984261271299381], [0.47710860911156916, 0.6602967285592],
+            [-0.5852648632896985, 0.7148498488879669], [-0.37688038495508636, -0.7137541374926519],
+            [0.7833542265755365, 0.39004109845160884], [-0.6737614144259073, -0.5117161546767826],
+            [0.25752269449405185, -0.8187190633079559], [0.13151773526613322, 0.7985290122656237]]
+_CLI_P2B = [[-0.3902592126483625, -0.833107252191532], [-0.027298093343923857, -0.9559588258573487],
+            [-0.7873281095948679, -0.37312768853019423], [-0.5613129739101091, 0.7730345009169609],
+            [-0.8296972585891882, 0.3669090228808065], [0.8769471786528842, -0.10261894670747825],
+            [-0.014512970851472325, 0.9589922492684098], [0.8508579176447053, 0.18126343396490993],
+            [0.3218314500949186, -0.9122783333600671], [-0.7448533819704244, 0.5553506662236335]]
+_CLI_P3A = [[0.016754502866142044, 0.8114821243580014, -0.008988521090023157],
+            [-0.49157878234221086, -0.10153378458957892, 0.576953378021799],
+            [0.7360148228208826, -0.08641303316689454, 0.13116583063695128],
+            [-0.4353064885949392, -0.5692445163298337, -0.39846112140378087],
+            [-0.13560663083529817, -0.02668008230420624, -0.775778267922994],
+            [0.557773489387518, 0.31966753658426167, 0.4633020895610036],
+            [-0.5524735022809082, 0.24245268728778194, 0.5141361983820046],
+            [0.34722742548761076, 0.3613631908290344, -0.5621761090488915],
+            [0.6714192778599067, -0.24629444089426522, -0.30188292748241563],
+            [-0.45943807695151634, -0.6451704370826727, -0.10646024805725943],
+            [0.6230921579575087, -0.04649544324143729, 0.43097513523694525],
+            [-0.5318262702941516, -0.21482485079714664, -0.5391168377080754]]
+_CLI_P3B = [[0.48100250717002707, 0.5791729459428964, -0.2828310532194748],
+            [0.20508873900518412, -0.47719734999972474, 0.5778793752303084],
+            [-0.23049200525751226, 0.5885820185439681, 0.5239202774619136],
+            [0.36009939155359094, -0.6558449181986266, 0.2419880498070993],
+            [0.22138323963998668, 0.6980632613107105, 0.43576107323015795],
+            [-0.6497731408979346, 0.324933549516448, 0.2817731664873632],
+            [0.3555668472457605, -0.12184099931812153, 0.6942689806613935],
+            [-0.73304026330165, -0.3132687251819382, -0.1543339292291355],
+            [-0.014062275263898964, 0.5630483063385193, -0.5415754646760663],
+            [0.0303683303837991, 0.38873403953208857, 0.7257021108146721],
+            [-0.2374995621585377, 0.7539101881864063, 0.21737630295570076],
+            [-0.7529246220307747, 0.07221778881046512, -0.21179965540941514]]
+
+
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_cli_hausdorff_bits_pinned(name, grid2):
+    # p2 goes through the arc path, p3 through the kernel; the grid is the
+    # CLI's default, so these are the values the cli command prints
+    if name == "p2":
+        a, b, grid, pinned = Polytope(_CLI_P2A), Polytope(_CLI_P2B), grid2, "0x1.7483b35d6606dp-3"
+    else:
+        a, b, grid, pinned = Polytope(_CLI_P3A), Polytope(_CLI_P3B), make_grid_3d(64, 128), "0x1.e803b4bcba4b2p-2"
+    for x, y in ((a, b), (b, a)):
+        assert metrics.exact_hausdorff(x, y).hex() == pinned
+        assert hausdorff(x, y, grid).hex() == pinned
 
 
 class TestSteiner:
