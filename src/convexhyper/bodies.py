@@ -118,15 +118,19 @@ class Hull:
     @property
     def normal_angles(self) -> np.ndarray:
         """2-D outward-normal angle of each ring edge k -> k+1, in [0, 2 pi)."""
-        verts = self.polygon
-        edges = np.roll(verts, -1, axis=0) - verts
-        return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
+        return ring_normal_angles(self.polygon)
 
     def vertex_cones(self):
         """(point index, unit normals of its normal cone) per 3-D hull vertex."""
         cut = np.flatnonzero(np.diff(self.cone_owner)) + 1
         owners = self.cone_owner[np.concatenate([[0], cut])].tolist()
         return zip(owners, np.split(self.cones, cut))
+
+
+def ring_normal_angles(ring: np.ndarray) -> np.ndarray:
+    """Outward-normal angle of each edge k -> k+1 of a CCW 2-D ring, in [0, 2 pi)."""
+    edges = np.concatenate((ring[1:], ring[:1])) - ring
+    return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
 
 
 def _build_hull(vertices: np.ndarray) -> Hull:

@@ -3,16 +3,17 @@
 Translations are removed by Steiner re-centering; what remains is the
 orbit distance  d([D], [K]) = min over g in O(n) of hausdorff(gD, K),
 estimated by a coarse grid over the group followed by local derivative-free
-refinement from the best grid points.  The result is an upper bound on the
-true orbit distance together with the coarse evaluations as an audit
-certificate.
+refinement from the best grid points, with the coarse evaluations as an
+audit certificate.
 
 The objective maps a stack of orthogonal matrices to one exact Hausdorff
-value each (``metrics._stacked_gap``) when both bodies' terms are polytopes
-and balls: the coarse scan is one call, each 3-D Nelder-Mead step
-(``metrics.nelder_mead``, bit-identical to scipy's) a stack of one, and 2-D
-golden section calls ``exact_hausdorff`` on polygon pairs only.  Other
-bodies use the grid maximum, a lower bound at each rotation.
+value each (``metrics._stacked_gap``) when both bodies are ``_rotatable``:
+the coarse scan is one call, each 3-D Nelder-Mead step
+(``metrics.nelder_mead``, bit-identical to scipy's) a stack of one, and a
+2-D golden-section probe of a polygon pair the arc form (``_scalar_2d``).
+The result is then an upper bound on the orbit distance.  Other bodies use
+the grid maximum, a lower bound at each rotation, so theirs is a minimum of
+lower bounds.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import Body, Rotation, as_polytope, body_dim, rigid_motion, support_values
+from .bodies import Body, Rotation, as_polytope, body_dim, support_values
 from .errors import DimensionMismatchError, InvalidArgumentError
-# perfbench's tracer wraps the 2-D polygon refinement's calls through this binding
+# not called here: perfbench's tracer still hooks this binding as the objective
 from .metrics import exact_hausdorff, nelder_mead, recenter, support_moment_matrix
-from .metrics import _kernel_size, _side, _Side, _stacked_gap
+from .metrics import _arc_hausdorff, _fan, _kernel_size, _side, _Side, _stacked_gap
 # the 2-D refinement calls golden section by this module-level name, so
 # perfbench's tracer can wrap it here without touching hausdorff's use
 from .metrics import golden_section_min as _golden_min
@@ -60,10 +61,17 @@ class SearchParams:
     max_iterations: int = 800
 
     def __post_init__(self):
+        counts = (4 if self.coarse is None else self.coarse, self.starts, self.max_iterations)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise InvalidArgumentError("coarse, starts and max_iterations must be integers")
+        if not isinstance(self.include_reflections, bool):
+            raise InvalidArgumentError("include_reflections must be a bool")
         if self.coarse is not None and not 4 <= self.coarse <= _MAX_COARSE:
             raise InvalidArgumentError(f"coarse grid must have 4 to {_MAX_COARSE} points")
         if self.starts < 1:
             raise InvalidArgumentError("need at least one refinement start")
+        if self.max_iterations < 1:
+            raise InvalidArgumentError("need at least one Nelder-Mead iteration")
 
 
 @dataclass(frozen=True)
@@ -119,14 +127,27 @@ def _objective(d, k, d_body: Body, k_values: np.ndarray, nodes: np.ndarray):
 
 
 def _scalar_2d(dc: Body, kc: Body, objective):
-    """The objective at one 2-D matrix for golden section: the arc path of
-    ``exact_hausdorff`` for polygon pairs of at most ``_EXACT_VERTEX_LIMIT``
-    vertices, whose byte-exact outputs the benchmark records (a stack of
-    one once they are re-recorded), and a stack of one for other pairs."""
+    """The objective at one 2-D matrix g for golden section.
+
+    Polygon pairs of at most ``_EXACT_VERTEX_LIMIT`` vertices take the arc
+    form, whose bits the benchmark records (a stack of one once they are
+    re-recorded), against K's side built once per search.  A probe moves
+    D's vertices and hull ring as ``rigid_motion`` does and builds no
+    polytope, so it returns exact_hausdorff(rigid_motion(pd, g), pk) bit
+    for bit.  Other pairs take the objective on a stack of one.
+    """
     pd, pk = as_polytope(dc), as_polytope(kc)
     if pd is None or pk is None or max(len(pd.vertices), len(pk.vertices)) > _EXACT_VERTEX_LIMIT:
         return lambda g: float(objective(g[None])[0])
-    return lambda g: exact_hausdorff(rigid_motion(pd, g), pk)
+    vk, ang_k, hull = pk.vertices, _fan(pk.hull.polygon), pd.hull
+    proper, improper = hull.index[hull.ring], hull.index[hull.ring[::-1]]
+
+    def probe(g):
+        v = pd.vertices @ g.T
+        ring = improper if g[0, 0] * g[1, 1] < g[0, 1] * g[1, 0] else proper  # det(g) < 0
+        return _arc_hausdorff(v, _fan(np.round(v[ring], 12)), vk, ang_k)
+
+    return probe
 
 
 def congruence_distance(
@@ -138,9 +159,10 @@ def congruence_distance(
     """Minimize hausdorff(g D, K) over O(n) after re-centering both bodies.
 
     The coarse scan is one stacked objective call and Nelder-Mead (n=3)
-    evaluates stacks of one; golden section (n=2) calls ``exact_hausdorff``
-    per angle for polygon pairs, bit-identical to earlier outputs, and the
-    objective on a stack of one for every other pair.
+    evaluates stacks of one; golden section (n=2) takes the arc form per
+    angle for polygon pairs (``_scalar_2d``), bit-identical to
+    ``exact_hausdorff`` of the moved polygon, and the objective on a stack
+    of one for every other pair.
 
     The reported distance is the smallest of the coarse minimum and the
     value each refinement returns: in 3-D the lowest value Nelder-Mead
@@ -148,6 +170,10 @@ def congruence_distance(
     golden-section bracket, which can lie slightly above the lowest probe
     (up to about 1e-12).  So it never exceeds the coarse minimum, and the
     identity candidate bounds it by hausdorff(recenter D, recenter K).
+    It is an upper bound on the orbit distance only when both bodies are
+    ``_rotatable``; for other pairs each objective value is a grid maximum,
+    a lower bound at its rotation, and the distance is the minimum of
+    such lower bounds.
 
     The metric is a function of the unordered pair, so the arguments are
     put into a canonical order first; this makes d(D, K) = d(K, D) exact

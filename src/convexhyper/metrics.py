@@ -48,6 +48,7 @@ from .bodies import (
     as_polytope,
     body_dim,
     polytope_of_terms,
+    ring_normal_angles,
     sampled_cell_angle,
     support_values,
     terms,
@@ -57,6 +58,7 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 from .quadrature import SphericalGrid, ball_volume, default_grid, sphere_area
 
 _TWO_PI = 2.0 * math.pi
+_K_PI = np.array([-0.0, math.pi, -math.pi, _TWO_PI, 3.0 * math.pi])  # x + -0.0 is x, even -0.0
 _REFINE_STARTS = 5  # hausdorff refines from the largest grid differences
 # largest exact kernel (directions x points): a 600-vertex 3-D polytope
 # against a ball is about 2.2M, two 60-vertex ones about 1.5M
@@ -421,41 +423,38 @@ def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
     return sim[0], np.min(fsim)
 
 
-def _arc_sup(w: np.ndarray, a: float, b: float) -> float:
-    """max over t in [a, b] of |<w, u(t)>|.
+def _fan(ring: np.ndarray) -> np.ndarray:
+    """Kinks of h for the 2-D hull ring ``Hull.polygon``: none for a point."""
+    return ring_normal_angles(ring) if len(ring) > 1 else np.empty(0)
 
-    <w, u(t)> = |w| cos(t - phi) is extremal at the arc ends or at
-    phi + k pi; arcs lie in [0, 4 pi), so k runs from -1 to 3.
+
+def _cos_sin(t: np.ndarray) -> np.ndarray:
+    """Rows (cos t, sin t) from ``math``, the rounding the arc form keeps."""
+    t, u = t.tolist(), np.empty((len(t), 2))
+    u[:, 0], u[:, 1] = list(map(math.cos, t)), list(map(math.sin, t))
+    return u
+
+
+def _arc_hausdorff(va: np.ndarray, ang_a: np.ndarray, vb: np.ndarray, ang_b: np.ndarray) -> float:
+    """Exact sup of |h_A - h_B| for polygons with vertices ``va``, ``vb`` and kinks
+    ``ang_a``, ``ang_b`` (``_fan``).  On each arc [a, b] of the common fan one
+    vertex of each wins (at the midpoint), and <w, u(t)> = |w| cos(t - phi)
+    for their difference w peaks at an end or at phi + k pi, k = -1..3 as
+    arcs lie in [0, 4 pi).  All arcs at once, rounded as one at a time:
+    stacked (n x 2)(2 x 1) and (1 x 2)(2 x 1) products call BLAS gemv and
+    ddot as single vectors do, and angles go through ``math``.  Two points
+    have no arcs: the distance of their first vertices rounded as ``Hull``.
     """
-    cands = [a, b]
-    phi = math.atan2(w[1], w[0])
-    for cand in (phi, phi + math.pi, phi - math.pi, phi + _TWO_PI, phi + 3.0 * math.pi):
-        if a <= cand <= b:
-            cands.append(cand)
-    return max(abs(float(w @ np.array([math.cos(t), math.sin(t)]))) for t in cands)
-
-
-def _hausdorff_2d_polygons(pa: Polytope, pb: Polytope) -> float:
-    """Exact sup of |h_A - h_B| for two polygons via arc decomposition."""
-    breaks = set()
-    for poly in (pa, pb):
-        if poly.hull.ring.shape[0] >= 2:  # a point has no kinks
-            breaks.update(poly.hull.normal_angles.tolist())
-    if not breaks:
-        return float(np.linalg.norm(pa.hull.points[0] - pb.hull.points[0]))
-    angles = np.sort(np.asarray(sorted(breaks)))
-    best = 0.0
-    for i in range(angles.shape[0]):
-        a = angles[i]
-        b = angles[(i + 1) % angles.shape[0]]
-        if b <= a:
-            b += _TWO_PI
-        mid = 0.5 * (a + b)
-        u_mid = np.array([math.cos(mid), math.sin(mid)])
-        pa_v = pa.vertices[np.argmax(pa.vertices @ u_mid)]
-        pb_v = pb.vertices[np.argmax(pb.vertices @ u_mid)]
-        best = max(best, _arc_sup(pa_v - pb_v, a, b))
-    return best
+    a = np.array(sorted({*ang_a.tolist(), *ang_b.tolist()}))
+    if not a.size:
+        return float(np.linalg.norm(np.round(va[0], 12) - np.round(vb[0], 12)))
+    b = np.concatenate((a[1:], a[:1] + _TWO_PI))  # a is sorted: only the last arc wraps
+    u = _cos_sin(0.5 * (a + b))[:, :, None]
+    w = va[(va @ u).argmax(axis=1)[:, 0]] - vb[(vb @ u).argmax(axis=1)[:, 0]]
+    phi = np.array([math.atan2(y, x) for x, y in w.tolist()])
+    t = np.concatenate((a[:, None], b[:, None], phi[:, None] + _K_PI), axis=1)
+    arc, col = np.nonzero((a[:, None] <= t) & (t <= b[:, None]))
+    return float(np.abs(w[arc][:, None, :] @ _cos_sin(t[arc, col])[:, :, None]).max())
 
 
 class _Side(NamedTuple):
@@ -557,7 +556,7 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
     polytopes and balls (so parallel bodies P + rB too), else None.
 
     A 2-D polygon pair takes the sup over the arcs of its common normal
-    fan (``_hausdorff_2d_polygons``).  That path stays only because the
+    fan (``_arc_hausdorff``).  That path stays only because the
     benchmark's ``cli`` reference records its last bits: it reads the arc
     ends from hull points rounded to 12 decimals, so it can differ from
     the kernel by about 1e-13.  Every other pair is ``_stacked_gap`` at the
@@ -568,7 +567,8 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
     if body_dim(a) == 2:
         pa, pb = as_polytope(a), as_polytope(b)
         if pa is not None and pb is not None:
-            return _hausdorff_2d_polygons(pa, pb)
+            return _arc_hausdorff(pa.vertices, _fan(pa.hull.polygon),
+                                  pb.vertices, _fan(pb.hull.polygon))
     d, k = _side(a), _side(b)
     if d is None or k is None or _kernel_size(d, k) > _EXACT_ENTRIES:
         return None

@@ -13,7 +13,11 @@ Sum/Scaled/Rotated nodes and calls the library only on leaves.
 The enumerated Hausdorff oracle takes the largest support gap of two
 polytopes, or a polytope and a ball, over every critical direction of
 their normal fans (crossings included), with hulls from scipy.
+The arc-loop oracle is the scalar form of the 2-D polygon arc path, one
+normal-fan arc at a time; the vectorized path must return its bits.
 """
+
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
@@ -177,3 +181,41 @@ def enumerated_hausdorff(a, b) -> float:
     dirs = np.vstack(cands).T
     gap = (pa @ dirs).max(axis=0) + ra - (pb @ dirs).max(axis=0) - rb
     return float(np.abs(gap).max())
+
+
+def _arc_sup(w: np.ndarray, a: float, b: float) -> float:
+    """max over t in [a, b] of |<w, u(t)>|.
+
+    <w, u(t)> = |w| cos(t - phi) is extremal at the arc ends or at
+    phi + k pi; arcs lie in [0, 4 pi), so k runs from -1 to 3.
+    """
+    cands = [a, b]
+    phi = math.atan2(w[1], w[0])
+    for cand in (phi, phi + math.pi, phi - math.pi, phi + 2.0 * math.pi, phi + 3.0 * math.pi):
+        if a <= cand <= b:
+            cands.append(cand)
+    return max(abs(float(w @ np.array([math.cos(t), math.sin(t)]))) for t in cands)
+
+
+def arc_loop_hausdorff(pa, pb) -> float:
+    """Exact sup of |h_A - h_B| for two polygons, one arc of their common
+    normal fan at a time (the library's hull rings and normal angles)."""
+    breaks = set()
+    for poly in (pa, pb):
+        if poly.hull.ring.shape[0] >= 2:  # a point has no kinks
+            breaks.update(poly.hull.normal_angles.tolist())
+    if not breaks:
+        return float(np.linalg.norm(pa.hull.points[0] - pb.hull.points[0]))
+    angles = np.sort(np.asarray(sorted(breaks)))
+    best = 0.0
+    for i in range(angles.shape[0]):
+        a = angles[i]
+        b = angles[(i + 1) % angles.shape[0]]
+        if b <= a:
+            b += 2.0 * math.pi
+        mid = 0.5 * (a + b)
+        u_mid = np.array([math.cos(mid), math.sin(mid)])
+        pa_v = pa.vertices[np.argmax(pa.vertices @ u_mid)]
+        pb_v = pb.vertices[np.argmax(pb.vertices @ u_mid)]
+        best = max(best, _arc_sup(pa_v - pb_v, a, b))
+    return best

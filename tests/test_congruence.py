@@ -146,6 +146,18 @@ def test_coarse_size_checked(coarse):
         SearchParams(coarse=coarse)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"coarse": 10.5}, {"coarse": True}, {"starts": 2.0}, {"starts": True},
+    {"max_iterations": 0}, {"max_iterations": -5}, {"max_iterations": 500.0},
+    {"max_iterations": False}, {"include_reflections": "no"}, {"include_reflections": 1},
+], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_search_params_checked(kwargs):
+    # 10.5 used to fail later with a TypeError, max_iterations <= 0 skipped
+    # the 3-D refinement, and the truthy "no" searched O(n)
+    with pytest.raises(InvalidArgumentError):
+        SearchParams(**kwargs)
+
+
 def test_dimension_mismatch(square, unit_ball_3d, grid2):
     with pytest.raises(DimensionMismatchError):
         congruence_distance(square, unit_ball_3d, grid2)

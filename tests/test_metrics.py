@@ -32,6 +32,7 @@ from convexhyper.metrics import nelder_mead, support_moment_matrix
 from convexhyper.quadrature import ball_volume, make_grid_3d
 from convexhyper.rotations import circle_candidates, sphere_candidates
 from oracles import (
+    arc_loop_hausdorff,
     brute_moment,
     brute_steiner_2d,
     cloud_hausdorff,
@@ -241,6 +242,58 @@ def test_cli_hausdorff_bits_pinned(name, grid2):
     for x, y in ((a, b), (b, a)):
         assert metrics.exact_hausdorff(x, y).hex() == pinned
         assert hausdorff(x, y, grid).hex() == pinned
+
+
+# float.hex of the seed-1 cli congruence output for p2a, p2b (distance, then
+# the optimizer's entries row by row): numpy 2.4 with OpenBLAS 0.3.31 on
+# x86-64, its AVX-512 SkylakeX kernels, then its AVX2 Haswell kernels
+_CLI_CONGRUENCE_PINS = (
+    ("0x1.ba277aded02a6p-4", "-0x1.72bdf61088da5p-1", "-0x1.611ef0c74cfbfp-1",
+     "0x1.611ef0c74cfbfp-1", "-0x1.72bdf61088da5p-1"),
+    ("0x1.ba277aded02a4p-4", "-0x1.72bdf61088da5p-1", "-0x1.611ef0c74cfbfp-1",
+     "0x1.611ef0c74cfbfp-1", "-0x1.72bdf61088da5p-1"),
+)
+
+
+def test_cli_congruence_bits_pinned(grid2):
+    # the 2-D refinement's probes take the arc form; grid2 is the CLI's default
+    res = congruence.congruence_distance(Polytope(_CLI_P2A), Polytope(_CLI_P2B), grid2,
+                                         congruence.SearchParams(coarse=180))
+    pinned = tuple(float(x).hex() for x in (res.distance, *res.optimizer.matrix.ravel()))
+    assert pinned in _CLI_CONGRUENCE_PINS
+
+
+def _arc_cases():
+    """Seeded polygon pairs, each with an orthogonal map: points, segments,
+    triangles, larger polygons, fixed degenerate rings, and polygons
+    against a copy of themselves rotated by less than 1e-9 (tiny arcs)."""
+    rng = np.random.default_rng(4242)
+    fixed = [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0.3, 0.1], [0.3, 0.1 + 1e-13], [1.0, 0.0]],
+             [[0.1234567890123456, -0.5]], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]]
+    for i in range(520):
+        if i < len(fixed) ** 2:
+            a, b = np.array(fixed[i // len(fixed)]), np.array(fixed[i % len(fixed)])
+        else:
+            a = rng.normal(size=(int(rng.choice([1, 2, 3, 3, 5, 9, 16])), 2))
+            b = rng.normal(size=(int(rng.choice([1, 2, 3, 3, 5, 9, 16])), 2))
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        if i % 10 == 5:
+            b, t = a * rng.uniform(0.5, 2.0), 0.0  # nested: the same fan
+        elif i % 10 == 0:
+            b, t = a.copy(), rng.uniform(-1e-9, 1e-9)
+        g = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        yield Polytope(a), Polytope(b), g if i % 2 == 0 else g @ np.diag([1.0, -1.0])
+
+
+def test_arc_hausdorff_bits_match_loop():
+    # holds with any BLAS: the stacked products reach the same gemv and ddot
+    for p, q, g in _arc_cases():
+        moved = rigid_motion(p, g)
+        for x, y in ((moved, q), (q, moved)):
+            assert metrics.exact_hausdorff(x, y).hex() == arc_loop_hausdorff(x, y).hex()
+        for x, y in ((p, q), (q, p)):
+            probe = congruence._scalar_2d(x, y, None)(g)
+            assert probe.hex() == metrics.exact_hausdorff(rigid_motion(x, g), y).hex()
 
 
 class TestSteiner:
