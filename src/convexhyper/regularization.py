@@ -28,7 +28,11 @@ R = max_k ||z_k||, and a direction where v* alone survives is exact in
 one product.  Balls and ellipsoids sum ||M u + M z_k|| with the squared
 norm built coordinate by coordinate (no Gram expansion, which cancels
 where u + z_k is near zero).  Every directions x kernel intermediate is
-blocked to ``_BLOCK`` entries.
+blocked to ``_BLOCK`` entries, a cache-sized row block: each kernel
+allocates its block buffers once per call and reuses them for every block,
+so the inner steps run in cache rather than streaming from memory.  A
+row's kernel sum is one BLAS product over its block, so the values can
+differ in the last bits between block shapes, never more.
 """
 
 from __future__ import annotations
@@ -53,9 +57,14 @@ from .bodies import (
 )
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .metrics import recenter, support_moment_matrix
-from .quadrature import SphericalGrid, default_grid, make_grid_2d, make_grid_3d
+from .quadrature import _MAX_GRID_NODES, SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 
-_BLOCK = 4_000_000  # entries of a directions x kernel block
+# entries of a directions x kernel block: 512 KiB of float64, so the two
+# work buffers of a kernel stay in a 2 MiB L2 cache; on a 2 MiB-L2 Xeon
+# 32k-64k ran fastest, 16k paid per-block overhead, 256k and up streamed
+# from memory
+_BLOCK = 65_536
+_MAX_RADIAL = 256  # Gauss-Legendre radial nodes; the bump needs far fewer
 
 
 def _bump_raw(s):
@@ -75,7 +84,10 @@ class RegularizationParams:
     ``t`` in [0, 1]; t = 0 means the identity map (no integral involved).
     ``angular_nodes`` is the size of the kernel's spherical rule: a node
     count for n=2, and a total budget split into a lat x lon product for
-    n=3 (2048 -> 32 x 64).
+    n=3 (2048 -> 32 x 64).  Node counts are integers, ``radial_nodes`` in
+    [4, 256] and ``angular_nodes`` >= 8, with at most 2^20 kernel nodes
+    ``radial_nodes x angular_nodes``; larger kernels are refused, not
+    allocated.
     """
 
     t: float
@@ -83,12 +95,19 @@ class RegularizationParams:
     angular_nodes: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.t, bool) or not isinstance(self.t, (int, float, np.integer, np.floating)):
+            raise InvalidArgumentError("t must be a number")
         if not 0.0 <= self.t <= 1.0:
             raise InvalidArgumentError("t must lie in [0, 1]")
-        if self.radial_nodes < 4:
-            raise InvalidArgumentError("need at least 4 radial nodes")
+        counts = (self.radial_nodes, 8 if self.angular_nodes is None else self.angular_nodes)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise InvalidArgumentError("radial_nodes and angular_nodes must be integers")
+        if not 4 <= self.radial_nodes <= _MAX_RADIAL:
+            raise InvalidArgumentError(f"need 4 to {_MAX_RADIAL} radial nodes")
         if self.angular_nodes is not None and self.angular_nodes < 8:
             raise InvalidArgumentError("need at least 8 angular nodes")
+        if int(self.radial_nodes) * int(self.angular_nodes or 0) > _MAX_GRID_NODES:
+            raise InvalidArgumentError(f"the kernel may have at most {_MAX_GRID_NODES} nodes")
 
     def angular_grid(self, dim: int) -> SphericalGrid:
         target = self.angular_nodes
@@ -146,8 +165,12 @@ def canonical_frame(body: Body) -> np.ndarray:
     return evecs
 
 
+def _block_rows(k: int) -> int:
+    return max(1, _BLOCK // k)
+
+
 def _row_blocks(n_rows: int, k: int):
-    block = max(1, _BLOCK // k)
+    block = _block_rows(k)
     for start in range(0, n_rows, block):
         yield start, min(start + block, n_rows)
 
@@ -175,24 +198,30 @@ def _polytope_kernel(vertices, dirs, offsets, weights, out):
     single = count == 1
     out[single] += top[single] + (b_t @ weights)[best[single]]
     multi = np.flatnonzero(~single)
+    if multi.size == 0:
+        return
     multi = multi[np.argsort(-count[multi], kind="stable")]
+    counts = count[multi]
+    # candidates first, each row's own order kept; rows sorted by
+    # candidate count, so the rows still active at step j are a prefix
+    idx = np.argsort(~cand[multi], axis=1, kind="stable")[:, : counts[0]]
+    a_sel = np.take_along_axis(a[multi], idx, axis=1)
     k = offsets.shape[0]
+    acc = np.empty((min(_block_rows(k), multi.size), k))
+    tmp = np.empty_like(acc)
+    sums = np.empty(multi.size)
     for start, stop in _row_blocks(multi.size, k):
-        sel = multi[start:stop]
-        # candidates first, each row's own order kept; rows sorted by
-        # candidate count, so the rows still active at step j are a prefix
-        idx = np.argsort(~cand[sel], axis=1, kind="stable")
-        a_sel = np.take_along_axis(a[sel], idx, axis=1)
-        acc = b_t[idx[:, 0]]
-        acc += a_sel[:, :1]
-        tmp = np.empty_like(acc)
-        counts = count[sel]
-        for j in range(1, int(counts[0])):
-            m = int((counts > j).sum())
-            np.take(b_t, idx[:m, j], axis=0, out=tmp[:m])
-            tmp[:m] += a_sel[:m, j, None]
+        rows = stop - start
+        np.take(b_t, idx[start:stop, 0], axis=0, out=acc[:rows])
+        acc[:rows] += a_sel[start:stop, :1]
+        block_counts = counts[start:stop]
+        for j in range(1, int(block_counts[0])):
+            m = int((block_counts > j).sum())
+            np.take(b_t, idx[start : start + m, j], axis=0, out=tmp[:m])
+            tmp[:m] += a_sel[start : start + m, j, None]
             np.maximum(acc[:m], tmp[:m], out=acc[:m])
-        out[sel] += acc @ weights
+        sums[start:stop] = acc[:rows] @ weights
+    out[multi] += sums
 
 
 def _norm_kernel(center, matrix, dirs, offsets, weights, out):
@@ -203,18 +232,21 @@ def _norm_kernel(center, matrix, dirs, offsets, weights, out):
     catastrophically where u + z_k is near zero (t >= 1/2).
     """
     mu = dirs @ matrix
-    mz = offsets @ matrix
+    mz_t = np.ascontiguousarray((offsets @ matrix).T)
     out += dirs @ center + (weights @ offsets) @ center
     k = offsets.shape[0]
+    sq = np.empty((min(_block_rows(k), dirs.shape[0]), k))
+    tmp = np.empty_like(sq)
     for start, stop in _row_blocks(dirs.shape[0], k):
-        sq = np.square(mu[start:stop, 0, None] + mz[None, :, 0])
-        tmp = np.empty_like(sq)
-        for j in range(1, dirs.shape[1]):
-            np.add(mu[start:stop, j, None], mz[None, :, j], out=tmp)
-            tmp *= tmp
-            sq += tmp
-        np.sqrt(sq, out=sq)
-        out[start:stop] += sq @ weights
+        s, t = sq[: stop - start], tmp[: stop - start]
+        np.add(mu[start:stop, 0, None], mz_t[0], out=s)
+        s *= s
+        for j in range(1, mz_t.shape[0]):
+            np.add(mu[start:stop, j, None], mz_t[j], out=t)
+            t *= t
+            s += t
+        np.sqrt(s, out=s)
+        out[start:stop] += s @ weights
 
 
 def mollified_support_values(

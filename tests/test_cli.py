@@ -218,6 +218,18 @@ def test_non_positive_tol_exit_code_2(runner, square_file, args, tol):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("flags", [["--radial", "10000000"], ["--angular", "10000000"]],
+                         ids=["radial", "angular"])
+def test_regularize_huge_kernel_exit_code_2(runner, square_file, tmp_path, flags):
+    # the kernel is refused before anything is allocated
+    out = tmp_path / "out.json"
+    res = runner.invoke(main, ["regularize", "--t", "0.1", "--in", square_file, "--out", str(out)] + flags)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_symmetries_4d_exit_code_2(runner, tmp_path):
     # there is no candidate set of rotations for n = 4
     body = tmp_path / "poly4.json"
@@ -315,13 +327,15 @@ _VECTOR = st.one_of(
 _GRIDS = {"--grid-2d": _INT, "--grid-3d": _LAT_LON}
 # command -> (body pairs or single bodies, flags); congruence runs on
 # polygon pairs and a polygon against a parallel body, whose exact
-# objective keeps a 65,536-point coarse scan fast
+# objective keeps a 65,536-point coarse scan fast; regularize runs on
+# polygons with a fixed 64-node grid, so accepted kernels stay cheap
 _FUZZ = {
     "steiner": ([("square",), ("tri",), ("poly3",), ("sum2",)], _GRIDS),
     "support": ([("square",), ("poly3",), ("sum2",)], {"--dir": _VECTOR}),
     "hausdorff": ([("square", "tri"), ("poly3", "poly3b"), ("tri", "sum2")], _GRIDS),
     "congruence": ([("square", "tri"), ("tri", "tri"), ("tri", "sum2")], {"--tol": _ANY, "--coarse": _INT, **_GRIDS}),
     "symmetries": ([("square",), ("poly3",), ("sum2",)], {"--tol": _ANY, **_GRIDS}),
+    "regularize": ([("square",), ("tri",), ("sum2",)], {"--t": _ANY, "--radial": _INT, "--angular": _INT}),
 }
 
 
@@ -347,7 +361,9 @@ def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
     command = data.draw(st.sampled_from(sorted(_FUZZ)))
     bodies, flags = _FUZZ[command]
     names = data.draw(st.sampled_from(bodies))
-    args = [command] + (["--in"] if command == "symmetries" else []) + [fuzz_files[n] for n in names]
+    args = [command] + (["--in"] if command in ("symmetries", "regularize") else []) + [fuzz_files[n] for n in names]
+    if command == "regularize":
+        args += ["--out", os.path.join(os.path.dirname(fuzz_files["square"]), "out.json"), "--grid-2d", "64"]
     for flag, values in flags.items():
         value = data.draw(st.none() | values, label=flag)
         if value is not None:

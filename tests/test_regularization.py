@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,32 @@ class TestMollifier:
         for dim in (2, 3):
             _, w = kernel_rule(params(0.1), dim)
             assert abs(w.sum() - 1.0) < 1e-14
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(t=True),
+            dict(t="0.1"),
+            dict(t=0.1, radial_nodes=10.5),
+            dict(t=0.1, radial_nodes=True),
+            dict(t=0.1, angular_nodes=8.5),
+            dict(t=0.1, angular_nodes=np.bool_(True)),
+            dict(t=0.1, radial_nodes=257),
+            dict(t=0.1, radial_nodes=10_000_000),
+            dict(t=0.1, radial_nodes=256, angular_nodes=4097),
+            dict(t=0.1, radial_nodes=np.int64(16), angular_nodes=np.int64(2**62)),
+        ],
+        ids=["t-bool", "t-str", "radial-float", "radial-bool", "angular-float", "angular-np-bool",
+             "radial-257", "radial-huge", "kernel-size", "kernel-size-np"],
+    )
+    def test_params_checked(self, kw):
+        with pytest.raises(InvalidArgumentError):
+            RegularizationParams(**kw)
+
+    def test_params_accept_numpy_scalars(self):
+        p = RegularizationParams(t=np.float64(0.1), radial_nodes=np.int32(256), angular_nodes=np.int64(4096))
+        offsets, weights = kernel_rule(p, 2)
+        assert offsets.shape == (256 * 4096, 2) and abs(weights.sum() - 1.0) < 1e-14
 
     def test_params_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -194,13 +221,47 @@ def test_kernel_matches_brute_force(name, t):
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["polytope-3d", "sum-ball", "sum-ellipsoid", "sampled"])
+@pytest.mark.parametrize(
+    "name", ["polytope-2d", "polytope-3d", "cube", "point", "sum-ball", "sum-ellipsoid", "sampled"]
+)
 def test_kernel_blocking_does_not_change_values(name, monkeypatch):
     body = KERNEL_BODIES[name]
-    p, frame, dirs, _, _ = _kernel_case(body, 0.2)
+    p, frame, dirs, _, weights = _kernel_case(body, 0.2)
+    k = weights.size
+    default = regularization._BLOCK
+    monkeypatch.setattr(regularization, "_BLOCK", 1 << 40)
     whole = mollified_support_values(body, p, dirs, frame)
-    monkeypatch.setattr(regularization, "_BLOCK", 3000)
-    blocked = mollified_support_values(body, p, dirs, frame)
-    # equal up to the last bits: BLAS may round a row's kernel sum
-    # differently for a different block shape
-    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14)
+    # one row per block; three rows per block, which splits runs of rows
+    # with equal candidate counts; the default
+    for block in (k - 1, 3 * k, default):
+        monkeypatch.setattr(regularization, "_BLOCK", block)
+        blocked = mollified_support_values(body, p, dirs, frame)
+        # equal up to the last bits: BLAS may round a row's kernel sum
+        # differently for a different block shape
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14, err_msg=f"block {block}")
+
+
+def test_kernel_memory_stays_small():
+    # the block buffers are cache-sized and allocated once per call, so the
+    # peak does not grow with the directions x kernel product
+    rng = np.random.default_rng(8)
+
+    def on_sphere(dim, n):  # every point is a vertex
+        pts = rng.standard_normal((n, dim))
+        return Polytope(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+    ellipsoid = Ellipsoid(np.zeros(3), np.diag(rng.uniform(0.1, 0.3, 3)))
+    p3 = params(0.2, radial_nodes=8, angular_nodes=512)
+    cases = [
+        (on_sphere(3, 16), make_grid_3d(32, 64), p3),
+        (on_sphere(2, 12), make_grid_2d(2048), params(0.2)),
+        (Sum(on_sphere(3, 16), ellipsoid), make_grid_3d(32, 64), p3),
+    ]
+    for body, grid, p in cases:
+        tracemalloc.start()
+        try:
+            mollified_support_values(body, p, grid.nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000, (body.dim, peak)
