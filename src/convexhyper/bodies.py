@@ -88,11 +88,14 @@ class Hull:
     counterclockwise order (both ends of a segment, or the single point).
     In 3-D ``edges`` are sorted index pairs in lexicographic order (with
     the diagonals of triangulated flat faces), ``normals`` the unit
-    outward facet normals, ``edge_facets[e]`` the two rows of ``normals``
-    that meet at edge e, and row k of ``cones`` is a unit normal in the
-    normal cone of hull vertex ``cone_owner[k]`` (rows grouped by vertex,
-    duplicates removed); these are None when qhull fails (fewer than four
-    points, coplanar sets).  All arrays are read-only.
+    outward facet normals, ``facets[f]`` the three point indices of the
+    triangle with normal ``normals[f]`` (qhull's simplices, in no consistent
+    orientation; a rigid motion leaves them unchanged), ``edge_facets[e]``
+    the two rows of ``normals`` that meet at edge e, and row k of ``cones``
+    is a unit normal in the normal cone of hull vertex ``cone_owner[k]``
+    (rows grouped by vertex, duplicates removed); these are None when qhull
+    fails (fewer than four points, coplanar sets).  All arrays are
+    read-only.
     """
 
     points: np.ndarray
@@ -102,6 +105,7 @@ class Hull:
     edges: np.ndarray | None = None
     edge_facets: np.ndarray | None = None
     normals: np.ndarray | None = None
+    facets: np.ndarray | None = None
     cone_owner: np.ndarray | None = None
     cones: np.ndarray | None = None
 
@@ -159,18 +163,39 @@ def _build_hull(vertices: np.ndarray) -> Hull:
     f, c = np.nonzero(np.arange(s.shape[0])[:, None] < nb)
     ends = np.sort(np.column_stack([s[f, (c + 1) % 3], s[f, (c + 2) % 3]]), axis=1)
     order = np.lexsort((ends[:, 1], ends[:, 0]))
-    owner, cones = [], []
-    for v in qh.vertices:
-        kept: list = []
-        for n in eq[(s == v).any(axis=1)]:
-            if not any(float(n @ k) > 1.0 - 1e-12 for k in kept):
-                kept.append(n / np.linalg.norm(n))
-        owner += [v] * len(kept)
-        cones += kept
+    owner, cones = _vertex_cones(eq, s)
     normals = eq / np.linalg.norm(eq, axis=1, keepdims=True)
     return Hull(points, index, rank, edges=ends[order],
                 edge_facets=np.column_stack([f, nb[f, c]])[order], normals=normals,
-                cone_owner=np.asarray(owner, dtype=int), cones=np.asarray(cones))
+                cone_owner=owner, cones=cones, facets=s)
+
+
+def _vertex_cones(eq: np.ndarray, simplices: np.ndarray):
+    """(owner, unit normal) rows of the vertex normal cones of a 3-D hull.
+
+    Rows are grouped by vertex in ascending order, each vertex's facets
+    in ascending order; a row is dropped when its facet normal dots an
+    earlier kept row of its vertex above 1 - 1e-12.  Stacked (1 x 3)(3 x 1)
+    products call BLAS ddot as 1-D dots and norms do, so the rows round as
+    a per-vertex loop's ``n / np.linalg.norm(n)`` and ``n @ k``.
+    """
+    corners = simplices.ravel()
+    order = np.argsort(corners, kind="stable")
+    owner = corners[order]
+    rows = np.ascontiguousarray(eq[order // 3])
+    unit = rows / np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0])
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    pos = np.arange(len(owner)) - np.repeat(first, np.diff(np.r_[first, len(owner)]))
+    # every pair (i, j) with row i before row j in one vertex's group
+    j = np.repeat(np.arange(len(owner)), pos)
+    i = j - np.repeat(pos, pos) + (np.arange(len(j)) - np.repeat(np.cumsum(pos) - pos, pos))
+    dup = np.matmul(rows[j, None, :], unit[i, :, None])[:, 0, 0] > 1.0 - 1e-12
+    i, j = i[dup], j[dup]
+    keep = np.ones(len(owner), dtype=bool)
+    for p in np.unique(pos[j]).tolist():  # greedy: earlier positions are final
+        at = pos[j] == p
+        keep[j[at][keep[i[at]]]] = False
+    return owner[keep].astype(int), unit[keep]
 
 
 @dataclass(frozen=True)

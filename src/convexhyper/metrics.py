@@ -23,7 +23,8 @@ Exact Hausdorff distances come from one kernel, ``_stacked_gap``, the
 largest support gap over critical directions for a stack of orthogonal
 maps of one body: ``congruence`` evaluates it at many maps and
 ``exact_hausdorff`` at the identity.  It covers 2-D and 3-D bodies whose
-terms are polytopes and balls; polygon pairs keep an arc form.
+terms are polytopes and balls; polygon pairs keep an arc form, and 3-D
+pairs past the kernel's size rule take signed vertex distances instead.
 
 The refinements here and in ``congruence`` use two in-repo minimizers:
 golden section on an interval and Nelder-Mead (``nelder_mead``, a port of
@@ -38,6 +39,7 @@ from operator import add
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bodies import (
     Ball,
@@ -63,6 +65,8 @@ _REFINE_STARTS = 5  # hausdorff refines from the largest grid differences
 # largest exact kernel (directions x points): a 600-vertex 3-D polytope
 # against a ball is about 2.2M, two 60-vertex ones about 1.5M
 _EXACT_ENTRIES = 2_500_000
+# points x facets per block of the vertex-distance form of larger 3-D pairs
+_DISTANCE_ENTRIES = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,8 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
     tensor Gauss-Legendre rule through the radial projection of the flat
     triangle, dOmega = dist(0, plane) / ||x||^3 dA.  The quadrature nodes
     are built from the cone geometry itself, so they co-rotate with the
-    body and the integral is equivariant to rounding.
+    body and the integral is equivariant to rounding.  None when the hull
+    has no facets or no vertex cone with three normals (flat sets).
     """
     hull = poly.hull
     if hull.normals is None:
@@ -192,6 +197,8 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
         rims.append(normals[np.argsort(ang)])
         axes.append(axis)
         points.append(hull.points[v])
+    if not rims:  # a sliver hull of a flat set: no cone has three normals
+        return None
     sizes = np.array([len(r) for r in rims])
     rim, stops = np.concatenate(rims), np.cumsum(sizes)
     succ = np.arange(1, len(rim) + 1)  # n_i+1, wrapping around each cone
@@ -461,7 +468,9 @@ class _Side(NamedTuple):
     """A body of the exact kernel in its own frame: h(u) = max <p, u> +
     radius over ``points``, ``normals`` of facets (3-D) or edges (2-D).
     In 3-D each edge (first end p, unit e) has a 3 x 3 block of
-    ``projector`` P = I - e e^T, and P p in ``base``."""
+    ``projector`` P = I - e e^T, and P p in ``base``, and ``facets[f]``
+    indexes the triangle of ``points`` with normal ``normals[f]`` (None
+    for a body of balls alone, whose one point has no facets)."""
 
     points: np.ndarray
     radius: float
@@ -469,6 +478,7 @@ class _Side(NamedTuple):
     units: np.ndarray | None = None
     projector: np.ndarray | None = None
     base: np.ndarray | None = None
+    facets: np.ndarray | None = None
 
 
 def _side(body: Body) -> _Side | None:
@@ -503,7 +513,7 @@ def _side(body: Body) -> _Side | None:
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     proj = np.eye(3) - e[:, :, None] * e[:, None, :]
     return _Side(pts, radius, hull.normals, e, proj.transpose(1, 0, 2).reshape(3, -1),
-                 np.einsum("eij,ej->ei", proj, first))
+                 np.einsum("eij,ej->ei", proj, first), hull.facets)
 
 
 def _kernel_size(d: _Side, k: _Side) -> int:
@@ -551,6 +561,71 @@ def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
     return (gap * scale).max(axis=1)
 
 
+def _triangle_distances(p: np.ndarray, tri: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Distance from each point p[k] to the triangle tri[k] (corners a_i)
+    with unit normal ``normal[k]``: the plane distance when p projects into
+    the triangle (the products <n x (a_i+1 - a_i), p - a_i> share a sign,
+    whichever way the corners turn), else the least distance to its three
+    edges (Ericson, Real-Time Collision Detection, 2005, section 5.1.5)."""
+    w = p[:, None, :] - tri
+    edge = np.roll(tri, -1, axis=1) - tri
+    turn = np.einsum("pij,pij->pi", np.cross(normal[:, None, :], edge), w)
+    inside = (turn >= 0.0).all(axis=1) | (turn <= 0.0).all(axis=1)
+    t = np.einsum("pij,pij->pi", edge, w) / np.einsum("pij,pij->pi", edge, edge)
+    w -= np.clip(t, 0.0, 1.0)[:, :, None] * edge
+    to_edges = np.sqrt(np.einsum("pij,pij->pi", w, w).min(axis=1))
+    to_plane = np.abs(np.einsum("pj,pj->p", normal, p - tri[:, 0]))
+    return np.where(inside, to_plane, to_edges)
+
+
+def _farthest(x: np.ndarray, side: _Side) -> float:
+    """max over the rows v of ``x`` of the signed distance sd(v, Q) to the
+    3-D polytope Q of ``side``'s points: the distance outside Q, minus the
+    distance to its boundary inside.
+
+    sd(v) is at least the largest facet-plane violation, and equal to it
+    inside Q; it is at most the distance to the nearest point of Q.  A
+    point outside Q whose upper bound beats the best lower bound gets its
+    exact distance, the least over the facets visible from it of the
+    distance to the facet's triangle.  Points x facets are taken in blocks
+    of at most ``_DISTANCE_ENTRIES``.
+    """
+    if side.facets is None:  # a body of balls alone: one point
+        return float(np.linalg.norm(x - side.points[0], axis=1).max())
+    normal, tri = side.normals, side.points[side.facets]
+    offset = np.einsum("fj,fcj->fc", normal, tri).max(axis=1)
+    rows = max(1, _DISTANCE_ENTRIES // len(normal))
+    lower = np.concatenate([(x[i:i + rows] @ normal.T - offset).max(axis=1)
+                            for i in range(0, len(x), rows)])
+    upper = cKDTree(side.points).query(x)[0]
+    best = float(np.minimum(lower, upper).max())
+    todo = np.flatnonzero((lower > 0.0) & (upper > best))
+    for i in range(0, len(todo), rows):
+        pts = x[todo[i:i + rows]]
+        # pv ascends; a block product may round a violation of about 1e-16
+        # to zero, so a block can come out with no visible facet
+        pv, pf = np.nonzero(pts @ normal.T - offset > 0.0)
+        if pv.size:
+            d = _triangle_distances(pts[pv], tri[pf], normal[pf])
+            starts = np.flatnonzero(np.r_[True, pv[1:] != pv[:-1]])
+            best = max(best, float(np.minimum.reduceat(d, starts).max()))
+    return best
+
+
+def _vertex_hausdorff(d: _Side, k: _Side) -> float:
+    """Hausdorff distance of two 3-D kernel sides from vertex distances.
+
+    For convex bodies the sup of h_D - h_K over unit vectors is the
+    largest signed distance sd(v, K) over D, attained at a vertex, so for
+    parallel bodies d_H(P + rB, Q + sB) = max(0, max_v sd(v, Q) + r - s,
+    max_w sd(w, P) + s - r) (Atallah, IPL 17, 1983, for polygons;
+    Schneider, Convex Bodies, section 1.8).  O(V F) work, against the
+    kernel's O(V^3) entries.
+    """
+    return max(0.0, _farthest(d.points, k) + d.radius - k.radius,
+               _farthest(k.points, d) + k.radius - d.radius)
+
+
 def exact_hausdorff(a: Body, b: Body) -> float | None:
     """Exact Hausdorff distance of two 2-D or 3-D bodies whose terms are
     polytopes and balls (so parallel bodies P + rB too), else None.
@@ -561,7 +636,9 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
     ends from hull points rounded to 12 decimals, so it can differ from
     the kernel by about 1e-13.  Every other pair is ``_stacked_gap`` at the
     identity, a stack of one, when its size (``_kernel_size``) is at most
-    ``_EXACT_ENTRIES``.  None for larger pairs, for 3-D bodies whose
+    ``_EXACT_ENTRIES``; larger 3-D pairs take vertex distances
+    (``_vertex_hausdorff``), so 3-D polytope/ball pairs are exact at any
+    size.  None for larger 2-D pairs with ball terms, for 3-D bodies whose
     polytope part is flat, and for bodies with ellipsoid or sampled terms.
     """
     if body_dim(a) == 2:
@@ -570,9 +647,11 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
             return _arc_hausdorff(pa.vertices, _fan(pa.hull.polygon),
                                   pb.vertices, _fan(pb.hull.polygon))
     d, k = _side(a), _side(b)
-    if d is None or k is None or _kernel_size(d, k) > _EXACT_ENTRIES:
+    if d is None or k is None:
         return None
-    return float(_stacked_gap(d, k, np.eye(body_dim(a))[None])[0])
+    if _kernel_size(d, k) <= _EXACT_ENTRIES:
+        return float(_stacked_gap(d, k, np.eye(body_dim(a))[None])[0])
+    return _vertex_hausdorff(d, k) if body_dim(a) == 3 else None
 
 
 def _refine_candidates(body: Body, dim: int) -> np.ndarray | None:
@@ -610,10 +689,13 @@ def hausdorff(
 ) -> float:
     """Hausdorff distance via the sup-norm of the support difference.
 
-    The grid maximum is always a lower bound; for exactly evaluable
-    representations the sup is refined (``exact_hausdorff`` where it
-    applies, golden section / Nelder-Mead otherwise), so the reported
-    value is >= the grid maximum.
+    The grid maximum is always a lower bound.  Pairs that
+    ``exact_hausdorff`` covers (polygon pairs, 3-D polytope/ball pairs of
+    any size, smaller 2-D parallel bodies) are exact.  Sampled bodies keep
+    the grid maximum; other pairs (ellipsoid terms, flat 3-D polytopes,
+    large 2-D parallel bodies) polish it by golden section (n = 2) or
+    Nelder-Mead (n = 3) from its largest nodes, which stays a lower bound.
+    The reported value is >= the grid maximum.
     """
     if body_dim(a) != body_dim(b):
         raise DimensionMismatchError("bodies live in different dimensions")

@@ -191,28 +191,36 @@ def polytope_approximation(body: Body, n_dirs: int = 512) -> Polytope:
     return Polytope(convex_hull_vertices(pts))
 
 
+def _first_close(points: np.ndarray, vertex: np.ndarray) -> int | None:
+    """The first row p of ``points`` with np.allclose(p, vertex, atol=1e-12)."""
+    close = (np.abs(points - vertex) <= 1e-12 + 1e-5 * np.abs(vertex)).all(axis=1)
+    return int(close.argmax()) if close.any() else None
+
+
 def _vertex_cone_direction(poly: Polytope, vertex: np.ndarray) -> np.ndarray | None:
-    """A direction in the interior of the normal cone at the given vertex."""
+    """A direction in the interior of the normal cone at the given vertex
+    (the first hull vertex close to it, in ring or cone order)."""
     hull = poly.hull
     if poly.dim == 2:
+        i = _first_close(hull.polygon, vertex)
+        if i is None:
+            return None
         normals_ang = hull.normal_angles
-        for i, v in enumerate(hull.polygon):
-            if np.allclose(v, vertex, atol=1e-12):
-                a = normals_ang[i - 1]
-                b = normals_ang[i]
-                if b < a:
-                    b += 2.0 * math.pi
-                mid = 0.5 * (a + b)
-                return np.array([math.cos(mid), math.sin(mid)])
-        return None
+        a = normals_ang[i - 1]
+        b = normals_ang[i]
+        if b < a:
+            b += 2.0 * math.pi
+        mid = 0.5 * (a + b)
+        return np.array([math.cos(mid), math.sin(mid)])
     if hull.normals is None:
         return None
-    for idx, normals in hull.vertex_cones():
-        if np.allclose(hull.points[idx], vertex, atol=1e-12):
-            mean = normals.sum(axis=0)
-            nrm = np.linalg.norm(mean)
-            return mean / nrm if nrm > 1e-12 else None
-    return None
+    owners = np.unique(hull.cone_owner)  # in cone order
+    k = _first_close(hull.points[owners], vertex)
+    if k is None:
+        return None
+    mean = hull.cones[hull.cone_owner == owners[k]].sum(axis=0)
+    nrm = np.linalg.norm(mean)
+    return mean / nrm if nrm > 1e-12 else None
 
 
 def _uniquely_exposes(verts: np.ndarray, u: np.ndarray, idx: int, scale: float) -> bool:

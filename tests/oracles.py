@@ -15,6 +15,10 @@ polytopes, or a polytope and a ball, over every critical direction of
 their normal fans (crossings included), with hulls from scipy.
 The arc-loop oracle is the scalar form of the 2-D polygon arc path, one
 normal-fan arc at a time; the vectorized path must return its bits.
+The cone-loop oracle builds a 3-D hull's vertex normal cones one vertex
+and one facet at a time, and the cone-lookup oracle finds a vertex's cone
+by walking the cones (2-D: the ring) in order; the array forms in
+``bodies`` and ``truncation`` must return their bits.
 """
 
 import math
@@ -22,7 +26,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from convexhyper.bodies import Ball, Rotated, Scaled, Sum, support_values
+from convexhyper.bodies import Ball, Polytope, Rotated, Scaled, Sum, support_values
 from convexhyper.curvature import support_point
 from convexhyper.metrics import steiner, support_moment_matrix
 
@@ -153,17 +157,21 @@ def _ridge_criticals(pts, edges, targets):
 
 
 def _fan_pieces(body):
-    """(points, radius, facet normals, edges) of a Polytope or Ball."""
+    """(points, radius, facet normals, edges) of a Polytope, a Ball or a
+    parallel body Sum(Polytope, Ball(c, r)), whose points are P + c."""
     if isinstance(body, Ball):
         return body.center[None, :], body.radius, np.empty((0, body.dim)), np.empty((0, 2), int)
+    radius = 0.0
+    if isinstance(body, Sum):
+        body, radius = Polytope(body.left.vertices + body.right.center), body.right.radius
     hull = ConvexHull(body.vertices)
     edges = {tuple(sorted((s[i], s[i - 1]))) for s in hull.simplices for i in range(len(s))}
-    return body.vertices, 0.0, hull.equations[:, :-1], np.array(sorted(edges))
+    return body.vertices, radius, hull.equations[:, :-1], np.array(sorted(edges))
 
 
 def enumerated_hausdorff(a, b) -> float:
-    """Exact Hausdorff distance of two 2-D or 3-D polytopes, or a polytope
-    and a ball, as the largest |h_A - h_B| over a superset of critical
+    """Exact Hausdorff distance of two 2-D or 3-D polytopes, balls or
+    parallel bodies Sum(Polytope, Ball), as the largest |h_A - h_B| over a superset of critical
     directions: the coordinate axes, facet (edge) normals of both, unit
     differences p - q of their points, and in 3-D the crossings e x f of
     their edges and the ridge criticals of each body's edges against the
@@ -219,3 +227,43 @@ def arc_loop_hausdorff(pa, pb) -> float:
         pb_v = pb.vertices[np.argmax(pb.vertices @ u_mid)]
         best = max(best, _arc_sup(pa_v - pb_v, a, b))
     return best
+
+
+def loop_vertex_cones(eq: np.ndarray, s: np.ndarray, vertices: np.ndarray):
+    """(cone_owner, cones) from facet normals ``eq`` and triangles ``s``,
+    one vertex of ``vertices`` and one facet at a time: a facet's normal
+    joins its vertex's cone unless it dots a kept one above 1 - 1e-12."""
+    owner, cones = [], []
+    for v in vertices:
+        kept: list = []
+        for n in eq[(s == v).any(axis=1)]:
+            if not any(float(n @ k) > 1.0 - 1e-12 for k in kept):
+                kept.append(n / np.linalg.norm(n))
+        owner += [v] * len(kept)
+        cones += kept
+    return np.asarray(owner, dtype=int), np.asarray(cones)
+
+
+def loop_vertex_cone_direction(poly, vertex: np.ndarray):
+    """The mean unit normal of the first hull vertex np.allclose to
+    ``vertex``, walking the 2-D ring or the 3-D cones in order."""
+    hull = poly.hull
+    if poly.dim == 2:
+        normals_ang = hull.normal_angles
+        for i, v in enumerate(hull.polygon):
+            if np.allclose(v, vertex, atol=1e-12):
+                a = normals_ang[i - 1]
+                b = normals_ang[i]
+                if b < a:
+                    b += 2.0 * math.pi
+                mid = 0.5 * (a + b)
+                return np.array([math.cos(mid), math.sin(mid)])
+        return None
+    if hull.normals is None:
+        return None
+    for idx, normals in hull.vertex_cones():
+        if np.allclose(hull.points[idx], vertex, atol=1e-12):
+            mean = normals.sum(axis=0)
+            nrm = np.linalg.norm(mean)
+            return mean / nrm if nrm > 1e-12 else None
+    return None

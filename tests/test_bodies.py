@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from convexhyper import (
     Ball,
@@ -30,17 +31,20 @@ from convexhyper import (
     make_grid_2d,
     make_grid_3d,
     mollify,
+    polytope_approximation,
     regularize,
     support_point,
     same_congruence_class,
     support_values,
     translate,
+    truncate,
     unit_vector,
     width,
 )
 from convexhyper import bodies
 from convexhyper.bodies import rigid_motion, sublinearity_violation
 from convexhyper.metrics import exact_hausdorff, steiner
+from oracles import loop_vertex_cones
 
 
 def test_ball_support_is_homogeneous():
@@ -415,6 +419,48 @@ def test_carried_hull_matches_fresh_build(dim, monkeypatch):
                     assert np.abs(heights - offsets[facets, None]).max() < 1e-10
         assert abs(exact_hausdorff(carried, other) - exact_hausdorff(fresh_poly, other)) < 1e-12
         np.testing.assert_allclose(steiner(carried), steiner(fresh_poly), atol=1e-12)
+
+
+def _cone_point_sets():
+    """3-D point sets with flat faces, near-duplicates and interior points."""
+    rng = np.random.default_rng(2024)
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+    sets = [cube, polytope_approximation(Ball(np.zeros(3), 1.0), 512).vertices]
+    sets += [rng.standard_normal((int(rng.integers(4, 61)), 3)) for _ in range(120)]
+    for _ in range(30):  # near-duplicate and interior points
+        pts = rng.standard_normal((int(rng.integers(5, 30)), 3))
+        sets.append(np.vstack([pts, pts[:4] + 1e-13 * rng.standard_normal((4, 3)),
+                               0.1 * rng.standard_normal((5, 3))]))
+    for _ in range(30):  # coplanar cut faces
+        u = rng.standard_normal(3)
+        spec = TruncationSpec(u / np.linalg.norm(u), rng.uniform(0.05, 1.5))
+        sets.append(truncate(Polytope(cube), spec).vertices)
+    sets += [rng.integers(-2, 3, (int(rng.integers(8, 40)), 3)).astype(float) for _ in range(20)]
+    return sets
+
+
+def test_build_hull_cones_bits_match_loop():
+    sets = _cone_point_sets()
+    assert len(sets) >= 200
+    for pts in sets:
+        hull = Polytope(pts).hull
+        qh = ConvexHull(hull.points)
+        owner, cones = loop_vertex_cones(qh.equations[:, :3], qh.simplices, qh.vertices)
+        assert hull.cone_owner.dtype == owner.dtype and np.array_equal(hull.cone_owner, owner)
+        assert np.array_equal(hull.cones.view(np.int64), cones.view(np.int64))
+        assert hull.facets.shape == hull.normals.shape and not hull.facets.flags.writeable
+    # a chain n1 ~ n2 ~ n3 with n1, n3 apart: n2 goes, n3 stays beside n1
+    turn = np.array([0.0, 1e-6, 2e-6, 0.3])
+    eq = np.column_stack([np.cos(turn), np.sin(turn), np.zeros(4)])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 2, 3]])
+    owner, cones = bodies._vertex_cones(eq, tris)
+    want_owner, want_cones = loop_vertex_cones(eq, tris, np.arange(4))
+    assert np.array_equal(owner, want_owner) and cones.tobytes() == want_cones.tobytes()
+    assert np.count_nonzero(owner == 0) == 2
+    poly = Polytope(sets[5])
+    poly.hull  # built here, carried below
+    for moved in (rigid_motion(poly, random_rotation(5, 3).matrix), translate(poly, np.ones(3))):
+        assert moved.hull.facets is poly.hull.facets
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -68,6 +68,19 @@ def test_steiner_and_recenter(runner, tmp_path):
     assert doc["body"]["center"] == [0.0, 0.0]
 
 
+def test_steiner_of_rotated_flat_polygon(runner, tmp_path):
+    # a generically rotated planar polygon in R^3 has a sliver hull
+    ang = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    flat = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(7)])
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    p = tmp_path / "polygon.json"
+    p.write_text(json.dumps({"type": "polytope", "vertices": (flat @ q.T).tolist()}))
+    res = runner.invoke(main, ["steiner", str(p)])
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output
+    assert np.isfinite([float(v) for v in res.output.split()]).all()
+
+
 def test_truncate_and_exit_code_3(runner, square_file, tmp_path):
     out = tmp_path / "t.json"
     res = runner.invoke(

@@ -177,8 +177,13 @@ def test_exact_hausdorff_size_rule():
                  (_sphere_polytope(5, 600), ball)):
         assert metrics.exact_hausdorff(a, b) is not None
         assert metrics.exact_hausdorff(b, a) is not None
+    # past the rule the kernel refuses the pair and vertex distances take it
     approx = polytope_approximation(Ball(np.zeros(3), 1.0), 512)
-    assert metrics.exact_hausdorff(approx, rigid_motion(approx, random_rotation(6, 3).matrix)) is None
+    moved = rigid_motion(approx, random_rotation(6, 3).matrix)
+    assert metrics._kernel_size(metrics._side(approx), metrics._side(moved)) > metrics._EXACT_ENTRIES
+    dirs = make_grid_3d(512, 1024).nodes
+    sweep = np.abs(support_values(approx, dirs) - support_values(moved, dirs)).max()
+    assert sweep - 1e-12 <= metrics.exact_hausdorff(approx, moved) <= sweep + 1e-2
 
 
 def test_exact_hausdorff_memory_bound():
@@ -191,6 +196,71 @@ def test_exact_hausdorff_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def _vertex_distance_pairs():
+    """Mid-size 3-D pairs: parallel bodies P + rB and Q + sB with r != s,
+    nested pairs, identical and translated copies, and a ball against a
+    polytope."""
+    rng = np.random.default_rng(4242)
+    pairs = []
+    for seed in range(13):
+        p = random_polytope(5000 + seed, 3, int(rng.integers(8, 40)))
+        q = random_polytope(5100 + seed, 3, int(rng.integers(8, 40)))
+        r, s = rng.uniform(0.05, 0.5, 2)
+        pairs += [
+            (Sum(p, Ball(rng.uniform(-0.2, 0.2, 3), r)), Sum(q, Ball(rng.uniform(-0.2, 0.2, 3), s))),
+            (p, Polytope(0.4 * p.vertices + rng.uniform(-0.05, 0.05, 3))),
+            (p, Polytope(p.vertices)),
+            (p, translate(p, rng.uniform(-0.3, 0.3, 3))),
+            (Ball(rng.uniform(-0.2, 0.2, 3), r), q),
+        ]
+    return pairs
+
+
+def test_vertex_hausdorff_matches_enumeration():
+    pairs = _vertex_distance_pairs()
+    assert len(pairs) >= 50
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            value = metrics._vertex_hausdorff(metrics._side(x), metrics._side(y))
+            assert abs(value - enumerated_hausdorff(x, y)) <= 1e-11
+
+
+def _sweep(p, q, dirs, block=4096):
+    """max |h_P - h_Q| over the rows of dirs, a block of rows at a time."""
+    return max(float(np.abs((dirs[i:i + block] @ p.vertices.T).max(axis=1)
+                            - (dirs[i:i + block] @ q.vertices.T).max(axis=1)).max())
+               for i in range(0, len(dirs), block))
+
+
+def test_vertex_hausdorff_large_pair_bounds_sweep_and_polish(monkeypatch):
+    # 512 + 512 vertices, far past the kernel's size rule
+    approx = polytope_approximation(Ball(np.zeros(3), 1.0), 512)
+    moved = rigid_motion(approx, random_rotation(7, 3).matrix, np.array([0.05, -0.02, 0.01]))
+    exact = metrics.exact_hausdorff(approx, moved)
+    sweep = _sweep(approx, moved, make_grid_3d(512, 1024).nodes)
+    assert sweep - 1e-12 <= exact <= sweep + 1e-2
+    with monkeypatch.context() as m:  # the grid plus Nelder-Mead polish, a lower bound
+        m.setattr(metrics, "exact_hausdorff", lambda a, b: None)
+        polished = hausdorff(approx, moved)
+    assert exact >= polished - 1e-12
+
+
+def test_vertex_hausdorff_memory_bound():
+    # far apart, every point sees about half of the other body's facets
+    approx = polytope_approximation(Ball(np.zeros(3), 1.0), 512)
+    far = rigid_motion(approx, random_rotation(8, 3).matrix, np.array([40.0, 3.0, -2.0]))
+    approx.hull, far.hull
+    tracemalloc.start()
+    try:
+        value = metrics.exact_hausdorff(approx, far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a rigid copy of a near-sphere moved by t is about |t| away
+    assert abs(value - math.hypot(40.0, 3.0, 2.0)) < 1e-2
+    assert peak < 16e6
 
 
 # the seed-1 inputs p2a, p2b, p3a and p3b of the benchmark's cli workload,
@@ -552,6 +622,27 @@ def test_steiner_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _rotated_polygon(seed):
+    """A 3- to 9-gon in a generically rotated plane of R^3."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, 3 + seed % 7))
+    flat = np.column_stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)]) + [0.2, -0.1, 0.0]
+    return Polytope(flat @ random_rotation(1000 + seed, 3).matrix.T)
+
+
+def test_steiner_flat_polygon_in_3d_falls_back_to_quadrature():
+    # qhull builds a sliver hull whose cones all have fewer than three
+    # normals; steiner then integrates on the default grid
+    grid, slivers = make_grid_3d(64, 128), 0
+    for seed in range(50):
+        poly = _rotated_polygon(seed)
+        slivers += poly.hull.normals is not None
+        s = steiner(poly)
+        assert np.isfinite(s).all()
+        assert np.array_equal(s, steiner_quadrature(poly, grid))
+    assert slivers > 25
 
 
 def _box(*half):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexhyper import (
+    Ball,
     EmptyResultError,
     InfeasibleBudgetError,
     Polytope,
@@ -20,6 +21,8 @@ from convexhyper import (
     support_values,
     truncate,
 )
+from convexhyper import truncation
+from oracles import loop_vertex_cone_direction
 
 
 class TestTruncate:
@@ -233,6 +236,44 @@ class TestIsotropy:
         monkeypatch.setattr(truncation, "default_candidates", no_scan)
         assert len(isotropy_estimate(square, tol=1e-9)) == 8
         assert len(isotropy_estimate(cube, tol=1e-9)) == 48
+
+
+def _plan_bodies(cube):
+    bodies = [cube, polytope_approximation(Ball(np.zeros(3), 1.0), 512)]
+    for seed in range(10):
+        bodies += [random_symmetric_polytope(400 + seed, 2, 6 + seed % 5),
+                   random_symmetric_polytope(500 + seed, 3, 6 + seed % 7)]
+    return bodies
+
+
+def _twin_vertex_bodies():
+    """Points on a circle and a sphere with two hull vertices 1e-8 apart."""
+    rng = np.random.default_rng(31)
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, 9))
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    sphere = rng.standard_normal((20, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    twin = sphere[0] + 1e-8 * np.cross(sphere[0], [0.0, 0.0, 1.0])
+    return [Polytope(np.vstack([circle, [math.cos(ang[0] + 1e-8), math.sin(ang[0] + 1e-8)]])),
+            Polytope(np.vstack([sphere, twin / np.linalg.norm(twin)]))]
+
+
+def test_plan_cuts_match_cone_loop(cube, monkeypatch):
+    # the vectorized cone lookup returns the loop's bits, so plans are equal
+    for body in _plan_bodies(cube):
+        start = recenter(body)
+        margin = truncation._SEPARATION * truncation._pairwise_diameter(start.vertices)
+        plan = truncation._plan_cuts(start, margin)
+        with monkeypatch.context() as m:
+            m.setattr(truncation, "_vertex_cone_direction", loop_vertex_cone_direction)
+            loop_plan = truncation._plan_cuts(start, margin)
+        assert [(u.tobytes(), v.tobytes()) for u, v in plan] == \
+            [(u.tobytes(), v.tobytes()) for u, v in loop_plan]
+    # every vertex, one within np.allclose's rtol only, and one far from all
+    for poly in [b for b in _plan_bodies(cube) if len(b.vertices) <= 64] + _twin_vertex_bodies():
+        for v in np.vstack([poly.vertices, poly.vertices[:1] * (1.0 + 1e-7), poly.vertices[:1] + 1e-3]):
+            got, want = truncation._vertex_cone_direction(poly, v), loop_vertex_cone_direction(poly, v)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_lower_dimensional_rejected(grid2):
