@@ -28,7 +28,9 @@ pairs past the kernel's size rule take signed vertex distances instead.
 
 The refinements here and in ``congruence`` use two in-repo minimizers:
 golden section on an interval and Nelder-Mead (``nelder_mead``, a port of
-scipy's that returns the same bits), so nothing loads ``scipy.optimize``.
+scipy's that returns the same bits, over the generator ``nelder_mead_steps``
+that ``congruence`` drives for several starts at once), so nothing loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -382,8 +384,9 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
 
 
 def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
-    """Nelder-Mead minimization (Nelder & Mead, Comput. J. 7, 1965) from an
-    initial simplex of n + 1 rows.
+    """Nelder-Mead minimization (Nelder & Mead, Comput. J. 7, 1965) of f from
+    an initial simplex of n + 1 rows: ``nelder_mead_steps`` with every
+    point it asks for evaluated by f, one at a time.
 
     A port of scipy's ``minimize(method="Nelder-Mead")`` for its standard
     coefficients (reflection 1, expansion 2, contraction and shrink 1/2),
@@ -392,13 +395,28 @@ def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
     of the best one and every value within fatol of the best value, or
     after maxiter iterations.  Returns the best vertex and the least value.
     """
+    steps = nelder_mead_steps(simplex, xatol, fatol, maxiter)
+    try:
+        points = next(steps)
+        while True:
+            points = steps.send([f(x) for x in points])
+    except StopIteration as done:
+        return done.value
+
+
+def nelder_mead_steps(simplex, xatol: float, fatol: float, maxiter: int):
+    """``nelder_mead`` as a generator, so a caller can evaluate the points of
+    several runs together: it yields the rows it needs evaluated (the
+    n + 1 simplex rows, one reflection, expansion or contraction point, or
+    the n shrink rows), receives their values in that order, and returns
+    (best vertex, least value)."""
     def by_value(sim, fsim):
         order = np.argsort(fsim)
         return np.take(sim, order, 0), np.take(fsim, order, 0)
 
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
-    fsim = np.array([f(x) for x in sim], dtype=float)
+    fsim = np.array((yield sim), dtype=float)
     # sorted twice as in scipy: argsort need not keep the order of ties
     sim, fsim = by_value(*by_value(sim, fsim))
     iterations = 1
@@ -408,23 +426,23 @@ def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
+        fxr = (yield xr[None])[0]
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
+            fxe = (yield xe[None])[0]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             outside = fxr < fsim[-1]
             xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = f(xc)
+            fxc = (yield xc[None])[0]
             accept = fxc <= fxr if outside else fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fsim[1:] = [f(x) for x in sim[1:]]
+                fsim[1:] = yield sim[1:]
         iterations += 1
         sim, fsim = by_value(sim, fsim)
     return sim[0], np.min(fsim)

@@ -19,6 +19,10 @@ The cone-loop oracle builds a 3-D hull's vertex normal cones one vertex
 and one facet at a time, and the cone-lookup oracle finds a vertex's cone
 by walking the cones (2-D: the ring) in order; the array forms in
 ``bodies`` and ``truncation`` must return their bits.
+The sequential congruence oracle runs the 3-D search's starts one after
+another, each Nelder-Mead step on a stack of one rotation, and stops once a
+value drops below the early-exit bound; the lockstep search must return its
+bits.
 """
 
 import math
@@ -267,3 +271,44 @@ def loop_vertex_cone_direction(poly, vertex: np.ndarray):
             nrm = np.linalg.norm(mean)
             return mean / nrm if nrm > 1e-12 else None
     return None
+
+
+def sequential_congruence_3d(d, k, grid, search):
+    """(distance, optimizer, coarse values) of the 3-D congruence search with
+    its starts refined one at a time by ``nelder_mead``, one rotation per
+    objective call, for a pair that has no exact maps."""
+    from convexhyper import congruence as c
+    from convexhyper.metrics import nelder_mead
+    from convexhyper.rotations import sphere_candidates
+
+    _, grid, dc, kc = c._recentered(d, k, grid)
+    swapped = c._canonical_key(kc) < c._canonical_key(dc)
+    if swapped:
+        dc, kc = kc, dc
+    objective = c._objective(c._rotatable(dc), c._rotatable(kc), dc,
+                             support_values(kc, grid.nodes), grid.nodes)
+    coarse_n = search.coarse or 576
+    mats = sphere_candidates(coarse_n, search.include_reflections)
+    values = objective(mats)
+    order = np.argsort(values, kind="stable")
+    best_val, best_mat = float(values[order[0]]), mats[order[0]]
+    spacing = (8.0 * math.pi**2 / coarse_n) ** (1.0 / 3.0)
+    for idx in c._diverse_starts(mats, order, search.starts, 1.2 * spacing):
+        if best_val < c._EARLY_EXIT:
+            break
+        g0 = mats[idx]
+
+        def f_w(w, _g0=g0):
+            return float(objective((_g0 @ c.axis_angle_matrix_safe(w))[None])[0])
+
+        runs, x0, scale = [], np.zeros(3), spacing * 0.5
+        for xatol, fatol in ((1.0, 1e-3), (1e-2, 1e-4)):
+            runs.append(nelder_mead(f_w, x0 + c._initial_simplex(scale), c._REFINE_TOL * xatol,
+                                    c._REFINE_TOL * fatol, search.max_iterations))
+            x0, scale = runs[-1][0], 1e-4
+        (w1, v1), (w2, v2) = runs
+        v_star = float(min(v1, v2))
+        if v_star < best_val:
+            best_val = v_star
+            best_mat = g0 @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
+    return best_val, best_mat.T if swapped else best_mat, values

@@ -7,8 +7,11 @@ import pytest
 from convexhyper import (
     Ball,
     DimensionMismatchError,
+    Ellipsoid,
     InvalidArgumentError,
     Polytope,
+    Rotated,
+    Rotation,
     SearchParams,
     Sum,
     congruence_distance,
@@ -24,9 +27,9 @@ from convexhyper import (
 from convexhyper import congruence
 from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import exact_hausdorff
-from convexhyper.quadrature import make_grid_3d
+from convexhyper.quadrature import make_grid_2d, make_grid_3d
 from convexhyper.rotations import circle_candidates, icosahedral_rotations, sphere_candidates
-from oracles import enumerated_hausdorff
+from oracles import enumerated_hausdorff, sequential_congruence_3d
 
 FAST2 = SearchParams(coarse=180, starts=3)
 
@@ -270,3 +273,176 @@ def test_stacked_objective_memory_bound(grid3_small):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+# ---------------------------------------------------------------------------
+# exact maps: congruent polytope pairs end without a search
+# ---------------------------------------------------------------------------
+
+def _no_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("coarse scan on a pair with exact maps")
+
+    monkeypatch.setattr(congruence, "circle_candidates", scan)
+    monkeypatch.setattr(congruence, "sphere_candidates", scan)
+
+
+def _counted_scan(monkeypatch) -> list:
+    calls = []
+    for name in ("circle_candidates", "sphere_candidates"):
+        def scan(*args, _scan=getattr(congruence, name), **kwargs):
+            calls.append(args)
+            return _scan(*args, **kwargs)
+
+        monkeypatch.setattr(congruence, name, scan)
+    return calls
+
+
+def _criterion_8_motions():
+    """The 50 rigid motions of acceptance criterion 8, with their grids and search."""
+    grid2, grid3 = make_grid_2d(2048), make_grid_3d(32, 64)
+    for i in range(25):
+        body = random_polytope(9000 + i, 2, 10)
+        g = random_rotation(9100 + i, 2, proper=False).matrix
+        moved = translate(Polytope(body.vertices @ g.T), [0.3, -0.6])
+        yield body, moved, grid2, SearchParams(coarse=360, starts=4)
+    for i in range(25):
+        body = random_polytope(9200 + i, 3, 12)
+        g = random_rotation(9300 + i, 3, proper=False).matrix
+        moved = translate(Polytope(body.vertices @ g.T), [0.2, 0.1, -0.4])
+        yield body, moved, grid3, SearchParams(coarse=400, starts=4, max_iterations=500)
+
+
+def test_rigid_motions_take_exact_maps(monkeypatch):
+    _no_scan(monkeypatch)
+    for body, moved, grid, params in _criterion_8_motions():
+        res = congruence_distance(body, moved, grid, params)
+        back = congruence_distance(moved, body, grid, params)
+        # the two orders tie on the canonical key, so each keeps its own
+        assert max(res.distance, back.distance) < 1e-9
+        # the distance is the least exact value over the maps, at the optimizer
+        for r, (p, q) in ((res, (body, moved)), (back, (moved, body))):
+            assert r.certificate_size == len(r.candidates) >= 1
+            dc, kc = recenter(p, grid), recenter(q, grid)
+            assert r.distance == r.values.min()
+            np.testing.assert_array_equal(r.optimizer.matrix, r.candidates[np.argmin(r.values)])
+            exact = [exact_hausdorff(rigid_motion(dc, g), kc) for g in r.candidates]
+            np.testing.assert_allclose(r.values, exact, rtol=0.0, atol=1e-12)
+
+
+def test_same_class_from_maps_without_search(monkeypatch, grid2, grid3_small):
+    _no_scan(monkeypatch)
+    for seed in range(5):
+        dim = 2 + seed % 2
+        body = random_polytope(340 + seed, dim, 9)
+        g = random_rotation(350 + seed, dim, proper=False).matrix
+        moved = translate(Polytope(body.vertices @ g.T), np.full(dim, 0.3))
+        assert same_congruence_class(body, moved, 1e-6, grid2 if dim == 2 else grid3_small)
+    # vertices moved by 1e-5: a map meets tol = 1e-3 but not _EARLY_EXIT
+    body = random_polytope(360, 3, 10)
+    nudged = Polytope(body.vertices + 1e-5 * np.random.default_rng(361).standard_normal(body.vertices.shape))
+    assert same_congruence_class(body, rigid_motion(nudged, random_rotation(362, 3).matrix),
+                                 1e-3, grid3_small)
+
+
+def test_mirror_image_needs_reflections(monkeypatch, grid3_small):
+    body = random_polytope(370, 3, 10)  # generic, so chiral
+    mirror = Polytope(body.vertices * np.array([1.0, 1.0, -1.0]))
+    proper = SearchParams(coarse=200, starts=2, include_reflections=False, max_iterations=100)
+    calls = _counted_scan(monkeypatch)
+    assert congruence_distance(body, mirror, grid3_small, proper).distance > 1e-3
+    assert not same_congruence_class(body, mirror, 1e-3, grid3_small, proper)
+    assert len(calls) == 2
+    _no_scan(monkeypatch)
+    assert congruence_distance(body, mirror, grid3_small, SearchParams()).distance < 1e-9
+
+
+def _flat_triangle():
+    return Polytope([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 0.9, 0.0]])
+
+
+@pytest.mark.parametrize("name, body, grid_name", [
+    ("segment", Polytope([[0.0, 0.0], [1.0, 0.0]]), "grid2"),
+    ("flat-triangle-3d", _flat_triangle(), "grid3_small"),
+    ("polytope-plus-ball", Sum(random_polytope(380, 3, 8), Ball(np.zeros(3), 0.2)), "grid3_small"),
+    ("ellipsoid", Ellipsoid(np.zeros(3), np.diag([0.5, 0.8, 1.1])), "grid3_small"),
+])
+def test_pairs_without_exact_maps_search(name, body, grid_name, request, monkeypatch):
+    # orthogonal_maps raises on flat polytopes, so these must not reach it
+    grid = request.getfixturevalue(grid_name)
+    dim = grid.nodes.shape[1]
+    g = random_rotation(390, dim).matrix
+    params = SearchParams(coarse=100, starts=1, max_iterations=60)
+    calls = _counted_scan(monkeypatch)
+    res = congruence_distance(body, Rotated(Rotation(g), body), grid, params)
+    assert len(calls) == 1
+    assert res.certificate_size == len(res.values) >= 100
+    assert same_congruence_class(body, Rotated(Rotation(g), body), 0.5, grid, params)
+
+
+# ---------------------------------------------------------------------------
+# lockstep 3-D refinement: the bits of starts run one after another
+# ---------------------------------------------------------------------------
+
+_LOCKSTEP = SearchParams(coarse=100, starts=4, max_iterations=120)
+
+
+@pytest.mark.parametrize("seed, sizes", [(400, (8, 8)), (402, (12, 12)), (404, (6, 14)),
+                                         (406, (10, 7)), (408, (12, 9)), (410, (16, 16))])
+def test_lockstep_matches_sequential_starts(seed, sizes, grid3_small):
+    d_body, k_body = random_polytope(seed, 3, sizes[0]), random_polytope(seed + 1, 3, sizes[1])
+    res = congruence_distance(d_body, k_body, grid3_small, _LOCKSTEP)
+    distance, optimizer, values = sequential_congruence_3d(d_body, k_body, grid3_small, _LOCKSTEP)
+    assert res.distance == distance
+    np.testing.assert_array_equal(res.optimizer.matrix, optimizer)
+    np.testing.assert_array_equal(res.values, values)
+
+
+def test_lockstep_cancels_starts_after_early_exit(grid3_small, monkeypatch):
+    # P + 0.2 B is no Polytope, so it takes the search; start 0 ends far
+    # from the optimum, start 1 below _EARLY_EXIT, and the later starts
+    # are cancelled or, if already done, ignored
+    body = Sum(random_polytope(640, 3, 10), Ball(np.zeros(3), 0.2))
+    moved = Rotated(Rotation(random_rotation(641, 3).matrix), body)
+    params = SearchParams(coarse=400, starts=4, max_iterations=500)
+    runs, refine = [], congruence._refine_3d
+
+    def counted(*args):
+        run = {"rows": 0, "value": None}
+        runs.append(run)
+        steps = refine(*args)
+        try:
+            points = next(steps)
+            while True:
+                run["rows"] += len(points)
+                points = steps.send((yield points))
+        except StopIteration as stop:
+            run["value"] = stop.value[0]
+            return stop.value
+
+    monkeypatch.setattr(congruence, "_refine_3d", counted)
+    res = congruence_distance(body, moved, grid3_small, params)
+    distance, optimizer, values = sequential_congruence_3d(body, moved, grid3_small, params)
+    assert res.distance == distance < 1e-9
+    np.testing.assert_array_equal(res.optimizer.matrix, optimizer)
+    np.testing.assert_array_equal(res.values, values)
+    assert len(runs) == 4
+    assert runs[0]["value"] > 1e-3 and runs[1]["value"] == distance
+    assert runs[-1]["value"] is None  # cancelled once start 1 ended
+    assert runs[-1]["rows"] < runs[1]["rows"]
+
+
+def test_refined_values_taken_in_start_order(grid3_small, monkeypatch):
+    # a start after the first one below _EARLY_EXIT is never taken, even
+    # when lockstep finished it with a lower value
+    def half_turn(axis):
+        a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        return 2.0 * np.outer(a, a) - np.eye(3)  # symmetric, so swapping keeps it
+
+    turns = [half_turn(a) for a in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    outcomes = [(0.5, turns[0]), (5e-10, turns[1]), (1e-12, turns[2]), None]
+    monkeypatch.setattr(congruence, "_lockstep_3d", lambda *args: outcomes)
+    d_body, k_body = random_polytope(420, 3, 8), random_polytope(421, 3, 8)
+    res = congruence_distance(d_body, k_body, grid3_small, SearchParams(coarse=100, starts=4))
+    assert res.distance == 5e-10
+    np.testing.assert_array_equal(res.optimizer.matrix, turns[1])
