@@ -141,7 +141,11 @@ def _build_hull(vertices: np.ndarray) -> Hull:
     points, index = np.unique(np.round(vertices, 12), axis=0, return_index=True)
     n, dim = points.shape
     centered = points - points.mean(axis=0)
-    rank = int(np.linalg.matrix_rank(centered, tol=1e-12)) if n > 1 else 0
+    # rounding to 12 decimals moves each coordinate by up to 5e-13, plus a
+    # few ulps of the coordinates' size; their Frobenius norm bounds the
+    # singular values it can add to a lower-rank set
+    noise = math.sqrt(points.size) * (1e-12 + 16.0 * np.finfo(float).eps * np.abs(points).max())
+    rank = int(np.linalg.matrix_rank(centered, tol=noise)) if n > 1 else 0
     try:
         qh = ConvexHull(points) if dim in (2, 3) and n > dim else None
     except QhullError:

@@ -103,11 +103,25 @@ class CongruenceResult:
         return len(self.values)
 
 
-def _canonical_key(body: Body) -> tuple:
-    """Rotation-invariant ordering key (exact support-moment spectrum)."""
+def _spectrum(body: Body) -> np.ndarray:
+    """Trace and descending eigenvalues of the exact support-moment matrix."""
     m = support_moment_matrix(body)
-    evals = np.sort(np.linalg.eigvalsh(m))[::-1]
-    return tuple(np.round(np.concatenate([[np.trace(m)], evals]), 9).tolist())
+    return np.concatenate([[np.trace(m)], np.sort(np.linalg.eigvalsh(m))[::-1]])
+
+
+def _swapped(dc: Body, kc: Body, nodes: np.ndarray) -> bool:
+    """Whether K comes before D in the canonical order of the pair.
+
+    The order is the moment spectrum rounded to 9 digits, a rotation
+    invariant, then, on ties (every congruent pair), the full-precision
+    spectrum and the bytes of the support values at ``nodes``: a total
+    order on which both argument orders agree, so they run one search.
+    """
+    sd, sk = _spectrum(dc), _spectrum(kc)
+    for d_key, k_key in ((np.round(sd, 9), np.round(sk, 9)), (sd, sk)):
+        if d_key.tolist() != k_key.tolist():
+            return k_key.tolist() < d_key.tolist()
+    return support_values(kc, nodes).tobytes() < support_values(dc, nodes).tobytes()
 
 
 def _rotatable(body: Body) -> _Side | None:
@@ -215,7 +229,7 @@ def _recentered(d: Body, k: Body, grid: SphericalGrid | None):
 
 def _search(n: int, grid: SphericalGrid, dc: Body, kc: Body, search: SearchParams):
     """``congruence_distance`` of the re-centered bodies dc and kc."""
-    swapped = _canonical_key(kc) < _canonical_key(dc)
+    swapped = _swapped(dc, kc, grid.nodes)
     if swapped:
         dc, kc = kc, dc
 
@@ -317,9 +331,10 @@ def _lockstep_3d(objective, starts: np.ndarray, spacing: float, max_iterations: 
     Each round stacks the matrices g0 exp(w) of the points every active
     start asks for into one objective call.  A row of ``_stacked_gap``
     does not depend on the rest of its stack, so each start sees the
-    values it would get alone.  Once start j ends below ``_EARLY_EXIT``,
-    the starts after it are cancelled, since the search stops at j; their
-    entries stay None.
+    values it would get alone.  Once start j is given a value below
+    ``_EARLY_EXIT``, the starts after it are cancelled and their entries
+    stay None: Nelder-Mead never gives up a value below its best, so j
+    ends below ``_EARLY_EXIT`` and the search stops at j or before.
     """
     runs = [_refine_3d(spacing, max_iterations) for _ in starts]
     pending = {j: next(run) for j, run in enumerate(runs)}
@@ -332,15 +347,15 @@ def _lockstep_3d(objective, starts: np.ndarray, spacing: float, max_iterations: 
         for j, hi, count in zip(active, np.cumsum(counts), counts):
             if j not in pending:  # cancelled earlier in this round
                 continue
+            if values[hi - count:hi].min() < _EARLY_EXIT:
+                for later in [i for i in pending if i > j]:
+                    del pending[later]
             try:
                 pending[j] = runs[j].send(values[hi - count:hi])
             except StopIteration as stop:
                 del pending[j]
                 v_star, w_star = stop.value
                 outcomes[j] = (v_star, starts[j] @ axis_angle_matrix_safe(w_star))
-                if v_star < _EARLY_EXIT:
-                    for later in [i for i in pending if i > j]:
-                        del pending[later]
     return outcomes
 
 

@@ -7,8 +7,9 @@ computed in support-function space.
 The Steiner point  s(D) = (1/vol B^n) * integral over S^{n-1} of u h_D(u)
 is evaluated exactly for polytopes by integrating over the normal fan
 (closed forms on circular arcs for n=2, per-vertex spherical-polygon
-quadrature for n=3, the only user of it, batched over all cone triangles
-and bit-identical to a per-triangle recursion).  The second moment of a
+quadrature for n=3, the only user of it, with the cone rims ordered and
+the cone triangles subdivided for all vertices at once, bit-identical to
+a per-triangle recursion).  The second moment of a
 polytope, integral of u u^T h_D(u), comes in closed form from its first
 area measure, a sum over edges.  Grid quadrature is the fallback for sampled
 bodies.  Both routes keep rigid-motion equivariance at floating-point
@@ -36,6 +37,7 @@ that ``congruence`` drives for several starts at once), so nothing loads
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from operator import add
 from typing import NamedTuple
@@ -119,19 +121,21 @@ _LEAF_BLOCK = 32  # leaf triangles whose quadrature nodes are built at once
 _CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
+# a side is wider than _SPLIT_ANGLE exactly when its cosine is below
+# _SPLIT_COS, the least double whose math.acos is at most _SPLIT_ANGLE
+_SPLIT_COS = math.cos(_SPLIT_ANGLE)
+while math.acos(_SPLIT_COS) > _SPLIT_ANGLE:
+    _SPLIT_COS = math.nextafter(_SPLIT_COS, 1.0)
+while math.acos(math.nextafter(_SPLIT_COS, 0.0)) <= _SPLIT_ANGLE:
+    _SPLIT_COS = math.nextafter(_SPLIT_COS, 0.0)
+
+
 @lru_cache(maxsize=1)
 def _tri_rule():
     """Nodes (xi, xi eta) and weights w xi of the chart a + xi ab + xi eta bc."""
     x, w = np.polynomial.legendre.leggauss(_GL_TRI)
     xi, eta = np.meshgrid(0.5 * (x + 1.0), 0.5 * (x + 1.0), indexing="ij")
     return xi.ravel(), (xi * eta).ravel(), np.outer(0.5 * w, 0.5 * w).ravel() * xi.ravel()
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors, bit for bit, without its per-call overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,18 +146,17 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _split_triangles(tris: np.ndarray):
     """Leaves of the subdivision of spherical triangles ``tris[k] = (a, b, c)``.
 
-    A triangle whose widest side exceeds ``_SPLIT_ANGLE`` is split into
-    ``_CHILDREN`` at its normalized edge midpoints, up to ``_SPLIT_DEPTH``
-    times; each level splits all its triangles at once.  Returns the
-    leaves, in depth-first order, and the triangle each came from.
+    A triangle whose widest side exceeds ``_SPLIT_ANGLE`` (whose least
+    side cosine is below ``_SPLIT_COS``) is split into ``_CHILDREN`` at
+    its normalized edge midpoints, up to ``_SPLIT_DEPTH`` times; each
+    level splits all its triangles at once.  Returns the leaves, in
+    depth-first order, and the triangle each came from.
     """
     key = np.arange(len(tris)) * 4**_SPLIT_DEPTH  # the triangle, then child digits in base 4
     leaves, keys = [], []
     for depth in range(_SPLIT_DEPTH):
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        # the widest side: acos is decreasing, so it is the acos of the least cosine
-        cos = np.minimum(np.minimum(_dots(a, b), _dots(b, c)), _dots(c, a)).tolist()
-        split = np.array([math.acos(min(1.0, max(-1.0, x))) > _SPLIT_ANGLE for x in cos], dtype=bool)
+        split = np.minimum(np.minimum(_dots(a, b), _dots(b, c)), _dots(c, a)) < _SPLIT_COS
         leaves.append(tris[~split])
         keys.append(key[~split])
         a, b, c = a[split], b[split], c[split]
@@ -167,42 +170,56 @@ def _split_triangles(tris: np.ndarray):
     return np.concatenate(leaves + [tris])[rank], key[rank] // 4**_SPLIT_DEPTH
 
 
+def _cone_rims(hull):
+    """(rims, sizes, axes, vertices) of the vertex cones with at least three
+    normals and a mean normal of length at least 1e-12; None if none has.
+
+    ``rims`` holds each cone's normals ordered by angle around its unit
+    mean normal in ``axes``, cone after cone.  All cones are done at once
+    with the roundings of a per-cone loop: an axis adds its rows one after
+    another, as ``normals.sum(axis=0)`` does, and norms are ``_dots``.
+    """
+    owner, cones = hull.cone_owner, hull.cones
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    count = np.diff(np.r_[first, len(owner)])
+    axes = cones[first]
+    for p in range(1, count.max()):
+        more = count > p
+        axes[more] += cones[first[more] + p]
+    norm = np.sqrt(_dots(axes, axes))
+    kept = (count >= 3) & ~(norm < 1e-12)
+    if not kept.any():
+        return None
+    axes, sizes = axes[kept] / norm[kept, None], count[kept]
+    t1 = np.cross(axes, np.eye(3)[np.argmin(np.abs(axes), axis=1)])
+    t1 /= np.sqrt(_dots(t1, t1))[:, None]
+    t2 = np.cross(axes, t1)
+    rows, cone = cones[np.repeat(kept, count)], np.repeat(np.arange(len(sizes)), sizes)
+    ang = np.arctan2(_dots(rows, t2[cone]), _dots(rows, t1[cone]))
+    return rows[np.lexsort((ang, cone))], sizes, axes, hull.points[owner[first[kept]]]
+
+
 def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
     """Steiner point by quadrature over the normal fan.
 
     Each vertex cone is cut into spherical triangles (axis, n_i, n_i+1)
-    around its mean normal.  The subdivided triangles are integrated with a
-    tensor Gauss-Legendre rule through the radial projection of the flat
-    triangle, dOmega = dist(0, plane) / ||x||^3 dA.  The quadrature nodes
-    are built from the cone geometry itself, so they co-rotate with the
-    body and the integral is equivariant to rounding.  None when the hull
-    has no facets or no vertex cone with three normals (flat sets).
+    around its mean normal, ordered for all cones at once (``_cone_rims``).
+    The triangles are subdivided while a side cosine is below
+    ``_SPLIT_COS`` and integrated with a tensor Gauss-Legendre rule through
+    the radial projection of the flat triangle, dOmega = dist(0, plane) /
+    ||x||^3 dA, with the nodes of each block of leaves built in buffers
+    allocated once per call.  The nodes come from the cone geometry, so
+    they co-rotate with the body and the integral is equivariant to
+    rounding.  Python loops only over the per-vertex products, whose BLAS
+    sums fix the bits.  None when the hull has no facets or no vertex cone
+    with three normals (a sliver hull of a flat set).
     """
     hull = poly.hull
-    if hull.normals is None:
+    rims = None if hull.normals is None else _cone_rims(hull)
+    if rims is None:
         return None
-    rims, axes, points = [], [], []
-    for v, normals in hull.vertex_cones():
-        if normals.shape[0] < 3:
-            continue
-        axis = normals.sum(axis=0)
-        axis_norm = np.linalg.norm(axis)
-        if axis_norm < 1e-12:
-            continue
-        axis = axis / axis_norm
-        # order the cone's boundary directions around the axis
-        ref = np.eye(3)[np.argmin(np.abs(axis))]
-        t1 = _cross3(axis, ref)
-        t1 /= np.linalg.norm(t1)
-        t2 = _cross3(axis, t1)
-        ang = np.arctan2(normals @ t2, normals @ t1)
-        rims.append(normals[np.argsort(ang)])
-        axes.append(axis)
-        points.append(hull.points[v])
-    if not rims:  # a sliver hull of a flat set: no cone has three normals
-        return None
-    sizes = np.array([len(r) for r in rims])
-    rim, stops = np.concatenate(rims), np.cumsum(sizes)
+    rim, sizes, axes, points = rims
+    stops = np.cumsum(sizes)
     succ = np.arange(1, len(rim) + 1)  # n_i+1, wrapping around each cone
     succ[stops - 1] = stops - sizes
     leaves, owner = _split_triangles(np.stack([np.repeat(axes, sizes, axis=0), rim, rim[succ]], 1))
@@ -213,23 +230,38 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
     dist = np.abs(_dots(cross / np.where(keep, two_area, 1.0)[:, None], a))
     keep &= ~(dist < 1e-14)
     a, ab, bc, two_area, dist = a[keep].T, ab[keep].T, bc[keep].T, two_area[keep], dist[keep]
-    ends = np.searchsorted(np.repeat(np.arange(len(rims)), sizes)[owner[keep]], np.arange(len(rims)), "right")
+    ends = np.searchsorted(np.repeat(np.arange(len(sizes)), sizes)[owner[keep]], np.arange(len(sizes)), "right")
     xi, xi_eta, w_xi = _tri_rule()
+    # a block is at most _LEAF_BLOCK leaves or one vertex's leaves
+    most = max(_LEAF_BLOCK, int(np.diff(ends, prepend=0).max()))
+    pts_buf, tmp_buf = np.empty((2, 3, most, len(xi)))
+    norms_buf, weights_buf = np.empty((2, most, len(xi)))
+    dirs_buf = np.empty((most, len(xi), 3))
     s = np.zeros(3)
+    ends = ends.tolist()
     built = 0  # nodes exist for the leaves base:built, whole vertices at a time
-    for v, p in enumerate(points):
-        lo, hi = (ends[v - 1] if v else 0), ends[v]
+    for v, (lo, hi, p) in enumerate(zip([0] + ends, ends, points)):
         if lo == hi:
             continue
         if hi > built:
             base = lo
-            built = ends[max(v, np.searchsorted(ends, lo + _LEAF_BLOCK, "right") - 1)]
-            blk = slice(base, built)
-            # coordinates first, (3, leaves, nodes), for speed; the roundings are unchanged
-            pts = a[:, blk, None] + xi * ab[:, blk, None] + xi_eta * bc[:, blk, None]
-            norms = np.sqrt((pts * pts).sum(axis=0))
-            weights = w_xi * two_area[blk, None] * dist[blk, None] / norms**3
-            dirs = np.empty(pts.shape[1:] + (3,))
+            built = ends[max(v, bisect_right(ends, lo + _LEAF_BLOCK) - 1)]
+            blk, n = slice(base, built), built - base
+            # coordinates first, (3, leaves, nodes), for speed; each operation
+            # rounds as a + xi ab + xi_eta bc, sqrt((pts * pts).sum(axis=0)) and
+            # w_xi * two_area * dist / norms**3 do
+            pts, tmp, norms, weights = pts_buf[:, :n], tmp_buf[:, :n], norms_buf[:n], weights_buf[:n]
+            np.multiply(xi, ab[:, blk, None], out=pts)
+            pts += a[:, blk, None]
+            pts += np.multiply(xi_eta, bc[:, blk, None], out=tmp)
+            np.multiply(pts, pts, out=tmp)
+            np.add(tmp[0], tmp[1], out=norms)
+            norms += tmp[2]
+            np.sqrt(norms, out=norms)
+            np.multiply(w_xi, two_area[blk, None], out=weights)
+            weights *= dist[blk, None]
+            weights /= np.power(norms, 3, out=tmp[0])
+            dirs = dirs_buf[:n]
             np.divide(pts, norms, out=dirs.transpose(2, 0, 1))
         # one product per vertex, over its nodes in depth-first order, as the sums round
         d = dirs[lo - base : hi - base].reshape(-1, 3)

@@ -309,7 +309,7 @@ def desymmetrize(
     poly = as_polytope(body)
     if poly is None:
         poly = polytope_approximation(body)
-    start = recenter(poly, grid)
+    start = target if poly is body else recenter(poly, grid)
     if not start.is_full_dimensional:
         raise InvalidArgumentError("desymmetrize needs a full-dimensional body")
 

@@ -282,7 +282,7 @@ def sequential_congruence_3d(d, k, grid, search):
     from convexhyper.rotations import sphere_candidates
 
     _, grid, dc, kc = c._recentered(d, k, grid)
-    swapped = c._canonical_key(kc) < c._canonical_key(dc)
+    swapped = c._swapped(dc, kc, grid.nodes)
     if swapped:
         dc, kc = kc, dc
     objective = c._objective(c._rotatable(dc), c._rotatable(kc), dc,

@@ -253,7 +253,7 @@ def test_certificate_values_are_stacked_values(dim, grid2, grid3_small):
         res = congruence_distance(d_body, k_body, grid, params)
         dc, kc = recenter(d_body, grid), recenter(k_body, grid)
         mats = np.array([r.matrix for r, _ in res.certificate])
-        if congruence._canonical_key(kc) < congruence._canonical_key(dc):
+        if congruence._swapped(dc, kc, grid.nodes):
             dc, kc, mats = kc, dc, mats.transpose(0, 2, 1)
         values = np.array([v for _, v in res.certificate])
         np.testing.assert_array_equal(values, _stacked(dc, kc, grid)(mats))
@@ -318,8 +318,11 @@ def test_rigid_motions_take_exact_maps(monkeypatch):
     for body, moved, grid, params in _criterion_8_motions():
         res = congruence_distance(body, moved, grid, params)
         back = congruence_distance(moved, body, grid, params)
-        # the two orders tie on the canonical key, so each keeps its own
-        assert max(res.distance, back.distance) < 1e-9
+        # the two orders tie on the rounded moment spectrum; the tie-break
+        # puts both in one order, so they give the same bits
+        assert res.distance == back.distance < 1e-9
+        np.testing.assert_array_equal(res.optimizer.matrix, back.optimizer.matrix.T)
+        np.testing.assert_array_equal(res.values, back.values)
         # the distance is the least exact value over the maps, at the optimizer
         for r, (p, q) in ((res, (body, moved)), (back, (moved, body))):
             assert r.certificate_size == len(r.candidates) >= 1
@@ -400,36 +403,50 @@ def test_lockstep_matches_sequential_starts(seed, sizes, grid3_small):
 
 def test_lockstep_cancels_starts_after_early_exit(grid3_small, monkeypatch):
     # P + 0.2 B is no Polytope, so it takes the search; start 0 ends far
-    # from the optimum, start 1 below _EARLY_EXIT, and the later starts
-    # are cancelled or, if already done, ignored
+    # from the optimum and start 1 below _EARLY_EXIT.  The later starts are
+    # cancelled in the round start 1 is first given a value below
+    # _EARLY_EXIT, before it ends, so lockstep evaluates the rows of the
+    # starts run one after another plus only those rounds of the later ones
     body = Sum(random_polytope(640, 3, 10), Ball(np.zeros(3), 0.2))
     moved = Rotated(Rotation(random_rotation(641, 3).matrix), body)
     params = SearchParams(coarse=400, starts=4, max_iterations=500)
-    runs, refine = [], congruence._refine_3d
+    runs, refine, stacked, rows = [], congruence._refine_3d, congruence._stacked_gap, [0]
+
+    def counted_gap(d, k, mats):
+        rows[0] += len(mats)
+        return stacked(d, k, mats)
 
     def counted(*args):
-        run = {"rows": 0, "value": None}
+        run = {"rows": 0, "rounds": 0, "first_low": None, "value": None}
         runs.append(run)
         steps = refine(*args)
         try:
             points = next(steps)
             while True:
                 run["rows"] += len(points)
-                points = steps.send((yield points))
+                run["rounds"] += 1
+                values = yield points
+                if run["first_low"] is None and values.min() < congruence._EARLY_EXIT:
+                    run["first_low"] = run["rounds"]
+                points = steps.send(values)
         except StopIteration as stop:
             run["value"] = stop.value[0]
             return stop.value
 
+    monkeypatch.setattr(congruence, "_stacked_gap", counted_gap)
     monkeypatch.setattr(congruence, "_refine_3d", counted)
     res = congruence_distance(body, moved, grid3_small, params)
+    lockstep_rows, rows[0] = rows[0], 0
     distance, optimizer, values = sequential_congruence_3d(body, moved, grid3_small, params)
     assert res.distance == distance < 1e-9
     np.testing.assert_array_equal(res.optimizer.matrix, optimizer)
     np.testing.assert_array_equal(res.values, values)
     assert len(runs) == 4
-    assert runs[0]["value"] > 1e-3 and runs[1]["value"] == distance
-    assert runs[-1]["value"] is None  # cancelled once start 1 ended
-    assert runs[-1]["rows"] < runs[1]["rows"]
+    assert runs[0]["value"] > 1e-3 and runs[0]["first_low"] is None
+    assert runs[1]["value"] == distance and runs[1]["first_low"] < runs[1]["rounds"]
+    for run in runs[2:]:
+        assert run["value"] is None and run["rounds"] == runs[1]["first_low"]
+    assert lockstep_rows == rows[0] + sum(run["rows"] for run in runs[2:])
 
 
 def test_refined_values_taken_in_start_order(grid3_small, monkeypatch):

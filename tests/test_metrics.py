@@ -594,14 +594,53 @@ def _reference_steiner_3d(poly):
     return s / ball_volume(3)
 
 
+def _bipyramid(k):
+    """A k-gon with an apex above and below it: k facet normals at each apex."""
+    t = 2.0 * math.pi * np.arange(k) / k
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(k)])
+    return Polytope(np.vstack([ring, [[0.1, 0.0, 1.3], [0.0, -0.1, -0.7]]]))
+
+
+def _cut_with_coplanar_points():
+    """The pinned cut polytope plus redundant points on its cut face."""
+    cut = _pinned_bodies()["cut"]
+    h = cut.vertices @ (np.array([1.0, 2.0, 2.0]) / 3.0)
+    face = cut.vertices[h > h.max() - 1e-9]
+    extra = [face.mean(axis=0), 0.5 * (face[0] + face[1]), 0.25 * face[0] + 0.75 * face[2]]
+    return Polytope(np.vstack([cut.vertices, *extra]))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_steiner_3d_bits_match_recursion(seed):
-    # holds with any BLAS: both forms make the same products in the same order
+    # holds with any BLAS: both forms make the same products in the same
+    # order.  The cones are ordered for all vertices at once; the extra
+    # bodies have many cones, cones of 40 normals (long axis sums) and
+    # degenerate cones of redundant face points
     bodies = [random_polytope(900 + seed, 3, 4 + 5 * seed), _symmetric_polytope(seed, 6 + 4 * seed)]
-    if seed == 0:
-        bodies.append(_pinned_bodies()["cut"])
+    extra = {0: ["cut", "ball approximation"], 1: ["cube"]}
+    bodies += [_pinned_bodies()[name] for name in extra.get(seed, [])]
+    if seed == 2:
+        bodies.append(_bipyramid(40))
+        assert np.bincount(bodies[-1].hull.cone_owner).max() == 40
+    if seed == 3:
+        bodies.append(_cut_with_coplanar_points())
+        sizes = np.bincount(bodies[-1].hull.cone_owner)
+        assert 0 < sizes[sizes > 0].min() < 3  # a cone the quadrature skips
     for body in bodies:
         assert metrics._steiner_polytope_3d(body).tobytes() == _reference_steiner_3d(body).tobytes()
+
+
+def test_split_threshold_matches_acos():
+    # a side is split when acos of its cosine exceeds _SPLIT_ANGLE; the
+    # quadrature compares the cosine with _SPLIT_COS instead
+    assert math.acos(metrics._SPLIT_COS) <= metrics._SPLIT_ANGLE
+    below = [metrics._SPLIT_COS]
+    above = [metrics._SPLIT_COS]
+    for _ in range(1000):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    for x in below[1:] + above[:-1]:
+        assert (math.acos(x) > metrics._SPLIT_ANGLE) == (x < metrics._SPLIT_COS)
 
 
 @pytest.mark.parametrize("name", sorted(_STEINER_PINS))
@@ -643,6 +682,21 @@ def test_steiner_flat_polygon_in_3d_falls_back_to_quadrature():
         assert np.isfinite(s).all()
         assert np.array_equal(s, steiner_quadrature(poly, grid))
     assert slivers > 25
+
+
+def test_steiner_of_collinear_3d_points_is_the_midpoint():
+    # rounding to 12 decimals moves collinear points about 1e-12 off their
+    # line; the hull's rank test must still see a segment (with an absolute
+    # 1e-12 tolerance, 5 of these 20 sets had rank 2 or 3 and a Steiner
+    # point 0.03 to 0.23 away)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        t = rng.uniform(-1.7, 1.7, 10)
+        poly = Polytope(t[:, None] * d)
+        assert poly.hull.rank == 1
+        np.testing.assert_allclose(steiner(poly), 0.5 * (t.min() + t.max()) * d, rtol=0.0, atol=1e-9)
 
 
 def _box(*half):
