@@ -83,25 +83,30 @@ class Hull:
     """Face structure of a polytope; a rigid motion moves it without qhull.
 
     ``points`` are the distinct vertices rounded to 12 decimals (point i
-    is row ``index[i]`` of the vertex array) and ``rank`` their affine
-    rank.  In 2-D ``ring`` indexes the hull vertices in
-    counterclockwise order (both ends of a segment, or the single point).
-    In 3-D ``edges`` are sorted index pairs in lexicographic order (with
-    the diagonals of triangulated flat faces), ``normals`` the unit
-    outward facet normals, ``facets[f]`` the three point indices of the
-    triangle with normal ``normals[f]`` (qhull's simplices, in no consistent
-    orientation; a rigid motion leaves them unchanged), ``edge_facets[e]``
-    the two rows of ``normals`` that meet at edge e, and row k of ``cones``
-    is a unit normal in the normal cone of hull vertex ``cone_owner[k]``
-    (rows grouped by vertex, duplicates removed); these are None when qhull
-    fails (fewer than four points, coplanar sets).  All arrays are
-    read-only.
+    is row ``index[i]`` of the vertex array), ``rank`` their affine rank,
+    the one rank rule of the package (``Polytope.is_full_dimensional``
+    reads it), and ``extreme`` indexes the extreme points: the single
+    point, the two ends of a segment, qhull's vertices of a full-rank set
+    (ascending in 3-D, the order of the cones), or the hull in the plane
+    of a flat one.  In 2-D ``extreme`` is the
+    counterclockwise ``ring`` (a reflection reverses it), with the normal
+    cone arcs ``arcs``.  In 3-D ``edges`` are sorted index pairs in
+    lexicographic order (with the diagonals of triangulated flat faces),
+    ``normals`` the unit outward facet normals, ``facets[f]`` the three
+    point indices of the triangle with normal ``normals[f]`` (qhull's
+    simplices, in no consistent orientation; a rigid motion leaves them
+    unchanged), ``edge_facets[e]`` the two rows of ``normals`` that meet at
+    edge e, and row k of ``cones`` is a unit normal in the normal cone of
+    hull vertex ``cone_owner[k]`` (rows grouped by vertex, duplicates
+    removed); these are None when qhull fails (fewer than four points,
+    exactly coplanar sets) and kept for the sliver hulls qhull builds
+    around nearly flat ones.  All arrays are read-only.
     """
 
     points: np.ndarray
     index: np.ndarray
     rank: int
-    ring: np.ndarray | None = None
+    extreme: np.ndarray
     edges: np.ndarray | None = None
     edge_facets: np.ndarray | None = None
     normals: np.ndarray | None = None
@@ -115,6 +120,11 @@ class Hull:
                 value.setflags(write=False)
 
     @property
+    def ring(self) -> np.ndarray | None:
+        """2-D hull vertex indices in counterclockwise order (None in 3-D)."""
+        return self.extreme if self.points.shape[1] == 2 else None
+
+    @property
     def polygon(self) -> np.ndarray:
         """2-D hull vertices in counterclockwise order."""
         return self.points[self.ring]
@@ -123,6 +133,17 @@ class Hull:
     def normal_angles(self) -> np.ndarray:
         """2-D outward-normal angle of each ring edge k -> k+1, in [0, 2 pi)."""
         return ring_normal_angles(self.polygon)
+
+    @property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the normal-cone arc of each 2-D ring vertex, from the
+        normal angle of the edge into it to that of the edge out of it, hi
+        lifted by 2 pi past the wrap; a point's arc is the whole circle."""
+        if len(self.ring) == 1:
+            return np.zeros(1), np.full(1, 2.0 * math.pi)
+        hi = self.normal_angles
+        lo = np.roll(hi, 1)
+        return lo, np.where(hi < lo, hi + 2.0 * math.pi, hi)
 
     def vertex_cones(self):
         """(point index, unit normals of its normal cone) per 3-D hull vertex."""
@@ -137,7 +158,15 @@ def ring_normal_angles(ring: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
 
 
-def _build_hull(vertices: np.ndarray) -> Hull:
+def _extremes(vertices: np.ndarray):
+    """(points, index, rank, qhull hull or None, extreme) of a vertex array.
+
+    The distinct points rounded to 12 decimals, row ``index[i]`` of the
+    input for point i, their affine rank above the rounding noise, and
+    the indices of the extreme points (see ``Hull``).  qhull is tried on
+    every set of more than ``dim`` points; a full-rank set takes its
+    vertices, a lower-rank one its extreme points in its own subspace.
+    """
     points, index = np.unique(np.round(vertices, 12), axis=0, return_index=True)
     n, dim = points.shape
     centered = points - points.mean(axis=0)
@@ -147,20 +176,29 @@ def _build_hull(vertices: np.ndarray) -> Hull:
     noise = math.sqrt(points.size) * (1e-12 + 16.0 * np.finfo(float).eps * np.abs(points).max())
     rank = int(np.linalg.matrix_rank(centered, tol=noise)) if n > 1 else 0
     try:
-        qh = ConvexHull(points) if dim in (2, 3) and n > dim else None
+        qh = ConvexHull(points) if dim > 1 and n > dim else None
     except QhullError:
         qh = None
-    if dim == 2:
-        if qh is not None:
-            ring = qh.vertices
-        elif n == 1:
-            ring = np.zeros(1, dtype=int)
-        else:  # collinear: the two ends of the segment
-            proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
-            ring = np.array([proj.argmin(), proj.argmax()])
-        return Hull(points, index, rank, ring=ring)
-    if qh is None:
-        return Hull(points, index, rank)
+    if rank == dim and qh is not None:
+        extreme = qh.vertices
+    elif rank == 0:
+        extreme = np.zeros(1, dtype=int)
+    elif rank == 1:  # the two ends of the segment
+        proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
+        extreme = np.array([proj.argmin(), proj.argmax()])
+    else:  # the hull in the subspace of the points
+        basis = np.linalg.svd(centered, full_matrices=False)[2][:rank]
+        try:
+            extreme = ConvexHull(centered @ basis.T).vertices
+        except QhullError:
+            extreme = np.arange(n)
+    return points, index, rank, qh, extreme
+
+
+def _build_hull(vertices: np.ndarray) -> Hull:
+    points, index, rank, qh, extreme = _extremes(vertices)
+    if points.shape[1] != 3 or qh is None:
+        return Hull(points, index, rank, extreme)
     eq = qh.equations[:, :3]
     s, nb = qh.simplices, qh.neighbors
     # the edge opposite corner c of simplex f is shared with simplex nb[f, c]
@@ -169,7 +207,7 @@ def _build_hull(vertices: np.ndarray) -> Hull:
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     owner, cones = _vertex_cones(eq, s)
     normals = eq / np.linalg.norm(eq, axis=1, keepdims=True)
-    return Hull(points, index, rank, edges=ends[order],
+    return Hull(points, index, rank, extreme, edges=ends[order],
                 edge_facets=np.column_stack([f, nb[f, c]])[order], normals=normals,
                 cone_owner=owner, cones=cones, facets=s)
 
@@ -231,8 +269,8 @@ class Polytope(Body):
 
     @property
     def is_full_dimensional(self) -> bool:
-        centered = self.vertices - self.vertices.mean(axis=0)
-        return np.linalg.matrix_rank(centered, tol=1e-10) == self.dim
+        """Whether the hull's ``rank`` (above the rounding noise) is ``dim``."""
+        return self.hull.rank == self.dim
 
     @property
     def hull(self) -> Hull:
@@ -252,14 +290,14 @@ def rigid_motion(poly: Polytope, matrix: np.ndarray | None = None, shift=None) -
     moved = Polytope(v if shift is None else v + shift)
     hull = poly._hull
     if hull is not None:
-        ring, normals, cones = hull.ring, hull.normals, hull.cones
+        extreme, normals, cones = hull.extreme, hull.normals, hull.cones
         if matrix is not None:
-            if ring is not None and np.linalg.det(matrix) < 0:
-                ring = ring[::-1]
+            if poly.dim == 2 and np.linalg.det(matrix) < 0:
+                extreme = extreme[::-1]
             if normals is not None:
                 normals, cones = normals @ matrix.T, cones @ matrix.T
         points = np.round(moved.vertices[hull.index], 12)
-        carried = replace(hull, points=points, ring=ring, normals=normals, cones=cones)
+        carried = replace(hull, points=points, extreme=extreme, normals=normals, cones=cones)
         object.__setattr__(moved, "_hull", carried)
     return moved
 
@@ -598,35 +636,11 @@ def translate(body: Body, shift) -> Body:
 
 
 def convex_hull_vertices(points: np.ndarray) -> np.ndarray:
-    """Extreme points of a finite point set, robust to degenerate input.
-
-    Falls back to affine-subspace handling when the set is not
-    full-dimensional (segments, points, planar sets in R^3).
-    """
-    pts = np.unique(np.round(np.asarray(points, dtype=float), 12), axis=0)
-    if pts.shape[0] <= pts.shape[1] + 1:
-        return pts
-    try:
-        hull = ConvexHull(pts)
-        return pts[np.sort(hull.vertices)]
-    except QhullError:
-        pass
-    center = pts.mean(axis=0)
-    centered = pts - center
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * max(s.max(), 1.0)))
-    if rank == 0:
-        return center[None, :]
-    basis = vt[:rank]
-    coords = centered @ basis.T
-    if rank == 1:
-        lo, hi = coords[:, 0].argmin(), coords[:, 0].argmax()
-        return pts[sorted({lo, hi})]
-    try:
-        sub = ConvexHull(coords)
-        return pts[np.sort(sub.vertices)]
-    except QhullError:
-        return pts
+    """Extreme points of a finite point set, rounded to 12 decimals, in
+    ascending row order: those of ``Hull.extreme``, so a point, segment or
+    flat set gives its own extreme points.  Builds no facets or cones."""
+    pts, _, _, _, extreme = _extremes(np.asarray(points, dtype=float))
+    return pts[np.sort(extreme)]
 
 
 def polytope_sum(a: Polytope, b: Polytope) -> Polytope:

@@ -25,10 +25,9 @@ def random_polytope(seed: int, n: int, vertex_count: int) -> Polytope:
         raise InvalidArgumentError("need at least n+1 points")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
-        pts = rng.uniform(-1.0, 1.0, size=(vertex_count, n))
-        centered = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) == n:
-            return Polytope(convex_hull_vertices(pts))
+        poly = Polytope(convex_hull_vertices(rng.uniform(-1.0, 1.0, size=(vertex_count, n))))
+        if poly.is_full_dimensional:
+            return poly
     raise InvalidArgumentError("could not draw a full-dimensional point set")
 
 

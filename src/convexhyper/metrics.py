@@ -85,26 +85,9 @@ def _arc_moment_1(a: float, b: float) -> np.ndarray:
     return np.array([[cc, cs], [cs, ss]])
 
 
-def _polygon_fan_arcs(poly: Polytope):
-    """(vertex, arc start, arc end) for each normal cone of a 2-D polytope."""
-    verts = poly.hull.polygon
-    if verts.shape[0] == 1:
-        return [(verts[0], 0.0, _TWO_PI)]
-    # a segment is a two-edge ring: two half-circle cones
-    normals = poly.hull.normal_angles
-    arcs = []
-    for k in range(verts.shape[0]):
-        a = normals[k - 1]
-        b = normals[k]
-        if b < a:
-            b += _TWO_PI
-        arcs.append((verts[k], a, b))
-    return arcs
-
-
 def _steiner_polygon(poly: Polytope) -> np.ndarray:
     s = np.zeros(2)
-    for p, a, b in _polygon_fan_arcs(poly):
+    for p, a, b in zip(poly.hull.polygon, *poly.hull.arcs):
         s += _arc_moment_1(a, b) @ p
     return s / ball_volume(2)
 
@@ -271,15 +254,8 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
 
 def _steiner_segment(poly: Polytope) -> np.ndarray | None:
     """Steiner point of a point or segment: the midpoint, by symmetry."""
-    pts, rank = poly.hull.points, poly.hull.rank
-    centered = pts - pts.mean(axis=0)
-    if rank == 0:
-        return pts.mean(axis=0)
-    if rank == 1:
-        axis = centered[np.argmax(np.linalg.norm(centered, axis=1))]
-        proj = centered @ axis
-        return 0.5 * (pts[np.argmin(proj)] + pts[np.argmax(proj)])
-    return None
+    hull = poly.hull
+    return hull.points[hull.extreme].mean(axis=0) if hull.rank <= 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,8 @@ def default_candidates(dim: int, reflections: bool = True) -> np.ndarray:
 
 
 def _extreme_points(poly: Polytope) -> np.ndarray:
-    """Unrounded hull vertices (all distinct points when qhull gave no cones)."""
-    hull = poly.hull
-    if poly.dim == 2:
-        return poly.vertices[hull.index[hull.ring]]
-    owners = slice(None) if hull.cone_owner is None else np.unique(hull.cone_owner)
-    return poly.vertices[hull.index[owners]]
+    """Unrounded hull vertices, in 2-D in counterclockwise ring order."""
+    return poly.vertices[poly.hull.index[poly.hull.extreme]]
 
 
 def _frames(first: np.ndarray, second: np.ndarray | None, sign: float) -> np.ndarray:

@@ -156,12 +156,9 @@ def is_c1_violated(body: Body, tol_angle: float) -> bool:
     """True iff some vertex has a normal cone of angular width > tol_angle."""
     poly = _require_polytope(body)
     hull = poly.hull
-    if poly.dim == 2:
-        if hull.ring.shape[0] < 3:
-            return True
-        ang = hull.normal_angles
-        ext = np.mod(ang - np.roll(ang, 1), 2.0 * math.pi)
-        return bool(np.any(ext > tol_angle))
+    if poly.dim == 2:  # a full-dimensional ring has at least three vertices
+        lo, hi = hull.arcs
+        return bool(np.any(hi - lo > tol_angle))
     if hull.normals is None:
         return True
     for _, normals in hull.vertex_cones():
@@ -201,24 +198,16 @@ def _vertex_cone_direction(poly: Polytope, vertex: np.ndarray) -> np.ndarray | N
     """A direction in the interior of the normal cone at the given vertex
     (the first hull vertex close to it, in ring or cone order)."""
     hull = poly.hull
+    i = _first_close(hull.points[hull.extreme], vertex)
+    if i is None:
+        return None
     if poly.dim == 2:
-        i = _first_close(hull.polygon, vertex)
-        if i is None:
-            return None
-        normals_ang = hull.normal_angles
-        a = normals_ang[i - 1]
-        b = normals_ang[i]
-        if b < a:
-            b += 2.0 * math.pi
-        mid = 0.5 * (a + b)
+        lo, hi = hull.arcs
+        mid = 0.5 * (lo[i] + hi[i])
         return np.array([math.cos(mid), math.sin(mid)])
     if hull.normals is None:
         return None
-    owners = np.unique(hull.cone_owner)  # in cone order
-    k = _first_close(hull.points[owners], vertex)
-    if k is None:
-        return None
-    mean = hull.cones[hull.cone_owner == owners[k]].sum(axis=0)
+    mean = hull.cones[hull.cone_owner == hull.extreme[i]].sum(axis=0)
     nrm = np.linalg.norm(mean)
     return mean / nrm if nrm > 1e-12 else None
 
@@ -415,11 +404,10 @@ def _feasible_cut(
         if float(p @ u) >= cut - margin:
             return None
     clipped = Polytope(_clip_vertices(current, u, cut))
-    if not clipped.is_full_dimensional:
-        return None
     face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
     face_diam = _pairwise_diameter(face)
-    if face_diam <= 0 or face_diam > max_diam:
+    # the rank check builds the hull, which steiner then reuses
+    if face_diam <= 0 or face_diam > max_diam or not clipped.is_full_dimensional:
         return None
     shift = steiner(clipped, grid)
     centered = translate(clipped, -shift)

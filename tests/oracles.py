@@ -19,6 +19,11 @@ The cone-loop oracle builds a 3-D hull's vertex normal cones one vertex
 and one facet at a time, and the cone-lookup oracle finds a vertex's cone
 by walking the cones (2-D: the ring) in order; the array forms in
 ``bodies`` and ``truncation`` must return their bits.
+The qhull-vertices oracle is the former ``convex_hull_vertices`` (a second
+qhull hull, then an SVD of its own for degenerate sets) and the arc-loop
+Steiner oracle the former 2-D Steiner point (segment ends by projection,
+normal-cone arcs one ring vertex at a time); on full-rank sets, points and
+segments the hull record must return their bits.
 The sequential congruence oracle runs the 3-D search's starts one after
 another, each Nelder-Mead step on a stack of one rotation, and stops once a
 value drops below the early-exit bound; the lockstep search must return its
@@ -28,11 +33,12 @@ bits.
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from convexhyper.bodies import Ball, Polytope, Rotated, Scaled, Sum, support_values
 from convexhyper.curvature import support_point
-from convexhyper.metrics import steiner, support_moment_matrix
+from convexhyper.metrics import _arc_moment_1, steiner, support_moment_matrix
+from convexhyper.quadrature import ball_volume
 
 
 def polygon_boundary_cloud(vertices: np.ndarray, target: int = 2000) -> np.ndarray:
@@ -271,6 +277,55 @@ def loop_vertex_cone_direction(poly, vertex: np.ndarray):
             nrm = np.linalg.norm(mean)
             return mean / nrm if nrm > 1e-12 else None
     return None
+
+
+def qhull_hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Extreme points of a point set by qhull on the rounded distinct
+    points; sets of at most dim + 1 points come back whole, and sets qhull
+    rejects fall back to an SVD of their own (rank above 1e-12 max(s, 1))."""
+    pts = np.unique(np.round(np.asarray(points, dtype=float), 12), axis=0)
+    if pts.shape[0] <= pts.shape[1] + 1:
+        return pts
+    try:
+        return pts[np.sort(ConvexHull(pts).vertices)]
+    except QhullError:
+        pass
+    center = pts.mean(axis=0)
+    centered = pts - center
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * max(s.max(), 1.0)))
+    if rank == 0:
+        return center[None, :]
+    coords = centered @ vt[:rank].T
+    if rank == 1:
+        return pts[sorted({coords[:, 0].argmin(), coords[:, 0].argmax()})]
+    try:
+        return pts[np.sort(ConvexHull(coords).vertices)]
+    except QhullError:
+        return pts
+
+
+def arc_loop_steiner_2d(poly) -> np.ndarray:
+    """2-D Steiner point: the midpoint of a point or segment (its ends by
+    projection onto the longest centred point), else the sum over the ring
+    of each vertex's arc moment, one normal-cone arc at a time."""
+    hull = poly.hull
+    pts = hull.points
+    centered = pts - pts.mean(axis=0)
+    if hull.rank == 0:
+        return pts.mean(axis=0)
+    if hull.rank == 1:
+        proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
+        return 0.5 * (pts[np.argmin(proj)] + pts[np.argmax(proj)])
+    verts, normals = hull.polygon, hull.normal_angles
+    s = np.zeros(2)
+    for k in range(verts.shape[0]):
+        a = normals[k - 1]
+        b = normals[k]
+        if b < a:
+            b += 2.0 * math.pi
+        s += _arc_moment_1(a, b) @ verts[k]
+    return s / ball_volume(2)
 
 
 def sequential_congruence_3d(d, k, grid, search):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -41,10 +43,10 @@ from convexhyper import (
     unit_vector,
     width,
 )
-from convexhyper import bodies
-from convexhyper.bodies import rigid_motion, sublinearity_violation
+from convexhyper import bodies, truncation
+from convexhyper.bodies import convex_hull_vertices, rigid_motion, sublinearity_violation
 from convexhyper.metrics import exact_hausdorff, steiner
-from oracles import loop_vertex_cones
+from oracles import loop_vertex_cones, qhull_hull_vertices
 
 
 def test_ball_support_is_homogeneous():
@@ -350,6 +352,83 @@ def test_polytope_full_dimensional_flags():
         np.testing.assert_allclose(steiner(translate(poly, w)), steiner(poly) + w, atol=1e-14)
     np.testing.assert_allclose(steiner(segment), [1.0, 0.5], atol=1e-14)
     assert duplicated.hull.points.shape == (3, 2)
+
+
+def _hexes(a):
+    return [x.hex() for x in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def test_collinear_3d_sets_keep_their_two_ends():
+    # rounding to 12 decimals moves the points about 1e-12 off their line;
+    # a rank rule relative to max(s, 1) saw a plane or a solid in 199 of
+    # these 200 sets and kept interior points
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        t = rng.uniform(-0.4, 0.4, 10)
+        pts = t[:, None] * d
+        ends = np.unique(np.round(pts[[t.argmin(), t.argmax()]], 12), axis=0)
+        np.testing.assert_array_equal(convex_hull_vertices(pts), ends)
+
+
+def test_flat_3d_sets_keep_their_in_plane_hull():
+    # qhull builds a sliver hull around a generically rotated flat set, and
+    # its vertices include points inside the set's own polygon
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        flat = rng.uniform(-1.0, 1.0, (14, 2))
+        lift = np.column_stack([flat, np.zeros(14)]) @ random_rotation(seed, 3).matrix.T
+        pts = lift + rng.standard_normal(3)
+        want = np.unique(np.round(pts[ConvexHull(flat).vertices], 12), axis=0)
+        np.testing.assert_array_equal(convex_hull_vertices(pts), want)
+
+
+def test_degenerate_sums_and_triples_keep_only_their_ends():
+    a = Polytope([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    b = Polytope([[0.3, 0.6, 0.9], [0.5, 1.0, 1.5]])
+    np.testing.assert_array_equal(polytope_sum(a, b).vertices, [[0.3, 0.6, 0.9], [1.5, 3.0, 4.5]])
+    np.testing.assert_array_equal(convex_hull_vertices([[0, 0], [1, 1], [2, 2]]), [[0, 0], [2, 2]])
+
+
+def test_hull_vertices_bits_match_qhull_oracle(monkeypatch):
+    # on full-rank sets both take qhull's vertices of the same rounded
+    # points: the sets truncation hands over (512-direction ball
+    # approximations with repeated support points, cuts), cuts with extra
+    # points on their cut face, and plain random sets
+    seen = []
+
+    def record(points):
+        seen.append(np.array(points, dtype=float))
+        return convex_hull_vertices(points)
+
+    monkeypatch.setattr(truncation, "convex_hull_vertices", record)
+    for dim in (2, 3):
+        polytope_approximation(Ball(np.full(dim, 0.1), 1.0), 512)
+        for seed in range(6):
+            poly = random_polytope(500 + seed, dim, 12)
+            u = random_rotation(520 + seed, dim).matrix[0]
+            truncate(poly, TruncationSpec(u, 0.3 * width(poly, u)))
+            h = seen[-1] @ u
+            face = seen[-1][h >= h.max() - 1e-9]
+            seen.append(np.vstack([seen[-1], face.mean(axis=0), 0.5 * (face[0] + face[1])]))
+            seen.append(np.random.default_rng(540 + seed).standard_normal((8 + 4 * seed, dim)))
+    assert len(seen) == 38
+    for pts in seen:
+        assert bodies._extremes(pts)[2] == pts.shape[1]
+        assert _hexes(convex_hull_vertices(pts)) == _hexes(qhull_hull_vertices(pts))
+
+
+def test_rank_is_decided_in_one_place():
+    # Hull.rank is the one rank rule; everything else reads it
+    sites = set()
+    for path in sorted(pathlib.Path(bodies.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                names = {getattr(node, key, None) for key in ("attr", "id", "name")}
+                if "matrix_rank" in names:
+                    sites.add((path.name, getattr(top, "name", "<module>")))
+    assert sites == {("bodies.py", "_extremes")}
 
 
 def test_polytope_copies_vertices_read_only():

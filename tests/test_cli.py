@@ -320,6 +320,18 @@ def test_minkowski_explicit(runner, square_file, tmp_path):
     assert np.abs(verts).max() == 2.0
 
 
+def test_minkowski_explicit_parallel_segments(runner, tmp_path):
+    paths = []
+    for name, verts in (("a", [[0, 0, 0], [1, 2, 3]]), ("b", [[0.3, 0.6, 0.9], [0.5, 1, 1.5]])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"type": "polytope", "vertices": verts}))
+    out = tmp_path / "mk.json"
+    res = runner.invoke(main, ["minkowski", *map(str, paths), "--out", str(out), "--explicit"])
+    assert res.exit_code == 0
+    doc = json.loads(out.read_text())
+    assert doc["body"]["vertices"] == [[0.3, 0.6, 0.9], [1.5, 3.0, 4.5]]
+
+
 def test_sample_command(runner, ball_file, tmp_path):
     out = tmp_path / "s.json"
     res = runner.invoke(main, ["sample", ball_file, "--out", str(out), "--grid-2d", "64"])

@@ -33,6 +33,7 @@ from convexhyper.quadrature import ball_volume, make_grid_3d
 from convexhyper.rotations import circle_candidates, sphere_candidates
 from oracles import (
     arc_loop_hausdorff,
+    arc_loop_steiner_2d,
     brute_moment,
     brute_steiner_2d,
     cloud_hausdorff,
@@ -682,6 +683,23 @@ def test_steiner_flat_polygon_in_3d_falls_back_to_quadrature():
         assert np.isfinite(s).all()
         assert np.array_equal(s, steiner_quadrature(poly, grid))
     assert slivers > 25
+
+
+def test_steiner_2d_bits_match_arc_loop():
+    # the ring's normal-cone arcs come from Hull.arcs in one pass, a point's
+    # or segment's midpoint from its extreme points; polygons, points and
+    # segments, moved by a reflection (the carried ring reverses) or rebuilt
+    flip = np.diag([1.0, -1.0]) @ random_rotation(7, 2).matrix
+    bodies = [random_polytope(600 + seed, 2, 3 + seed) for seed in range(10)]
+    bodies += [polytope_approximation(Ball(np.array([0.2, -0.1]), 1.3), 512),
+               Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]), Polytope([[0.3, -0.7]]),
+               Polytope([[0.3, -0.7], [0.3, -0.7]]), Polytope([[0, 0], [2, 1], [1, 0.5]]),
+               Polytope([[0.1, 0.35], [-0.45, 0.2]])]
+    for poly in bodies:
+        poly.hull  # built, so that the reflection carries it
+        for body in (poly, rigid_motion(poly, flip), Polytope(poly.vertices @ flip.T)):
+            got, want = steiner(body), arc_loop_steiner_2d(body)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 def test_steiner_of_collinear_3d_points_is_the_midpoint():
