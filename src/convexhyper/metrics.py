@@ -715,28 +715,30 @@ def hausdorff(
 ) -> float:
     """Hausdorff distance via the sup-norm of the support difference.
 
-    The grid maximum is always a lower bound.  Pairs that
-    ``exact_hausdorff`` covers (polygon pairs, 3-D polytope/ball pairs of
-    any size, smaller 2-D parallel bodies) are exact.  Sampled bodies keep
-    the grid maximum; other pairs (ellipsoid terms, flat 3-D polytopes,
-    large 2-D parallel bodies) polish it by golden section (n = 2) or
-    Nelder-Mead (n = 3) from its largest nodes, which stays a lower bound.
-    The reported value is >= the grid maximum.
+    Pairs that ``exact_hausdorff`` covers (polygon pairs, 3-D
+    polytope/ball pairs of any size, smaller 2-D parallel bodies) return
+    its exact value and sample no grid.  Every other pair, and every pair
+    with ``refine=False``, takes the grid maximum, a lower bound.  Unless
+    ``refine`` is False or a term is Sampled, golden section (n = 2) or
+    Nelder-Mead (n = 3) polishes it from its largest nodes (ellipsoid
+    terms, flat 3-D polytopes, large 2-D parallel bodies), which stays a
+    lower bound.
     """
     if body_dim(a) != body_dim(b):
         raise DimensionMismatchError("bodies live in different dimensions")
     dim = body_dim(a)
-    grid = grid or default_grid(dim)
-    va = support_values(a, grid.nodes)
-    vb = support_values(b, grid.nodes)
-    diffs = np.abs(va - vb)
-    best = float(diffs.max())
-    if not refine or sampled_cell_angle(a) > 0.0 or sampled_cell_angle(b) > 0.0:
-        return best
-
-    exact = exact_hausdorff(a, b)
+    if grid is not None and grid.dim != dim:
+        raise DimensionMismatchError(f"directions have dim {grid.dim}, body has dim {dim}")
+    coarse = not refine or sampled_cell_angle(a) > 0.0 or sampled_cell_angle(b) > 0.0
+    exact = None if coarse else exact_hausdorff(a, b)
     if exact is not None:
-        return max(best, exact)
+        return exact
+
+    grid = grid or default_grid(dim)
+    diffs = np.abs(support_values(a, grid.nodes) - support_values(b, grid.nodes))
+    best = float(diffs.max())
+    if coarse:
+        return best
 
     order = np.argsort(diffs)[::-1]
     starts = grid.nodes[order[:_REFINE_STARTS]]

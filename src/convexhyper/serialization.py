@@ -10,9 +10,13 @@ Schema (one object per body node, discriminated by "type"):
     {"type": "rotated", "matrix": [[...], ...], "inner": ...}
     {"type": "sampled", "grid": {...}, "values": [...]}
 
-Documents wrap a body with a schema version and free-form metadata.  All
-reals serialize through Python's shortest round-trip repr, so
-parse(serialize(doc)) reproduces every IEEE-754 double bit-exactly.
+``_NODES`` is the one description of a node: its class and, per
+constructor argument, the JSON key, the attribute and how the value is
+read and written.  ``body_to_obj`` and ``body_from_obj`` loop over it, and
+``body_equal`` compares what ``body_to_obj`` writes.  Documents wrap a body
+with a schema version and free-form metadata.  All reals serialize
+through Python's shortest round-trip repr, so parse(serialize(doc))
+reproduces every IEEE-754 double bit-exactly.
 """
 
 from __future__ import annotations
@@ -58,16 +62,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int
 
 
-def _number(obj, key, path, kind=float):
-    """``kind(obj[key])`` for a JSON number, integral for ``int``, else ParseError."""
-    value = _require(obj, key, path)
+def _number(value, path, kind=float):
+    """``kind(value)`` for a JSON number, integral for ``int``, else ParseError."""
     try:
         if _is_number(value) and (kind is float or float(value).is_integer()):
             return kind(value)
     except OverflowError:
         pass
     what = "an integer" if kind is int else "a finite number"
-    raise ParseError(f"not {what}: {json.dumps(value)}", f"{path}/{key}")
+    raise ParseError(f"not {what}: {json.dumps(value)}", path)
 
 
 def _matrix(value, path):
@@ -98,16 +101,18 @@ def _grid_to_obj(grid: SphericalGrid) -> dict:
 
 
 def _grid_from_obj(obj, path) -> SphericalGrid:
+    def size(key):
+        return _number(_require(obj, key, path), f"{path}/{key}", int)
+
     kind = _require(obj, "type", path)
     try:
         if kind == "uniform-2d":
-            return make_grid_2d(_number(obj, "m", path, int))
+            return make_grid_2d(size("m"))
         if kind == "gauss-lonlat-3d":
-            n_lat, n_lon = _number(obj, "n_lat", path, int), _number(obj, "n_lon", path, int)
-            return make_grid_3d(n_lat, n_lon)
+            return make_grid_3d(size("n_lat"), size("n_lon"))
         if kind == "explicit":
             return SphericalGrid(
-                _number(obj, "dim", path, int),
+                size("dim"),
                 _matrix(_require(obj, "nodes", path), path + "/nodes"),
                 _matrix(_require(obj, "weights", path), path + "/weights"),
                 kind="unstructured",
@@ -119,79 +124,52 @@ def _grid_from_obj(obj, path) -> SphericalGrid:
     raise ParseError(f"unknown grid type {kind!r}", path)
 
 
+_ARRAY = (_matrix, np.ndarray.tolist)
+_REAL = (_number, float)
+_CHILD = (None, None)  # a child body: body_from_obj / body_to_obj
+
+# JSON "type" -> (node class, one (JSON key, attribute, reader, writer) per
+# constructor argument, in order).  A reader takes (value, JSON path).
+_NODES = {
+    "polytope": (Polytope, [("vertices", "vertices", *_ARRAY)]),
+    "ball": (Ball, [("center", "center", *_ARRAY), ("radius", "radius", *_REAL)]),
+    "ellipsoid": (Ellipsoid, [("center", "center", *_ARRAY), ("matrix", "matrix", *_ARRAY)]),
+    "sum": (Sum, [("left", "left", *_CHILD), ("right", "right", *_CHILD)]),
+    "scaled": (Scaled, [("factor", "factor", *_REAL), ("inner", "inner", *_CHILD)]),
+    "rotated": (Rotated, [
+        ("matrix", "rotation", lambda value, path: Rotation(_matrix(value, path)),
+         lambda rotation: rotation.matrix.tolist()),
+        ("inner", "inner", *_CHILD),
+    ]),
+    "sampled": (Sampled, [("grid", "grid", _grid_from_obj, _grid_to_obj),
+                          ("values", "values", *_ARRAY)]),
+}
+
+
 def body_to_obj(body: Body) -> dict:
-    if isinstance(body, Polytope):
-        return {"type": "polytope", "vertices": body.vertices.tolist()}
-    if isinstance(body, Ball):
-        return {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, Ellipsoid):
-        return {
-            "type": "ellipsoid",
-            "center": body.center.tolist(),
-            "matrix": body.matrix.tolist(),
-        }
-    if isinstance(body, Sum):
-        return {
-            "type": "sum",
-            "left": body_to_obj(body.left),
-            "right": body_to_obj(body.right),
-        }
-    if isinstance(body, Scaled):
-        return {"type": "scaled", "factor": body.factor, "inner": body_to_obj(body.inner)}
-    if isinstance(body, Rotated):
-        return {
-            "type": "rotated",
-            "matrix": body.rotation.matrix.tolist(),
-            "inner": body_to_obj(body.inner),
-        }
-    if isinstance(body, Sampled):
-        return {
-            "type": "sampled",
-            "grid": _grid_to_obj(body.grid),
-            "values": body.values.tolist(),
-        }
+    for kind, (cls, args) in _NODES.items():
+        if isinstance(body, cls):
+            obj = {"type": kind}
+            for key, attr, _, write in args:
+                obj[key] = (write or body_to_obj)(getattr(body, attr))
+            return obj
     raise ValidationError(f"cannot serialize {type(body).__name__}", "")
 
 
 def body_from_obj(obj, path="") -> Body:
     kind = _require(obj, "type", path)
+    if not isinstance(kind, str) or kind not in _NODES:
+        raise ParseError(f"unknown body type {kind!r}", path)
+    cls, args = _NODES[kind]
     try:
-        if kind == "polytope":
-            return Polytope(_matrix(_require(obj, "vertices", path), path + "/vertices"))
-        if kind == "ball":
-            return Ball(
-                _matrix(_require(obj, "center", path), path + "/center"),
-                _number(obj, "radius", path),
-            )
-        if kind == "ellipsoid":
-            return Ellipsoid(
-                _matrix(_require(obj, "center", path), path + "/center"),
-                _matrix(_require(obj, "matrix", path), path + "/matrix"),
-            )
-        if kind == "sum":
-            return Sum(
-                body_from_obj(_require(obj, "left", path), path + "/left"),
-                body_from_obj(_require(obj, "right", path), path + "/right"),
-            )
-        if kind == "scaled":
-            return Scaled(
-                _number(obj, "factor", path),
-                body_from_obj(_require(obj, "inner", path), path + "/inner"),
-            )
-        if kind == "rotated":
-            return Rotated(
-                Rotation(_matrix(_require(obj, "matrix", path), path + "/matrix")),
-                body_from_obj(_require(obj, "inner", path), path + "/inner"),
-            )
-        if kind == "sampled":
-            grid = _grid_from_obj(_require(obj, "grid", path), path + "/grid")
-            values = _matrix(_require(obj, "values", path), path + "/values")
-            return Sampled(grid, values)
+        values = []  # a plain loop keeps one stack frame per level of nesting
+        for key, _, read, _ in args:
+            values.append((read or body_from_obj)(_require(obj, key, path), f"{path}/{key}"))
+        return cls(*values)
     except ParseError:
         raise
     except ConvexHyperError as exc:
         raise ValidationError(str(exc), path) from None
-    raise ParseError(f"unknown body type {kind!r}", path)
 
 
 def document_to_obj(doc: BodyDocument) -> dict:
@@ -240,40 +218,9 @@ def parse_body(text: str) -> BodyDocument:
 
 
 def body_equal(a: Body, b: Body) -> bool:
-    """Structural equality with bit-exact float comparison."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Polytope):
-        return np.array_equal(a.vertices, b.vertices)
-    if isinstance(a, Ball):
-        return np.array_equal(a.center, b.center) and a.radius == b.radius
-    if isinstance(a, Ellipsoid):
-        return np.array_equal(a.center, b.center) and np.array_equal(a.matrix, b.matrix)
-    if isinstance(a, Sum):
-        return body_equal(a.left, b.left) and body_equal(a.right, b.right)
-    if isinstance(a, Scaled):
-        return a.factor == b.factor and body_equal(a.inner, b.inner)
-    if isinstance(a, Rotated):
-        return np.array_equal(a.rotation.matrix, b.rotation.matrix) and body_equal(
-            a.inner, b.inner
-        )
-    if isinstance(a, Sampled):
-        # grids are behaviorally equal when nodes/weights match and they
-        # interpolate the same way (structured kinds serialize by size;
-        # everything else round-trips through explicit nodes and uses
-        # nearest-node interpolation either way)
-        def family(grid):
-            if grid.kind in ("uniform-2d", "gauss-lonlat-3d"):
-                return grid.kind
-            return "nearest"
-
-        return (
-            family(a.grid) == family(b.grid)
-            and np.array_equal(a.grid.nodes, b.grid.nodes)
-            and np.array_equal(a.grid.weights, b.grid.weights)
-            and np.array_equal(a.values, b.values)
-        )
-    return False
+    """Structural equality: equal JSON objects, so floats compare with ``==``
+    (-0.0 equals 0.0) and grids as they serialize (structured ones by size)."""
+    return body_to_obj(a) == body_to_obj(b)
 
 
 def document_equal(a: BodyDocument, b: BodyDocument) -> bool:

@@ -306,7 +306,7 @@ def desymmetrize(
     margin = _SEPARATION * diam
     plan = _plan_cuts(start, margin)
 
-    base_disp = hausdorff(start, target, grid)
+    base_disp = 0.0 if start is target else hausdorff(start, target, grid)
     if base_disp > budget:
         raise InfeasibleBudgetError(
             "polytope approximation alone exceeds the budget",

@@ -28,17 +28,34 @@ The sequential congruence oracle runs the 3-D search's starts one after
 another, each Nelder-Mead step on a stack of one rotation, and stops once a
 value drops below the early-exit bound; the lockstep search must return its
 bits.
+The schema ladders are the former JSON serializer, one ``isinstance`` or
+``==`` test per node type (``ladder_body_to_obj``, ``ladder_body_from_obj``,
+``ladder_body_equal``); the table-driven serializer must write their bytes,
+raise their errors and give their equality verdicts.
 """
 
+import json
 import math
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from convexhyper.bodies import Ball, Polytope, Rotated, Scaled, Sum, support_values
+from convexhyper.bodies import (
+    Ball,
+    Ellipsoid,
+    Polytope,
+    Rotated,
+    Rotation,
+    Sampled,
+    Scaled,
+    Sum,
+    support_values,
+)
 from convexhyper.curvature import support_point
+from convexhyper.errors import ConvexHyperError, ParseError, ValidationError
 from convexhyper.metrics import _arc_moment_1, steiner, support_moment_matrix
-from convexhyper.quadrature import ball_volume
+from convexhyper.quadrature import SphericalGrid, ball_volume, make_grid_2d, make_grid_3d
+from convexhyper.serialization import _grid_to_obj, _is_number, _matrix, _require
 
 
 def polygon_boundary_cloud(vertices: np.ndarray, target: int = 2000) -> np.ndarray:
@@ -367,3 +384,122 @@ def sequential_congruence_3d(d, k, grid, search):
             best_val = v_star
             best_mat = g0 @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
     return best_val, best_mat.T if swapped else best_mat, values
+
+
+def _ladder_number(obj, key, path, kind=float):
+    value = _require(obj, key, path)
+    try:
+        if _is_number(value) and (kind is float or float(value).is_integer()):
+            return kind(value)
+    except OverflowError:
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ParseError(f"not {what}: {json.dumps(value)}", f"{path}/{key}")
+
+
+def _ladder_grid_from_obj(obj, path) -> SphericalGrid:
+    kind = _require(obj, "type", path)
+    try:
+        if kind == "uniform-2d":
+            return make_grid_2d(_ladder_number(obj, "m", path, int))
+        if kind == "gauss-lonlat-3d":
+            n_lat = _ladder_number(obj, "n_lat", path, int)
+            return make_grid_3d(n_lat, _ladder_number(obj, "n_lon", path, int))
+        if kind == "explicit":
+            return SphericalGrid(
+                _ladder_number(obj, "dim", path, int),
+                _matrix(_require(obj, "nodes", path), path + "/nodes"),
+                _matrix(_require(obj, "weights", path), path + "/weights"),
+                kind="unstructured",
+            )
+    except ParseError:
+        raise
+    except ConvexHyperError as exc:
+        raise ValidationError(str(exc), path) from None
+    raise ParseError(f"unknown grid type {kind!r}", path)
+
+
+def ladder_body_to_obj(body) -> dict:
+    if isinstance(body, Polytope):
+        return {"type": "polytope", "vertices": body.vertices.tolist()}
+    if isinstance(body, Ball):
+        return {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
+    if isinstance(body, Ellipsoid):
+        return {"type": "ellipsoid", "center": body.center.tolist(),
+                "matrix": body.matrix.tolist()}
+    if isinstance(body, Sum):
+        return {"type": "sum", "left": ladder_body_to_obj(body.left),
+                "right": ladder_body_to_obj(body.right)}
+    if isinstance(body, Scaled):
+        return {"type": "scaled", "factor": body.factor, "inner": ladder_body_to_obj(body.inner)}
+    if isinstance(body, Rotated):
+        return {"type": "rotated", "matrix": body.rotation.matrix.tolist(),
+                "inner": ladder_body_to_obj(body.inner)}
+    if isinstance(body, Sampled):
+        return {"type": "sampled", "grid": _grid_to_obj(body.grid),
+                "values": body.values.tolist()}
+    raise ValidationError(f"cannot serialize {type(body).__name__}", "")
+
+
+def ladder_body_from_obj(obj, path=""):
+    kind = _require(obj, "type", path)
+    try:
+        if kind == "polytope":
+            return Polytope(_matrix(_require(obj, "vertices", path), path + "/vertices"))
+        if kind == "ball":
+            return Ball(_matrix(_require(obj, "center", path), path + "/center"),
+                        _ladder_number(obj, "radius", path))
+        if kind == "ellipsoid":
+            return Ellipsoid(_matrix(_require(obj, "center", path), path + "/center"),
+                             _matrix(_require(obj, "matrix", path), path + "/matrix"))
+        if kind == "sum":
+            return Sum(ladder_body_from_obj(_require(obj, "left", path), path + "/left"),
+                       ladder_body_from_obj(_require(obj, "right", path), path + "/right"))
+        if kind == "scaled":
+            return Scaled(_ladder_number(obj, "factor", path),
+                          ladder_body_from_obj(_require(obj, "inner", path), path + "/inner"))
+        if kind == "rotated":
+            return Rotated(
+                Rotation(_matrix(_require(obj, "matrix", path), path + "/matrix")),
+                ladder_body_from_obj(_require(obj, "inner", path), path + "/inner"),
+            )
+        if kind == "sampled":
+            grid = _ladder_grid_from_obj(_require(obj, "grid", path), path + "/grid")
+            return Sampled(grid, _matrix(_require(obj, "values", path), path + "/values"))
+    except ParseError:
+        raise
+    except ConvexHyperError as exc:
+        raise ValidationError(str(exc), path) from None
+    raise ParseError(f"unknown body type {kind!r}", path)
+
+
+def ladder_body_equal(a, b) -> bool:
+    """Structural equality, one node type at a time (np.array_equal on arrays)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Polytope):
+        return np.array_equal(a.vertices, b.vertices)
+    if isinstance(a, Ball):
+        return np.array_equal(a.center, b.center) and a.radius == b.radius
+    if isinstance(a, Ellipsoid):
+        return np.array_equal(a.center, b.center) and np.array_equal(a.matrix, b.matrix)
+    if isinstance(a, Sum):
+        return ladder_body_equal(a.left, b.left) and ladder_body_equal(a.right, b.right)
+    if isinstance(a, Scaled):
+        return a.factor == b.factor and ladder_body_equal(a.inner, b.inner)
+    if isinstance(a, Rotated):
+        return (np.array_equal(a.rotation.matrix, b.rotation.matrix)
+                and ladder_body_equal(a.inner, b.inner))
+    if isinstance(a, Sampled):
+        # structured kinds interpolate by their product layout, every other
+        # grid by nearest node
+        def family(grid):
+            return grid.kind if grid.kind in ("uniform-2d", "gauss-lonlat-3d") else "nearest"
+
+        return (
+            family(a.grid) == family(b.grid)
+            and np.array_equal(a.grid.nodes, b.grid.nodes)
+            and np.array_equal(a.grid.weights, b.grid.weights)
+            and np.array_equal(a.values, b.values)
+        )
+    return False

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 from convexhyper import (
     Ball,
@@ -13,15 +15,24 @@ from convexhyper import (
     Polytope,
     Rotated,
     Rotation,
+    Sampled,
     Scaled,
     Sum,
     ValidationError,
+    body_equal,
     body_from_obj,
     document_equal,
+    make_grid_2d,
+    make_grid_3d,
     parse_body,
+    rotate_grid,
     sample_support,
     serialize_body,
 )
+from convexhyper.serialization import _grid_to_obj
+from convexhyper.bodies import Body
+from convexhyper.cli import main
+from oracles import ladder_body_equal, ladder_body_from_obj, ladder_body_to_obj
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6, width=64
@@ -46,6 +57,27 @@ def rotations(n):
     )
 
 
+def grids(n):
+    """The three grid kinds: uniform-2d or gauss-lonlat-3d, and a rotated
+    copy of either, which serializes as explicit nodes and weights."""
+    if n == 2:
+        structured = st.integers(4, 24).map(make_grid_2d)
+    else:
+        structured = st.tuples(st.integers(2, 5), st.integers(4, 8)).map(
+            lambda t: make_grid_3d(*t)
+        )
+    rotated = st.tuples(rotations(n), structured).map(lambda t: rotate_grid(t[0].matrix, t[1]))
+    return st.one_of(structured, rotated)
+
+
+def sampled_bodies(n):
+    return grids(n).flatmap(
+        lambda g: st.lists(finite, min_size=len(g), max_size=len(g)).map(
+            lambda vs: Sampled(g, np.asarray(vs))
+        )
+    )
+
+
 def leaf_bodies(n):
     polytopes = st.lists(vectors(n), min_size=1, max_size=6).map(
         lambda vs: Polytope(np.asarray(vs))
@@ -54,7 +86,7 @@ def leaf_bodies(n):
     ellipsoids = st.tuples(vectors(n), st.floats(0.1, 10.0), st.floats(0.1, 10.0)).map(
         lambda t: Ellipsoid(t[0], np.diag([t[1], t[2]]) if n == 2 else np.diag([t[1], t[2], 1.0]))
     )
-    return st.one_of(polytopes, balls, ellipsoids)
+    return st.one_of(polytopes, balls, ellipsoids, sampled_bodies(n))
 
 
 def bodies(n, depth=2):
@@ -77,6 +109,69 @@ def test_round_trip_random_trees(body):
     assert document_equal(doc, again)
 
 
+def _flip_zeros(obj):
+    """The JSON object with the sign of every 0.0 flipped."""
+    if isinstance(obj, dict):
+        return {k: _flip_zeros(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_flip_zeros(v) for v in obj]
+    return -obj if isinstance(obj, float) and obj == 0.0 else obj
+
+
+def _float_slots(obj):
+    """(container, key) of every float in a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, float):
+            yield obj, key
+        elif isinstance(value, (dict, list)):
+            yield from _float_slots(value)
+
+
+@st.composite
+def body_pairs(draw):
+    """A body tree and a second one: the same, its zeros' signs flipped, one
+    float nudged by an ulp, or an independent draw."""
+    n = draw(st.sampled_from([2, 3]))
+    a = draw(bodies(n))
+    how = draw(st.sampled_from(["same", "signed-zeros", "nudged", "other"]))
+    if how == "same":
+        return a, a
+    if how == "other":
+        return a, draw(bodies(n))
+    obj = ladder_body_to_obj(a)
+    if how == "signed-zeros":
+        obj = _flip_zeros(obj)
+    else:
+        slots = list(_float_slots(obj))
+        where, key = slots[draw(st.integers(0, len(slots) - 1))]
+        where[key] = float(np.nextafter(where[key], math.inf))
+    try:
+        return a, ladder_body_from_obj(obj)
+    except ValidationError:
+        assume(False)  # the nudge broke an invariant (say, ellipsoid symmetry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(body_pairs())
+def test_table_matches_ladders(pair):
+    # every node type and grid kind writes the ladder's bytes and compares
+    # with its verdict
+    for body in pair:
+        doc = BodyDocument(body=body, metadata={"k": "v"})
+        ladder = {"schema_version": 1, "body": ladder_body_to_obj(body), "metadata": {"k": "v"}}
+        assert serialize_body(doc) == json.dumps(ladder, separators=(",", ":"))
+    assert body_equal(*pair) == ladder_body_equal(*pair)
+
+
+def test_body_equal_rejects_unknown_node():
+    class Point(Body):
+        dim = 2
+
+    with pytest.raises(ValidationError):
+        body_equal(Point(), Point())
+
+
 def test_round_trip_simple_ball():
     obj = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
     body = body_from_obj(obj)
@@ -85,10 +180,18 @@ def test_round_trip_simple_ball():
 
 
 def test_round_trip_sampled(grid2):
-    body = sample_support(Ball(np.zeros(2), 1.5), grid2)
-    doc = BodyDocument(body=body)
-    again = parse_body(serialize_body(doc))
-    assert document_equal(doc, again)
+    rotated_2d = rotate_grid(np.eye(2)[::-1], make_grid_2d(16))
+    rotated_3d = rotate_grid(np.eye(3)[[1, 2, 0]], make_grid_3d(3, 6))
+    for grid in (grid2, make_grid_3d(4, 8), rotated_2d, rotated_3d):
+        doc = BodyDocument(body=sample_support(Ball(np.full(grid.dim, 0.25), 1.5), grid))
+        text = serialize_body(doc)
+        again = parse_body(text)
+        assert document_equal(doc, again)
+        # a rotated grid comes back as explicit nodes: unstructured
+        assert again.body.grid.kind == ("unstructured" if grid.kind == "rotated" else grid.kind)
+        assert np.array_equal(again.body.grid.nodes, grid.nodes)
+        assert np.array_equal(again.body.grid.weights, grid.weights)
+        assert serialize_body(again) == text
 
 
 def test_round_trip_nested_depth_three(grid2):
@@ -196,3 +299,107 @@ def test_random_polytope_examples():
     c = random_polytope(10, 3, 100)
     centered = c.vertices - c.vertices.mean(axis=0)
     assert np.linalg.matrix_rank(centered, tol=1e-9) == 3
+
+
+# JSON schema fuzz: trees with the schema's keys and type names, either
+# shaped at random or schema-shaped with some keys dropped or spoiled.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=2),
+    st.floats(-3.0, 3.0), st.sampled_from([-0.0, 1e-300, 1e300, 2.0**63]),
+)
+_VECTORS = st.lists(_SCALARS, max_size=3)
+_JUNK = st.one_of(_SCALARS, _VECTORS, st.lists(_VECTORS, max_size=3))
+_BODY_TYPES = ["polytope", "ball", "ellipsoid", "sum", "scaled", "rotated", "sampled"]
+_TYPE_NAMES = st.one_of(
+    st.sampled_from(_BODY_TYPES), st.sampled_from(["explicit", "torus", None, 1, [], {}])
+)
+
+
+def _random_nodes(children):
+    return st.fixed_dictionaries(
+        {"type": _TYPE_NAMES},
+        optional={key: _JUNK for key in ("vertices", "center", "radius", "matrix", "factor",
+                                         "values", "m", "n_lat", "n_lon", "nodes", "weights")}
+        | {"grid": children, "left": children, "right": children, "inner": children},
+    )
+
+
+_RANDOM_TREES = st.recursive(
+    _random_nodes(_JUNK), lambda c: st.one_of(_random_nodes(c), st.lists(c, max_size=2)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _schema_trees(draw, n, depth=2):
+    """A body object of dimension ``n``; each key is dropped or spoiled
+    with junk now and then."""
+    floats = st.floats(-3.0, 3.0)
+    leaves, inner = ["polytope", "ball", "ellipsoid", "sampled"], ["sum", "scaled", "rotated"]
+    kind = draw(st.sampled_from(leaves + inner if depth > 0 else leaves))
+    grid = draw(st.sampled_from([make_grid_2d(8), rotate_grid(np.eye(2)[::-1], make_grid_2d(4))]
+                                if n == 2 else [make_grid_3d(2, 4)]))
+    rotation = np.eye(n)[draw(st.permutations(range(n)))]
+    child = _schema_trees(n, depth - 1)
+    fields = {
+        "polytope": {"vertices": st.lists(st.lists(floats, min_size=n, max_size=n),
+                                          min_size=1, max_size=5)},
+        "ball": {"center": st.lists(floats, min_size=n, max_size=n), "radius": floats},
+        "ellipsoid": {"center": st.lists(floats, min_size=n, max_size=n),
+                      "matrix": st.just((np.eye(n) * draw(floats)).tolist())},
+        "sum": {"left": child, "right": child},
+        "scaled": {"factor": floats, "inner": child},
+        "rotated": {"matrix": st.just(rotation.tolist()), "inner": child},
+        "sampled": {"grid": st.just(_grid_to_obj(grid)),
+                    "values": st.lists(floats, min_size=len(grid), max_size=len(grid))},
+    }[kind]
+    obj = {"type": kind}
+    for key, value in fields.items():
+        spoil = draw(st.integers(0, 15))
+        if spoil:
+            obj[key] = draw(value if spoil > 1 else _JUNK)
+    return obj
+
+
+_DOCUMENT_LIKE = st.one_of(
+    _RANDOM_TREES,
+    st.sampled_from([2, 3]).flatmap(_schema_trees),
+    st.fixed_dictionaries(
+        {"schema_version": st.sampled_from([1, 2, "1"]), "body": _schema_trees(2)},
+        optional={"metadata": st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2)},
+    ),
+)
+
+
+def _outcome(parse, obj):
+    """(error class, message, JSON path), or the parsed body's JSON object."""
+    try:
+        return ladder_body_to_obj(parse(obj))
+    except ParseError as exc:
+        return type(exc), str(exc), exc.path
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "body.json"
+
+
+@settings(max_examples=250, deadline=None)
+@given(obj=_DOCUMENT_LIKE, through_cli=st.integers(0, 9))
+def test_json_fuzz(obj, through_cli, fuzz_file):
+    # a body-like tree parses or raises ParseError (ValidationError is one),
+    # with the ladder's error class, message and JSON path
+    text = json.dumps(obj)
+    try:
+        parse_body(text)
+    except ParseError:
+        pass
+    if isinstance(obj, dict) and "type" in obj:
+        assert _outcome(body_from_obj, obj) == _outcome(ladder_body_from_obj, obj)
+    if through_cli == 0:
+        fuzz_file.write_text(text)
+        res = CliRunner().invoke(
+            main, ["steiner", str(fuzz_file), "--grid-2d", "64", "--grid-3d", "4x8"]
+        )
+        assert res.exit_code in (0, 2), res.output
+        assert "Traceback" not in res.output
