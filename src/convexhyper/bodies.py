@@ -130,18 +130,13 @@ class Hull:
         return self.points[self.ring]
 
     @property
-    def normal_angles(self) -> np.ndarray:
-        """2-D outward-normal angle of each ring edge k -> k+1, in [0, 2 pi)."""
-        return ring_normal_angles(self.polygon)
-
-    @property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): the normal-cone arc of each 2-D ring vertex, from the
         normal angle of the edge into it to that of the edge out of it, hi
         lifted by 2 pi past the wrap; a point's arc is the whole circle."""
         if len(self.ring) == 1:
             return np.zeros(1), np.full(1, 2.0 * math.pi)
-        hi = self.normal_angles
+        hi = ring_normal_angles(self.polygon)
         lo = np.roll(hi, 1)
         return lo, np.where(hi < lo, hi + 2.0 * math.pi, hi)
 
@@ -610,29 +605,34 @@ def sample_support(body: Body, grid: SphericalGrid) -> Sampled:
 
 
 def translate(body: Body, shift) -> Body:
-    """Exact translate: h(u) picks up <u, shift> with no quadrature involved."""
+    """Exact translate: h(u) picks up <u, shift> with no quadrature involved.
+    Only the leftmost leaf moves, reached in a loop, so any depth works."""
     w = np.asarray(shift, dtype=float)
     if w.shape != (body_dim(body),):
         raise DimensionMismatchError("shift dimension does not match body")
+    above = []  # the nodes over the moved leaf, outermost first
+    while isinstance(body, (Sum, Rotated)) or isinstance(body, Scaled) and body.factor != 0.0:
+        above.append(body)
+        if isinstance(body, Scaled):
+            w = w / body.factor
+        elif isinstance(body, Rotated):
+            w = body.rotation.matrix.T @ w
+        body = body.left if isinstance(body, Sum) else body.inner
     if isinstance(body, Polytope):
-        return rigid_motion(body, shift=w)
-    if isinstance(body, Ball):
-        return Ball(body.center + w, body.radius)
-    if isinstance(body, Ellipsoid):
-        return Ellipsoid(body.center + w, body.matrix)
-    if isinstance(body, Sampled):
-        return Sampled(body.grid, body.values + body.grid.nodes @ w)
-    if isinstance(body, Sum):
-        return Sum(translate(body.left, w), body.right)
-    if isinstance(body, Scaled):
-        if body.factor == 0.0:
-            return Polytope(w[None, :])
-        return Scaled(body.factor, translate(body.inner, w / body.factor))
-    if isinstance(body, Rotated):
-        return Rotated(
-            body.rotation, translate(body.inner, body.rotation.matrix.T @ w)
-        )
-    raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
+        moved = rigid_motion(body, shift=w)
+    elif isinstance(body, Ball):
+        moved = Ball(body.center + w, body.radius)
+    elif isinstance(body, Ellipsoid):
+        moved = Ellipsoid(body.center + w, body.matrix)
+    elif isinstance(body, Sampled):
+        moved = Sampled(body.grid, body.values + body.grid.nodes @ w)
+    elif isinstance(body, Scaled):  # factor 0: the body is the origin
+        moved = Polytope(w[None, :])
+    else:
+        raise InvalidBodyError(f"unknown body representation {type(body).__name__}")
+    for node in reversed(above):
+        moved = replace(node, **{"left" if isinstance(node, Sum) else "inner": moved})
+    return moved
 
 
 def convex_hull_vertices(points: np.ndarray) -> np.ndarray:

@@ -261,6 +261,11 @@ def truncate(direction, eps, in_path, out, grid_2d, grid_3d):
     doc = _read_doc(in_path)
     grid = _resolve_grid(body_dim(doc.body), grid_2d, grid_3d)
     u = _parse_vector(direction)
+    peak = np.abs(u).max()
+    if peak == 0.0:
+        raise InvalidArgumentError(f"bad vector {direction!r}: direction must not be zero")
+    if not 1e-150 < peak < 1e150:  # its plain norm would underflow or overflow
+        u = u / peak
     u = u / np.linalg.norm(u)
     result = truncate_fn(doc.body, TruncationSpec(u, eps), grid)
     _write_doc(out, BodyDocument(body=result))

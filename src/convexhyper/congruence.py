@@ -32,8 +32,8 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 # perfbench's tracer counts them as objective calls
 from .metrics import exact_hausdorff, nelder_mead_steps, recenter, support_moment_matrix
 from .metrics import _arc_hausdorff, _fan, _kernel_size, _side, _Side, _stacked_gap
-# the 2-D refinement calls golden section by this module-level name, so
-# perfbench's tracer can wrap it here without touching hausdorff's use
+# the 2-D refinement, its only caller, calls golden section by this
+# module-level name, so perfbench's tracer can wrap it here
 from .metrics import golden_section_min as _golden_min
 from .quadrature import SphericalGrid, default_grid
 from .rotations import (axis_angle_matrix, circle_candidates, orthogonal_maps, rotation_matrix_2d,
@@ -307,7 +307,7 @@ def _golden_2d(scalar, g0: np.ndarray, span: float):
     # the estimate is the final bracket's midpoint, not the best probe, so
     # 2-D results match the recorded perfbench outputs
     t_star = _golden_min(lambda t: scalar(matrix(t)), theta0 - span, theta0 + span,
-                         tol=_REFINE_TOL * 1e-2)[2]
+                         tol=_REFINE_TOL * 1e-2)
     return scalar(matrix(t_star)), matrix(t_star)
 
 

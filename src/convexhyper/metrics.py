@@ -27,11 +27,12 @@ maps of one body: ``congruence`` evaluates it at many maps and
 terms are polytopes and balls; polygon pairs keep an arc form, and 3-D
 pairs past the kernel's size rule take signed vertex distances instead.
 
-The refinements here and in ``congruence`` use two in-repo minimizers:
-golden section on an interval and Nelder-Mead (``nelder_mead``, a port of
-scipy's that returns the same bits, over the generator ``nelder_mead_steps``
-that ``congruence`` drives for several starts at once), so nothing loads
-``scipy.optimize``.
+Non-exact pairs are polished from their grid maximum by Nelder-Mead
+(``nelder_mead``, a port of scipy's that returns the same bits, over the
+generator ``nelder_mead_steps`` that ``congruence`` drives for several
+starts at once) in the tangent plane, in 2-D and 3-D alike.  Golden section
+(``golden_section_min``) serves only the 2-D congruence refinement.
+Nothing loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -365,30 +366,24 @@ def _polytope_moment(hull) -> np.ndarray | None:
 # Hausdorff distance
 # ---------------------------------------------------------------------------
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section minimization of a scalar function on [lo, hi].
-
-    Returns the best probed point and its value, (x, f(x)), and the
-    midpoint of the final bracket, whose width is at most tol.
-    """
+def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Golden-section minimization of a scalar function on [lo, hi]: the
+    midpoint of the final bracket, whose width is at most tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    best = min((fc, c), (fd, d))
     while b - a > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
-            best = min(best, (fc, c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-            best = min(best, (fd, d))
-    return best[1], best[0], 0.5 * (a + b)
+    return 0.5 * (a + b)
 
 
 def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
@@ -680,31 +675,15 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
     return _vertex_hausdorff(d, k) if body_dim(a) == 3 else None
 
 
-def _refine_candidates(body: Body, dim: int) -> np.ndarray | None:
-    """Kink directions of a flattenable polytope: facet normals and
-    normalized vertices, useful starting points for sup refinement."""
-    poly = as_polytope(body)
-    if poly is None:
-        return None
-    dirs = []
-    verts = poly.vertices
-    norms = np.linalg.norm(verts, axis=1)
-    good = norms > 1e-12
-    dirs.append(verts[good] / norms[good, None])
-    if dim == 3 and poly.hull.normals is not None:
-        dirs.append(poly.hull.normals)
-    if dim == 2 and verts.shape[0] >= 3:
-        ang = poly.hull.normal_angles
-        dirs.append(np.column_stack([np.cos(ang), np.sin(ang)]))
-    return np.vstack(dirs)[:512]
-
-
-def _tangent_frame(u: np.ndarray):
-    ref = np.eye(3)[np.argmin(np.abs(u))]
-    e1 = np.cross(u, ref)
+def _tangent_basis(u: np.ndarray) -> np.ndarray:
+    """The n - 1 rows of an orthonormal basis of the tangent plane at the
+    unit vector u: the quarter turn of u for n = 2; for n = 3, u x e (e the
+    axis least aligned with u, normalized) and u times that."""
+    if len(u) == 2:
+        return np.array([[-u[1], u[0]]])
+    e1 = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
+    return np.array([e1, np.cross(u, e1)])
 
 
 def hausdorff(
@@ -719,10 +698,11 @@ def hausdorff(
     polytope/ball pairs of any size, smaller 2-D parallel bodies) return
     its exact value and sample no grid.  Every other pair, and every pair
     with ``refine=False``, takes the grid maximum, a lower bound.  Unless
-    ``refine`` is False or a term is Sampled, golden section (n = 2) or
-    Nelder-Mead (n = 3) polishes it from its largest nodes (ellipsoid
-    terms, flat 3-D polytopes, large 2-D parallel bodies), which stays a
-    lower bound.
+    ``refine`` is False, a term is Sampled or n > 3, Nelder-Mead in the
+    tangent plane (``_tangent_basis``) polishes it from each of the
+    ``_REFINE_STARTS`` largest nodes (ellipsoid terms, flat 3-D
+    polytopes, large 2-D parallel bodies).  Every polished value is
+    |h_A(u) - h_B(u)| at a unit u, so the result stays a lower bound.
     """
     if body_dim(a) != body_dim(b):
         raise DimensionMismatchError("bodies live in different dimensions")
@@ -737,43 +717,21 @@ def hausdorff(
     grid = grid or default_grid(dim)
     diffs = np.abs(support_values(a, grid.nodes) - support_values(b, grid.nodes))
     best = float(diffs.max())
-    if coarse:
+    if coarse or dim > 3:
         return best
 
-    order = np.argsort(diffs)[::-1]
-    starts = grid.nodes[order[:_REFINE_STARTS]]
-    for extra in (_refine_candidates(a, dim), _refine_candidates(b, dim)):
-        if extra is not None and extra.size:
-            vals = np.abs(
-                support_values(a, extra) - support_values(b, extra)
-            )
-            best = max(best, float(vals.max()))
-            starts = np.vstack([starts, extra[np.argsort(vals)[::-1][:2]]])
+    simplex = np.vstack([np.zeros(dim - 1), grid.max_cell_angle * np.eye(dim - 1)])
+    for u0 in grid.nodes[np.argsort(diffs)[::-1][:_REFINE_STARTS]]:
+        basis = _tangent_basis(u0)
 
-    spacing = grid.max_cell_angle
-    if dim == 2:
-        def neg(theta):
-            u = np.array([[math.cos(theta), math.sin(theta)]])
+        def neg(st):
+            u = u0
+            for s, e in zip(st, basis):  # u0 + s_1 e_1 + s_2 e_2, left to right
+                u = u + s * e
+            u = (u / np.linalg.norm(u))[None, :]
             return -abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
 
-        for u0 in starts:
-            t0 = math.atan2(u0[1], u0[0])
-            best = max(best, -golden_section_min(neg, t0 - spacing, t0 + spacing)[1])
-        return best
-
-    if dim == 3:
-        for u0 in starts:
-            e1, e2 = _tangent_frame(u0)
-
-            def neg(st):
-                u = u0 + st[0] * e1 + st[1] * e2
-                u = (u / np.linalg.norm(u))[None, :]
-                return -abs(float(support_values(a, u)[0] - support_values(b, u)[0]))
-
-            simplex = np.array([[0.0, 0.0], [spacing, 0.0], [0.0, spacing]])
-            best = max(best, -float(nelder_mead(neg, simplex, 1e-10, 1e-14, 400)[1]))
-        return best
-
+        best = max(best, -float(nelder_mead(neg, simplex, 1e-10, 1e-14, 400)[1]))
     return best
 
 

@@ -200,7 +200,11 @@ def document_from_obj(obj, path="") -> BodyDocument:
 
 
 def serialize_body(doc: BodyDocument) -> str:
-    return json.dumps(document_to_obj(doc), indent=None, separators=(",", ":"))
+    """Compact JSON of a document; ValidationError if too deep to read back."""
+    try:
+        return json.dumps(document_to_obj(doc), indent=None, separators=(",", ":"))
+    except RecursionError:
+        raise ValidationError("body nested too deeply", "") from None
 
 
 def _reject_constant(name):

@@ -176,6 +176,8 @@ def polytope_approximation(body: Body, n_dirs: int = 512) -> Polytope:
     Directions come from a structured grid; the approximation error is the
     caller's to measure (e.g. via hausdorff against the original).
     """
+    if n_dirs < 1:
+        raise InvalidArgumentError("n_dirs must be at least 1")
     n = body_dim(body)
     if n == 2:
         grid = make_grid_2d(max(16, n_dirs))

@@ -24,6 +24,10 @@ qhull hull, then an SVD of its own for degenerate sets) and the arc-loop
 Steiner oracle the former 2-D Steiner point (segment ends by projection,
 normal-cone arcs one ring vertex at a time); on full-rank sets, points and
 segments the hull record must return their bits.
+The kink-polish oracle is the former polish of a non-exact Hausdorff
+pair (golden section in 2-D, Nelder-Mead in 3-D, with extra starts at the
+bodies' kink directions); ``hausdorff`` must never fall below it by more
+than rounding.
 The sequential congruence oracle runs the 3-D search's starts one after
 another, each Nelder-Mead step on a stack of one rotation, and stops once a
 value drops below the early-exit bound; the lockstep search must return its
@@ -49,6 +53,8 @@ from convexhyper.bodies import (
     Sampled,
     Scaled,
     Sum,
+    ring_normal_angles,
+    as_polytope,
     support_values,
 )
 from convexhyper.curvature import support_point
@@ -238,7 +244,7 @@ def arc_loop_hausdorff(pa, pb) -> float:
     breaks = set()
     for poly in (pa, pb):
         if poly.hull.ring.shape[0] >= 2:  # a point has no kinks
-            breaks.update(poly.hull.normal_angles.tolist())
+            breaks.update(ring_normal_angles(poly.hull.polygon).tolist())
     if not breaks:
         return float(np.linalg.norm(pa.hull.points[0] - pb.hull.points[0]))
     angles = np.sort(np.asarray(sorted(breaks)))
@@ -276,7 +282,7 @@ def loop_vertex_cone_direction(poly, vertex: np.ndarray):
     ``vertex``, walking the 2-D ring or the 3-D cones in order."""
     hull = poly.hull
     if poly.dim == 2:
-        normals_ang = hull.normal_angles
+        normals_ang = ring_normal_angles(hull.polygon)
         for i, v in enumerate(hull.polygon):
             if np.allclose(v, vertex, atol=1e-12):
                 a = normals_ang[i - 1]
@@ -334,7 +340,7 @@ def arc_loop_steiner_2d(poly) -> np.ndarray:
     if hull.rank == 1:
         proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
         return 0.5 * (pts[np.argmin(proj)] + pts[np.argmax(proj)])
-    verts, normals = hull.polygon, hull.normal_angles
+    verts, normals = hull.polygon, ring_normal_angles(hull.polygon)
     s = np.zeros(2)
     for k in range(verts.shape[0]):
         a = normals[k - 1]
@@ -384,6 +390,83 @@ def sequential_congruence_3d(d, k, grid, search):
             best_val = v_star
             best_mat = g0 @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
     return best_val, best_mat.T if swapped else best_mat, values
+
+
+def _golden_best(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """The least value golden section probes on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    best = min(fc, fd)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+            best = min(best, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+            best = min(best, fd)
+    return best
+
+
+def _kink_directions(body, dim: int):
+    """Unit vertices and facet (3-D) or edge (2-D) normals of a body that
+    flattens to a polytope, at most 512 rows; None for any other body."""
+    poly = as_polytope(body)
+    if poly is None:
+        return None
+    norms = np.linalg.norm(poly.vertices, axis=1)
+    dirs = [poly.vertices[norms > 1e-12] / norms[norms > 1e-12, None]]
+    if dim == 3 and poly.hull.normals is not None:
+        dirs.append(poly.hull.normals)
+    if dim == 2 and poly.vertices.shape[0] >= 3:
+        ang = ring_normal_angles(poly.hull.polygon)
+        dirs.append(np.column_stack([np.cos(ang), np.sin(ang)]))
+    return np.vstack(dirs)[:512]
+
+
+def kink_polish_hausdorff(a, b, grid) -> float:
+    """The former polish of a non-exact 2-D or 3-D pair: the grid maximum,
+    the gaps at each body's kink directions, then golden section in the
+    angle (n = 2) or Nelder-Mead in a tangent frame (n = 3) from the five
+    largest nodes and the two largest kink directions of each body."""
+    from convexhyper.metrics import nelder_mead
+
+    dim = grid.dim
+    diffs = np.abs(support_values(a, grid.nodes) - support_values(b, grid.nodes))
+    best = float(diffs.max())
+    starts = grid.nodes[np.argsort(diffs)[::-1][:5]]
+    for extra in (_kink_directions(a, dim), _kink_directions(b, dim)):
+        if extra is not None and extra.size:
+            vals = np.abs(support_values(a, extra) - support_values(b, extra))
+            best = max(best, float(vals.max()))
+            starts = np.vstack([starts, extra[np.argsort(vals)[::-1][:2]]])
+
+    def gap(u):
+        return abs(float(support_values(a, u[None])[0] - support_values(b, u[None])[0]))
+
+    spacing = grid.max_cell_angle
+    for u0 in starts:
+        if dim == 2:
+            t0 = math.atan2(u0[1], u0[0])
+            best = max(best, -_golden_best(lambda t: -gap(np.array([math.cos(t), math.sin(t)])),
+                                           t0 - spacing, t0 + spacing))
+            continue
+        e1 = np.cross(u0, np.eye(3)[np.argmin(np.abs(u0))])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(u0, e1)
+
+        def neg(st, u0=u0, e1=e1, e2=e2):
+            u = u0 + st[0] * e1 + st[1] * e2
+            return -gap(u / np.linalg.norm(u))
+
+        simplex = np.array([[0.0, 0.0], [spacing, 0.0], [0.0, spacing]])
+        best = max(best, -float(nelder_mead(neg, simplex, 1e-10, 1e-14, 400)[1]))
+    return best
 
 
 def _ladder_number(obj, key, path, kind=float):

@@ -29,6 +29,7 @@ from convexhyper import (
     polytope_sum,
     random_polytope,
     random_rotation,
+    recenter,
     sample_support,
     make_grid_2d,
     make_grid_3d,
@@ -234,6 +235,32 @@ def test_deep_left_nested_sum(grid2):
     np.testing.assert_allclose(
         support_values(body, grid2.nodes), 1001 * support_values(ball, grid2.nodes), rtol=1e-12
     )
+
+
+def test_deep_tree_translates_in_a_loop(grid2):
+    # 2,000 levels of Sum, with Scaled and Rotated nodes on the spine: the
+    # result keeps every node and right summand and moves only the leaf
+    ball = Ball(np.array([0.1, -0.2]), 0.3)
+    g = random_rotation(4, 2)
+    body = Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    for i in range(2000):
+        body = Sum(body, ball)
+        if i % 500 == 499:
+            body = Rotated(g, Scaled(2.0, body))
+    shift = np.array([0.5, -1.25])
+    moved = translate(body, shift)
+    np.testing.assert_allclose(support_values(moved, grid2.nodes),
+                               support_values(body, grid2.nodes) + grid2.nodes @ shift, rtol=1e-12)
+    a, b = body, moved
+    while not isinstance(a, Polytope):
+        assert type(a) is type(b)
+        if isinstance(a, Sum):
+            assert b.right is a.right
+            a, b = a.left, b.left
+        else:
+            assert (b.factor == a.factor) if isinstance(a, Scaled) else (b.rotation is a.rotation)
+            a, b = a.inner, b.inner
+    assert np.abs(steiner(recenter(body))).max() < 1e-9
 
 
 def test_two_balls_sum_to_ball(grid2):

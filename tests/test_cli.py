@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,31 @@ def test_truncate_and_exit_code_3(runner, square_file, tmp_path):
         ["truncate", "--u", "1,0", "--eps", "9", "--in", square_file, "--out", str(out)],
     )
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("raw, plain", [("1e308,1e308", [1.0, 1.0]), ("1e-320,0", [1.0, 0.0]), ("0.6,0.8", [0.6, 0.8])])
+def test_truncate_normalizes_any_finite_direction(runner, square_file, tmp_path, raw, plain):
+    # a plain norm of the first two overflows or underflows; numpy warnings
+    # are errors here, so any of them would fail the command
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["truncate", "--u", raw, "--eps", "0.5", "--in", square_file, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    u = np.array(plain)
+    square = convexhyper.Polytope(np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]))
+    want = convexhyper.truncate(square, convexhyper.TruncationSpec(u / np.linalg.norm(u), 0.5))
+    assert out.read_text() == convexhyper.serialize_body(convexhyper.BodyDocument(want)) + "\n"
+
+
+def test_truncate_rejects_zero_direction(runner, square_file, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["truncate", "--u", "0,0", "--eps", "0.5", "--in", square_file,
+                                   "--out", str(tmp_path / "t.json")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 def test_validation_exit_code_2(runner, tmp_path):
@@ -353,7 +379,8 @@ _GRIDS = {"--grid-2d": _INT, "--grid-3d": _LAT_LON}
 # command -> (body pairs or single bodies, flags); congruence runs on
 # polygon pairs and a polygon against a parallel body, whose exact
 # objective keeps a 65,536-point coarse scan fast; regularize runs on
-# polygons with a fixed 64-node grid, so accepted kernels stay cheap
+# polygons with a fixed 64-node grid, so accepted kernels stay cheap, and
+# truncate with the same grid; curvature runs on polygons at the default grid
 _FUZZ = {
     "steiner": ([("square",), ("tri",), ("poly3",), ("sum2",)], _GRIDS),
     "support": ([("square",), ("poly3",), ("sum2",)], {"--dir": _VECTOR}),
@@ -361,6 +388,8 @@ _FUZZ = {
     "congruence": ([("square", "tri"), ("tri", "tri"), ("tri", "sum2")], {"--tol": _ANY, "--coarse": _INT, **_GRIDS}),
     "symmetries": ([("square",), ("poly3",), ("sum2",)], {"--tol": _ANY, **_GRIDS}),
     "regularize": ([("square",), ("tri",), ("sum2",)], {"--t": _ANY, "--radial": _INT, "--angular": _INT}),
+    "truncate": ([("square",), ("tri",), ("poly3",), ("sum2",)], {"--u": _VECTOR, "--eps": _ANY}),
+    "curvature": ([("square",), ("tri",), ("sum2",)], {"--step": _ANY, "--margin": _ANY}),
 }
 
 
@@ -386,8 +415,8 @@ def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
     command = data.draw(st.sampled_from(sorted(_FUZZ)))
     bodies, flags = _FUZZ[command]
     names = data.draw(st.sampled_from(bodies))
-    args = [command] + (["--in"] if command in ("symmetries", "regularize") else []) + [fuzz_files[n] for n in names]
-    if command == "regularize":
+    args = [command] + (["--in"] if command in ("symmetries", "regularize", "truncate") else []) + [fuzz_files[n] for n in names]
+    if command in ("regularize", "truncate"):
         args += ["--out", os.path.join(os.path.dirname(fuzz_files["square"]), "out.json"), "--grid-2d", "64"]
     for flag, values in flags.items():
         value = data.draw(st.none() | values, label=flag)

@@ -5,6 +5,7 @@ import pytest
 
 from convexhyper import (
     Ball,
+    DimensionMismatchError,
     Ellipsoid,
     InvalidArgumentError,
     NotStrictlyConvexError,
@@ -108,9 +109,13 @@ class TestCurvatureRadius2D:
         rho = curvature_radius_2d(body, 0.0, step=1e-4)
         assert abs(rho - b_ax**2 / a_ax) < 1e-6
 
-    def test_step_validation(self, square):
-        with pytest.raises(InvalidArgumentError):
-            curvature_radius_2d(square, 0.0, step=0.0)
+    def test_step_validation(self, square, grid2):
+        # step**2 of a step near 1e154 overflowed to an OverflowError
+        for step in (0.0, -1e-3, math.nan, math.inf, 4.0, 1.3407807929942597e154):
+            with pytest.raises(InvalidArgumentError):
+                curvature_radius_2d(square, 0.0, step=step)
+            with pytest.raises(InvalidArgumentError):
+                curvature_report(square, grid2, step=step)
 
 
 class TestCurvaturePositive:
@@ -135,3 +140,8 @@ class TestCurvaturePositive:
 
     def test_random_polytope_false(self, grid2):
         assert not curvature_positive(random_polytope(6, 2, 12), grid2)
+
+    def test_grid_of_wrong_dimension(self, unit_ball_3d, grid2):
+        # the class regularize, sample_support and hausdorff raise for it
+        with pytest.raises(DimensionMismatchError):
+            curvature_report(unit_ball_3d, grid2)

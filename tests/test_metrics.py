@@ -7,6 +7,7 @@ import pytest
 from convexhyper import (
     Ball,
     DimensionMismatchError,
+    Ellipsoid,
     Polytope,
     Rotated,
     Scaled,
@@ -27,9 +28,9 @@ from convexhyper import (
     width,
 )
 from convexhyper import congruence, metrics
-from convexhyper.bodies import rigid_motion
+from convexhyper.bodies import body_dim, rigid_motion
 from convexhyper.metrics import nelder_mead, support_moment_matrix
-from convexhyper.quadrature import ball_volume, make_grid_3d
+from convexhyper.quadrature import ball_volume, default_grid, make_grid_3d
 from convexhyper.rotations import circle_candidates, sphere_candidates
 from oracles import (
     arc_loop_hausdorff,
@@ -38,6 +39,7 @@ from oracles import (
     brute_steiner_2d,
     cloud_hausdorff,
     enumerated_hausdorff,
+    kink_polish_hausdorff,
     polygon_boundary_cloud,
 )
 
@@ -98,7 +100,7 @@ class TestHausdorff:
     def test_smooth_pair_refinement_off_node(self, unit_ball_2d, grid2):
         # rotated ellipse vs unit disk: sup |h_E - 1| = max(|a-1|, |b-1|)
         # regardless of orientation, attained away from any grid node, so
-        # this exercises the golden-section refinement path
+        # this exercises the tangent-plane Nelder-Mead polish
         from convexhyper import Ellipsoid, Rotated
 
         a_ax, b_ax = 1.37, 0.81
@@ -106,6 +108,28 @@ class TestHausdorff:
         body = Rotated(g, Ellipsoid(np.zeros(2), np.diag([a_ax, b_ax])))
         d = hausdorff(body, unit_ball_2d, grid2)
         assert abs(d - max(abs(a_ax - 1.0), abs(b_ax - 1.0))) < 1e-10
+
+    def test_smooth_pair_refinement_off_node_3d(self, unit_ball_3d):
+        # the 3-D twin: sup |h_E - 1| = max |axis - 1| for any rotation
+        for seed in range(3):
+            axes = np.random.default_rng(seed).uniform(0.5, 1.6, 3)
+            body = Rotated(random_rotation(300 + seed, 3), Ellipsoid(np.zeros(3), np.diag(axes)))
+            assert abs(hausdorff(body, unit_ball_3d) - np.abs(axes - 1.0).max()) < 1e-12
+
+    def test_flat_pair_matches_planar_exact(self):
+        # coplanar polygons in 3-D: the sup lies on the great circle of their
+        # plane, where h is the planar support function.  Rotated copies get
+        # sliver hulls and the exact kernel; in the plane z = 0 qhull builds
+        # no facets, so the grid and the polish give the value
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            p, q = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
+            want = metrics.exact_hausdorff(Polytope(p), Polytope(q))
+            lift = [Polytope(np.c_[v, np.zeros(len(v))]) for v in (p, q)]
+            assert metrics.exact_hausdorff(*lift) is None
+            g = random_rotation(400 + seed, 3)
+            for pair in (lift, [Rotated(g, body) for body in lift]):
+                assert abs(hausdorff(*pair) - want) < 1e-12
 
 
     def test_exact_2d_matches_dense_sweep(self):
@@ -120,6 +144,42 @@ class TestHausdorff:
             sweep = np.abs((moved.vertices @ dirs).max(axis=0) - h_q).max()
             exact = metrics.exact_hausdorff(moved, q)
             assert sweep - 1e-12 <= exact <= sweep + 1e-3
+
+
+def _ellipsoid(rng, n):
+    g = random_rotation(int(rng.integers(1 << 30)), n).matrix
+    return Ellipsoid(rng.normal(0.0, 0.2, n), g @ np.diag(rng.uniform(0.4, 1.6, n)) @ g.T)
+
+
+def _non_exact_pair(seed):
+    """One of eight kinds of pairs ``exact_hausdorff`` does not cover, by seed."""
+    rng = np.random.default_rng(seed)
+    kind, n = seed % 4, 2 + (seed // 4) % 2
+    if kind == 0:
+        return _ellipsoid(rng, n), random_polytope(seed, n, 8)
+    if kind == 1:
+        return Sum(random_polytope(seed, n, 7), Scaled(0.3, _ellipsoid(rng, n))), random_polytope(seed + 1, n, 9)
+    if kind == 2:
+        return _ellipsoid(rng, n), _ellipsoid(rng, n)
+    if n == 3:  # exactly coplanar in a coordinate plane: qhull builds no facets
+        flat = [np.c_[rng.normal(size=(k, 2)), np.full(k, rng.normal())][:, rng.permutation(3)] for k in (6, 7)]
+        return Polytope(flat[0]), Polytope(flat[1])
+    # parallel bodies of many-vertex polygons, past the exact kernel's size
+    t = [np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(600, 1500)))) for _ in range(2)]
+    return tuple(Sum(Polytope(np.c_[rng.uniform(0.8, 1.2) * np.cos(s), np.sin(s)]), Ball(np.zeros(2), r))
+                 for s, r in zip(t, (0.2, 0.3)))
+
+
+def test_polish_never_below_the_kink_polish():
+    # the former polish (golden section in 2-D, extra starts at kink
+    # directions) found no more than rounding above the tangent-plane
+    # Nelder-Mead one on the default grids; on 64-node 2-D grids it did
+    # find up to 6.5e-5 more on the many-vertex parallel bodies
+    for seed in range(40):
+        a, b = _non_exact_pair(seed)
+        assert metrics.exact_hausdorff(a, b) is None
+        want = kink_polish_hausdorff(a, b, default_grid(body_dim(a)))
+        assert hausdorff(a, b) >= want - 1e-12, seed
 
 
 # ---------------------------------------------------------------------------

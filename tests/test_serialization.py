@@ -403,3 +403,12 @@ def test_json_fuzz(obj, through_cli, fuzz_file):
         )
         assert res.exit_code in (0, 2), res.output
         assert "Traceback" not in res.output
+
+
+def test_serialize_refuses_a_tree_too_deep_to_read_back():
+    ball = Ball(np.zeros(2), 0.5)
+    body = ball
+    for _ in range(2000):
+        body = Sum(body, ball)
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        serialize_body(BodyDocument(body))

@@ -7,6 +7,7 @@ from convexhyper import (
     Ball,
     EmptyResultError,
     InfeasibleBudgetError,
+    InvalidArgumentError,
     Polytope,
     RepresentationError,
     TruncationSpec,
@@ -288,3 +289,8 @@ def test_curvature_rejects_segment(grid2):
     seg = Polytope([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(InvalidArgumentError):
         curvature_positive(seg, grid2)
+
+
+def test_polytope_approximation_needs_a_direction():
+    with pytest.raises(InvalidArgumentError, match="n_dirs"):
+        polytope_approximation(Ball(np.zeros(3), 1.0), -1)
