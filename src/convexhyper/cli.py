@@ -158,7 +158,13 @@ def support(body, direction):
     x = _parse_vector(direction)
     from .bodies import eval_support
 
-    click.echo(_fmt(eval_support(doc.body, x)))
+    with np.errstate(all="ignore"):  # h is positively homogeneous: scale x if it overflows
+        value = eval_support(doc.body, x)
+        if not math.isfinite(value):
+            value = eval_support(doc.body, x / np.abs(x).max()) * float(np.abs(x).max())
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"support value at {direction!r} is not a finite float")
+    click.echo(_fmt(value))
 
 
 @main.command()

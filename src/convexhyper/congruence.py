@@ -5,17 +5,18 @@ orbit distance  d([D], [K]) = min over g in O(n) of hausdorff(gD, K).
 Two full-dimensional polytopes that ``rotations.orthogonal_maps`` maps onto
 each other within ``_EARLY_EXIT`` take the exact value at those maps.  Any
 other pair is estimated by a coarse grid over the group followed by local
-derivative-free refinement from the best grid points, with the coarse
-evaluations as an audit certificate.
+refinement from the best grid points, with the coarse evaluations as an
+audit certificate.
 
 The objective maps a stack of orthogonal matrices to one exact Hausdorff
 value each (``metrics._stacked_gap``) when both bodies are ``_rotatable``:
-the coarse scan is one call, each round of the 3-D Nelder-Mead starts run
-in lockstep (``metrics.nelder_mead_steps``, bit-identical to scipy's) one
-call for the points all active starts ask for, and a 2-D golden-section
-probe of a polygon pair the arc form (``_scalar_2d``).  The result is then
-an upper bound on the orbit distance.  Other bodies use the grid maximum,
-a lower bound at each rotation, so theirs is a minimum of lower bounds.
+the coarse scan is one call, a 2-D golden-section probe of a polygon pair
+the arc form (``_scalar_2d``), and a round of the 3-D starts in lockstep
+one call for all they ask for.  Loose Nelder-Mead finds a start's basin, a
+minimax trust-region step on the gaps at the critical directions
+(``metrics._stacked_gaps``) its bottom.  The result is then an upper bound
+on the orbit distance.  Other bodies use the grid maximum, a lower bound
+at each rotation, so theirs is a minimum of lower bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 # the exact-map path values its maps through this module-level name, so
 # perfbench's tracer counts them as objective calls
 from .metrics import exact_hausdorff, nelder_mead_steps, recenter, support_moment_matrix
-from .metrics import _arc_hausdorff, _fan, _kernel_size, _side, _Side, _stacked_gap
+from .metrics import _arc_hausdorff, _fan, _kernel_size, _side, _Side, _stacked_gap, _stacked_gaps
 # the 2-D refinement, its only caller, calls golden section by this
 # module-level name, so perfbench's tracer can wrap it here
 from .metrics import golden_section_min as _golden_min
@@ -44,6 +45,9 @@ _REFINE_TOL = 1e-9  # refinement tolerance: golden section at 1e-2 of it
 _EARLY_EXIT = 1e-9  # exact-map tolerance; no further refinement once the best value is below it
 _STACK_ENTRIES = 50_000  # rotation x vertex x direction entries per objective block
 _MAX_COARSE = 1 << 16  # larger coarse grids are refused, not allocated
+_BASIN_TOL = (1e-5, 1e-8)  # Nelder-Mead (xatol in radians, fatol) of the basin finder
+_TIGHT_TOL = (1e-11, 1e-13)  # ... and of the run after a stalled polish
+_POLISH_FLOOR, _MIN_RADIUS = 1e-13, 1e-12  # polish: least predicted decrease, trust radius
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,13 @@ class SearchParams:
     """Knobs for the O(n) search.
 
     ``coarse`` is the number of coarse angles (n=2) or SO(3) grid points
-    (n=3); ``starts`` is how many best coarse points seed local
-    refinement; ``include_reflections`` searches O(n) rather than SO(n);
-    ``max_iterations`` caps each Nelder-Mead run (n=3).  Starts are
-    chosen with a mutual-separation filter so several coarse points of
-    one basin do not crowd out the others, and refinement stops once a
-    value drops below ``_EARLY_EXIT``: the later starts are not run
-    (n=2) or are cancelled (n=3, where the starts run in lockstep).
+    (n=3); ``starts`` is how many best coarse points seed local refinement;
+    ``include_reflections`` searches O(n) rather than SO(n);
+    ``max_iterations`` caps each stage of a 3-D start (each Nelder-Mead run,
+    the polish steps).  Starts are chosen with a mutual-separation filter
+    so several coarse points of one basin do not crowd out the others, and
+    refinement stops once a value drops below ``_EARLY_EXIT``: the later
+    starts are not run (n=2) or are cancelled (n=3, run in lockstep).
     None of these applies to a pair of polytopes with exact maps within
     ``_EARLY_EXIT``; only ``include_reflections`` does, by dropping the
     improper maps.
@@ -132,20 +136,24 @@ def _rotatable(body: Body) -> _Side | None:
     return side if side is not None and len(side.points) <= _EXACT_VERTEX_LIMIT else None
 
 
-def _objective(d, k, d_body: Body, k_values: np.ndarray, nodes: np.ndarray):
+def _objective(d, k, d_body: Body, k_values: np.ndarray, nodes: np.ndarray, pieces=False):
     """values[b] = hausdorff(mats[b] D, K) for a stack ``mats`` of orthogonal
     matrices: exact when both bodies are ``_rotatable`` (``_stacked_gap``, in
     blocks of at most ``_STACK_ENTRIES`` entries), which keeps the metric
     symmetric and O(n)-invariant at refinement accuracy; else the grid max
     (ellipsoids, sampled or large bodies), exact at the identity and a lower
-    bound elsewhere."""
+    bound elsewhere.  With ``pieces``, row b holds the gaps
+    |h_{g D}(u) - h_K(u)| at each direction u the sup is taken over
+    (``_stacked_gaps`` or the grid nodes), whose max is values[b]."""
     if d is None or k is None:
-        return lambda mats: np.array(
-            [np.abs(support_values(d_body, nodes @ g) - k_values).max() for g in mats]
-        )
+        def rows(mats):
+            return np.abs(np.array([support_values(d_body, nodes @ g) for g in mats]) - k_values)
+
+        return rows if pieces else lambda mats: np.array([rows(g[None]).max() for g in mats])
+    kernel = _stacked_gaps if pieces else _stacked_gap
     block = max(1, _STACK_ENTRIES // _kernel_size(d, k))
     return lambda mats: np.concatenate(
-        [_stacked_gap(d, k, mats[i:i + block]) for i in range(0, len(mats), block)]
+        [kernel(d, k, mats[i:i + block]) for i in range(0, len(mats), block)]
     )
 
 
@@ -189,18 +197,19 @@ def congruence_distance(
     the maps and their values are the certificate.
 
     Otherwise the coarse scan is one stacked objective call.  The 3-D
-    starts refine in lockstep: each is a loose Nelder-Mead run and a tight
-    one from its result, and every round evaluates the points all active
-    starts ask for in one objective call, which gives each start the
-    values it would get alone.  Golden section (n=2) runs the starts one
-    after another and takes the arc form per angle for polygon pairs
-    (``_scalar_2d``), bit-identical to ``exact_hausdorff`` of the moved
-    polygon, and the objective on a stack of one for every other pair.
+    starts refine in lockstep (``_refine_3d``: Nelder-Mead to the basin,
+    a minimax trust-region polish, a tight Nelder-Mead run if the polish
+    stalls), and every round evaluates the matrices all active starts ask
+    for in one call, which gives each start the rows it would get alone.
+    Golden section (n=2) runs the starts one after another and takes the
+    arc form per angle for polygon pairs (``_scalar_2d``), bit-identical to
+    ``exact_hausdorff`` of the moved polygon, and the objective on a stack
+    of one for every other pair.
 
     The reported distance is the smallest of the coarse minimum and the
     value each refinement returns, in start order, until one falls below
     ``_EARLY_EXIT`` (the 3-D starts after it are cancelled): in 3-D the
-    lowest value Nelder-Mead reached, in 2-D the objective at the midpoint
+    lowest value a start was given, in 2-D the objective at the midpoint
     of the final golden-section bracket, which can lie slightly above the
     lowest probe (up to about 1e-12).  So it never exceeds the coarse
     minimum, and the identity candidate bounds it by
@@ -241,7 +250,8 @@ def _search(n: int, grid: SphericalGrid, dc: Body, kc: Body, search: SearchParam
         return _result(float(values[best]), maps[best], maps, values, swapped)
 
     k_values = support_values(kc, grid.nodes)
-    objective = _objective(_rotatable(dc), _rotatable(kc), dc, k_values, grid.nodes)
+    sides = _rotatable(dc), _rotatable(kc)
+    objective = _objective(*sides, dc, k_values, grid.nodes)
     if n == 2:
         coarse_n = search.coarse or 360
         mats = circle_candidates(coarse_n, search.include_reflections)
@@ -262,7 +272,9 @@ def _search(n: int, grid: SphericalGrid, dc: Body, kc: Body, search: SearchParam
             scalar = _scalar_2d(dc, kc, objective)
             outcomes = (_golden_2d(scalar, g0, 2.0 * math.pi / coarse_n) for g0 in starts)
         else:
-            outcomes = _lockstep_3d(objective, starts, spacing, search.max_iterations)
+            reach = max(np.abs(k_values).max(), np.abs(support_values(dc, grid.nodes)).max())
+            pieces = _objective(*sides, dc, k_values, grid.nodes, pieces=True)
+            outcomes = _lockstep_3d(pieces, starts, spacing, reach, search.max_iterations)
         for v_star, g_star in outcomes:
             if v_star < best_val:
                 best_val, best_mat = v_star, g_star
@@ -311,39 +323,134 @@ def _golden_2d(scalar, g0: np.ndarray, span: float):
     return scalar(matrix(t_star)), matrix(t_star)
 
 
-def _refine_3d(spacing: float, max_iterations: int):
-    """One start's refinement in the rotation vector w of g0 exp(w): a loose
-    Nelder-Mead run, then a tight one from its result.  Yields and receives
-    like ``nelder_mead_steps``; returns (least value, its w)."""
-    runs, x0, scale = [], np.zeros(3), spacing * 0.5
-    for xatol, fatol in ((1.0, 1e-3), (1e-2, 1e-4)):
-        runs.append((yield from nelder_mead_steps(x0 + _initial_simplex(scale),
-                                                  _REFINE_TOL * xatol, _REFINE_TOL * fatol,
-                                                  max_iterations)))
-        x0, scale = runs[-1][0], 1e-4
-    (w1, v1), (w2, v2) = runs
-    return float(min(v1, v2)), (w2 if v2 <= v1 else w1)
+def _nelder_mead_3d(g0: np.ndarray, scale: float, tols: tuple, max_iterations: int):
+    """Nelder-Mead in w of g0 exp(w) from the simplex of side ``scale`` at 0: yields
+    matrices, receives their pieces (``_objective``); returns (least value, matrix)."""
+    steps = nelder_mead_steps(_initial_simplex(scale), *tols, max_iterations)
+    try:
+        points = next(steps)
+        while True:
+            rows = yield np.array([g0 @ axis_angle_matrix_safe(w) for w in points])
+            points = steps.send(rows.max(axis=1))
+    except StopIteration as done:
+        w, value = done.value
+    return float(value), g0 @ axis_angle_matrix_safe(w)
 
 
-def _lockstep_3d(objective, starts: np.ndarray, spacing: float, max_iterations: int) -> list:
+def _polish_3d(g: np.ndarray, value: float, reach: float, delta: float, max_iterations: int):
+    """Minimax trust-region polish (Madsen & Schjaer-Jacobsen, Math. Programming
+    14, 1978) of f(exp(w) g), the max of the pieces f_i: each round evaluates a
+    trial matrix and exp(+-h e_i) of it for central-difference gradients G_i,
+    and ``_minimax_step`` minimizes the linearized max of the pieces within
+    4 sqrt(3) ``reach`` delta of f whose |G_i| is at most 2 ``reach`` (a gap at
+    a fixed direction moves no faster; a larger G_i follows a direction that
+    swings fast, g p - q near 0).  A step that gains a tenth of the predicted
+    decrease is taken, doubling delta if it reached the box |w_j| <= delta;
+    else delta is quartered.  Yields and receives like ``_nelder_mead_3d``;
+    returns (least value of any row, its matrix, stalled: delta fell below
+    ``_MIN_RADIUS`` with a predicted decrease above ``_POLISH_FLOOR``)."""
+    best, cap, trial, w = (value, g), 20.0 * delta, g, None
+    for _ in range(max_iterations + 1):
+        if not 0.0 < value < math.inf:
+            break
+        h = min(1e-6, 1e-2 * value / reach)
+        probes = np.array([trial] + [axis_angle_matrix(e, sign * h) @ trial
+                                     for e in np.eye(3) for sign in (1.0, -1.0)])
+        rows = yield probes
+        values = rows.max(axis=1)
+        least = int(np.argmin(values))
+        if values[least] < best[0]:
+            best = (float(values[least]), probes[least])
+        if w is None or value - values[0] >= 0.1 * predicted:
+            if w is not None and np.abs(w).max() >= delta * (1.0 - 1e-9):
+                delta = min(2.0 * delta, cap)
+            g, value, f = trial, float(values[0]), rows[0]
+            grad = (rows[1::2] - rows[2::2]).T / (2.0 * h)
+        else:
+            delta *= 0.25
+            if delta < _MIN_RADIUS:
+                return best[0], best[1], True
+        near = ((f >= value - 4.0 * math.sqrt(3.0) * reach * delta)
+                & (np.linalg.norm(grad, axis=1) <= 2.0 * reach))
+        near[np.argmax(f)] = True  # the model's max at w = 0 is f
+        w, t = _minimax_step(f[near], grad[near], delta)
+        predicted = value - t
+        if predicted <= _POLISH_FLOOR:
+            break
+        trial = axis_angle_matrix_safe(w) @ g
+    return best[0], best[1], False
+
+
+def _minimax_step(f: np.ndarray, grad: np.ndarray, delta: float):
+    """(w, t) minimizing t subject to f_i + grad_i . w <= t and |w_j| <= delta:
+    a dense tableau simplex with Bland's rule on the 8 highest pieces, adding
+    the 8 that its solution violates most until it violates none.  With
+    w = y - delta and t = top - tau, top bounding the model on the box, the
+    rows read grad_i . y + tau <= top - f_i + delta sum_j grad_ij and
+    y_j <= 2 delta, all right sides >= 0: the slack basis is feasible."""
+    rows, n = np.argsort(-f)[:8], grad.shape[1]
+    eps = 1e-12 * max(1.0, float(np.abs(grad).max(initial=0.0)))
+    while True:
+        fr, gr, m = f[rows], grad[rows], len(rows)
+        top = float((fr + delta * np.abs(gr).sum(axis=1)).max())
+        tab = np.zeros((m + n + 1, 2 * n + m + 2))
+        tab[:m, :n], tab[:m, n], tab[m:m + n, :n] = gr, 1.0, np.eye(n)
+        tab[:-1, n + 1:-1] = np.eye(m + n)
+        tab[:m, -1] = np.maximum(top - fr + delta * gr.sum(axis=1), 0.0)
+        tab[m:m + n, -1], tab[-1, n] = 2.0 * delta, -1.0
+        basis = np.arange(n + 1, 2 * n + m + 1)
+        while (entering := np.flatnonzero(tab[-1, :-1] < -eps)).size:
+            col = entering[0]
+            rise = np.flatnonzero(tab[:-1, col] > eps)
+            ratios = tab[rise, -1] / tab[rise, col]
+            ties = rise[ratios <= ratios.min()]
+            row = ties[np.argmin(basis[ties])]
+            pivot = tab[row] / tab[row, col]
+            tab -= np.outer(tab[:, col], pivot)
+            tab[row], basis[row] = pivot, col
+        x = np.zeros(tab.shape[1] - 1)
+        x[basis] = tab[:-1, -1]
+        w, t = x[:n] - delta, top - x[n]
+        excess = f + grad @ w - t
+        excess[rows] = 0.0
+        worst = np.argsort(-excess)[:8]
+        worst = worst[excess[worst] > 1e-14 * (1.0 + abs(t))]
+        if not worst.size:
+            return w, t
+        rows = np.concatenate((rows, worst))
+
+
+def _refine_3d(g0: np.ndarray, spacing: float, reach: float, max_iterations: int):
+    """(least value, its matrix) from the coarse matrix g0: a loose Nelder-Mead
+    run finds the basin, ``_polish_3d`` its bottom, and a tight Nelder-Mead
+    run follows a stalled polish.  Yields and receives like the stages."""
+    v1, g1 = yield from _nelder_mead_3d(g0, 0.5 * spacing, _BASIN_TOL, max_iterations)
+    v2, g2, stalled = yield from _polish_3d(g1, v1, reach, spacing / 20.0, max_iterations)
+    if not stalled:
+        return v2, g2
+    v3, g3 = yield from _nelder_mead_3d(g2, 1e-4, _TIGHT_TOL, max_iterations)
+    return (v3, g3) if v3 <= v2 else (v2, g2)
+
+
+def _lockstep_3d(pieces, starts, spacing: float, reach: float, max_iterations: int) -> list:
     """(value, matrix) of each start's ``_refine_3d``, in start order.
 
-    Each round stacks the matrices g0 exp(w) of the points every active
-    start asks for into one objective call.  A row of ``_stacked_gap``
-    does not depend on the rest of its stack, so each start sees the
-    values it would get alone.  Once start j is given a value below
-    ``_EARLY_EXIT``, the starts after it are cancelled and their entries
-    stay None: Nelder-Mead never gives up a value below its best, so j
-    ends below ``_EARLY_EXIT`` and the search stops at j or before.
+    Each round stacks the matrices every active start asks for into one
+    ``pieces`` call.  A row of ``_stacked_gaps`` does not depend on the rest
+    of its stack, so each start sees the rows it would get alone.  Once
+    start j is given a value below ``_EARLY_EXIT``, the later starts still
+    running are cancelled, their entries None: no stage of a start gives up a
+    value below its best, so j ends below ``_EARLY_EXIT`` and the search
+    stops at j or before.
     """
-    runs = [_refine_3d(spacing, max_iterations) for _ in starts]
+    runs = [_refine_3d(g0, spacing, reach, max_iterations) for g0 in starts]
     pending = {j: next(run) for j, run in enumerate(runs)}
     outcomes = [None] * len(starts)
     while pending:
         active = sorted(pending)
-        mats = [[starts[j] @ axis_angle_matrix_safe(w) for w in pending[j]] for j in active]
-        values = objective(np.array([g for block in mats for g in block]))
-        counts = [len(block) for block in mats]
+        counts = [len(pending[j]) for j in active]
+        rows = pieces(np.concatenate([pending[j] for j in active]))
+        values = rows.max(axis=1)
         for j, hi, count in zip(active, np.cumsum(counts), counts):
             if j not in pending:  # cancelled earlier in this round
                 continue
@@ -351,11 +458,10 @@ def _lockstep_3d(objective, starts: np.ndarray, spacing: float, max_iterations: 
                 for later in [i for i in pending if i > j]:
                     del pending[later]
             try:
-                pending[j] = runs[j].send(values[hi - count:hi])
+                pending[j] = runs[j].send(rows[hi - count:hi])
             except StopIteration as stop:
                 del pending[j]
-                v_star, w_star = stop.value
-                outcomes[j] = (v_star, starts[j] @ axis_angle_matrix_safe(w_star))
+                outcomes[j] = stop.value
     return outcomes
 
 

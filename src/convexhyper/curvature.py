@@ -113,8 +113,8 @@ def curvature_radius_2d(body: Body, theta: float, step: float = 1e-3) -> float:
     """Radius of curvature h + h'' at normal angle theta (n=2 only)."""
     if body_dim(body) != 2:
         raise InvalidArgumentError("curvature_radius_2d needs a planar body")
-    if not 0 < step <= math.pi:  # a wider stencil wraps around the circle
-        raise InvalidArgumentError("step must be positive and at most pi")
+    if not 0 < step <= math.pi or step * step == 0.0:  # wider wraps; step**2 must not underflow
+        raise InvalidArgumentError("step must be positive and at most pi, with a nonzero square")
     if not math.isfinite(theta):
         raise InvalidArgumentError("theta must be finite")
     step = _effective_step(body, step)
@@ -170,8 +170,8 @@ def curvature_report(
     margin: float = 1e-6,
 ) -> CurvatureReport:
     """Evaluate the restricted-Hessian positivity test at every grid node."""
-    if not 0 < step <= math.pi:  # a wider stencil wraps around the circle
-        raise InvalidArgumentError("step must be positive and at most pi")
+    if not 0 < step <= math.pi or step * step == 0.0:  # wider wraps; step**2 must not underflow
+        raise InvalidArgumentError("step must be positive and at most pi, with a nonzero square")
     if not math.isfinite(margin):
         raise InvalidArgumentError("margin must be finite")
     n = body_dim(body)

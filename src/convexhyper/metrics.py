@@ -21,18 +21,19 @@ is computed once per polytope and carried through rigid motions
 (``translate``, ``rigid_motion``), so rotating a body never calls qhull.
 
 Exact Hausdorff distances come from one kernel, ``_stacked_gap``, the
-largest support gap over critical directions for a stack of orthogonal
-maps of one body: ``congruence`` evaluates it at many maps and
-``exact_hausdorff`` at the identity.  It covers 2-D and 3-D bodies whose
-terms are polytopes and balls; polygon pairs keep an arc form, and 3-D
-pairs past the kernel's size rule take signed vertex distances instead.
+largest support gap over critical directions (``_stacked_gaps``) for a
+stack of orthogonal maps of one body: ``congruence`` evaluates it at many
+maps and ``exact_hausdorff`` at the identity.  It covers 2-D and 3-D
+bodies whose terms are polytopes and balls; polygon pairs keep an arc
+form, and 3-D pairs past the kernel's size rule take signed vertex
+distances instead.
 
 Non-exact pairs are polished from their grid maximum by Nelder-Mead
 (``nelder_mead``, a port of scipy's that returns the same bits, over the
-generator ``nelder_mead_steps`` that ``congruence`` drives for several
-starts at once) in the tangent plane, in 2-D and 3-D alike.  Golden section
-(``golden_section_min``) serves only the 2-D congruence refinement.
-Nothing loads ``scipy.optimize``.
+generator ``nelder_mead_steps``, which ``congruence`` drives for several
+starts at once as the basin finder of its 3-D search) in the tangent
+plane, in 2-D and 3-D alike.  Golden section (``golden_section_min``)
+serves only the 2-D congruence refinement.  Nothing loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -551,7 +552,14 @@ def _ridges(side: _Side, targets: np.ndarray) -> np.ndarray:
 
 
 def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
-    """sup over u of |h_{g D}(u) - h_K(u)| for each g in the stack ``mats``.
+    """sup over u of |h_{g D}(u) - h_K(u)| for each g in the stack ``mats``:
+    the row max of ``_stacked_gaps``."""
+    return _stacked_gaps(d, k, mats).max(axis=1)
+
+
+def _stacked_gaps(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
+    """|h_{g D}(u) - h_K(u)| at each critical direction u and its opposite,
+    (count, 2 x directions) for the stack ``mats``.
 
     The sup is attained in a superset of critical directions: normals of
     both bodies, g p - q for points p of D and q of K, and in 3-D the ridge
@@ -577,9 +585,9 @@ def _stacked_gap(d: _Side, k: _Side, mats: np.ndarray) -> np.ndarray:
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 1e-12)
     hd, hk = dp @ v.transpose(0, 2, 1), k.points @ v.transpose(0, 2, 1)
     dr = (d.radius - k.radius) * norms
-    gap = np.maximum(np.abs(hd.max(axis=1) - hk.max(axis=1) + dr),
-                     np.abs(hd.min(axis=1) - hk.min(axis=1) - dr))
-    return (gap * scale).max(axis=1)
+    # a positive scale commutes with max under rounding: the row max keeps its bits
+    return np.concatenate((np.abs(hd.max(axis=1) - hk.max(axis=1) + dr) * scale,
+                           np.abs(hd.min(axis=1) - hk.min(axis=1) - dr) * scale), axis=1)
 
 
 def _triangle_distances(p: np.ndarray, tri: np.ndarray, normal: np.ndarray) -> np.ndarray:

@@ -29,9 +29,13 @@ pair (golden section in 2-D, Nelder-Mead in 3-D, with extra starts at the
 bodies' kink directions); ``hausdorff`` must never fall below it by more
 than rounding.
 The sequential congruence oracle runs the 3-D search's starts one after
-another, each Nelder-Mead step on a stack of one rotation, and stops once a
-value drops below the early-exit bound; the lockstep search must return its
-bits.
+another, each matrix of a Nelder-Mead run or of the minimax polish on a
+stack of one, and stops once a value drops below the early-exit bound; the
+lockstep search must return its bits; the solo-start oracle runs every
+start alone to its end, so a later start the lockstep does not cancel must
+end as it does there.  The two-run congruence oracle is the
+former 3-D search (a loose and a tight Nelder-Mead run per start); the
+polished search must never end above it by more than 1e-6.
 The schema ladders are the former JSON serializer, one ``isinstance`` or
 ``==`` test per node type (``ladder_body_to_obj``, ``ladder_body_from_obj``,
 ``ladder_body_equal``); the table-driven serializer must write their bytes,
@@ -351,45 +355,119 @@ def arc_loop_steiner_2d(poly) -> np.ndarray:
     return s / ball_volume(2)
 
 
-def sequential_congruence_3d(d, k, grid, search):
-    """(distance, optimizer, coarse values) of the 3-D congruence search with
-    its starts refined one at a time by ``nelder_mead``, one rotation per
-    objective call, for a pair that has no exact maps."""
+def coarse_congruence_3d(d, k, grid, search):
+    """The 3-D search up to its starts, for a pair that has no exact maps:
+    (swapped, objective, pieces, coarse matrices, their values, their order,
+    the start indices, spacing, reach)."""
     from convexhyper import congruence as c
-    from convexhyper.metrics import nelder_mead
     from convexhyper.rotations import sphere_candidates
 
     _, grid, dc, kc = c._recentered(d, k, grid)
     swapped = c._swapped(dc, kc, grid.nodes)
     if swapped:
         dc, kc = kc, dc
-    objective = c._objective(c._rotatable(dc), c._rotatable(kc), dc,
-                             support_values(kc, grid.nodes), grid.nodes)
+    sides = c._rotatable(dc), c._rotatable(kc)
+    k_values = support_values(kc, grid.nodes)
+    objective = c._objective(*sides, dc, k_values, grid.nodes)
+    pieces = c._objective(*sides, dc, k_values, grid.nodes, pieces=True)
     coarse_n = search.coarse or 576
     mats = sphere_candidates(coarse_n, search.include_reflections)
     values = objective(mats)
     order = np.argsort(values, kind="stable")
-    best_val, best_mat = float(values[order[0]]), mats[order[0]]
     spacing = (8.0 * math.pi**2 / coarse_n) ** (1.0 / 3.0)
-    for idx in c._diverse_starts(mats, order, search.starts, 1.2 * spacing):
+    starts = c._diverse_starts(mats, order, search.starts, 1.2 * spacing)
+    reach = max(np.abs(k_values).max(), np.abs(support_values(dc, grid.nodes)).max())
+    return swapped, objective, pieces, mats, values, order, starts, spacing, reach
+
+
+def _nelder_mead_at(objective, g0, x0, scale, tols, max_iterations):
+    """(least value, its w) of ``nelder_mead`` in w of g0 exp(w) from the
+    simplex of side ``scale`` at x0, one rotation per objective call."""
+    from convexhyper import congruence as c
+    from convexhyper.metrics import nelder_mead
+
+    def f_w(w):
+        return float(objective((g0 @ c.axis_angle_matrix_safe(w))[None])[0])
+
+    w, v = nelder_mead(f_w, x0 + c._initial_simplex(scale), *tols, max_iterations)
+    return float(v), w
+
+
+def sequential_congruence_3d(d, k, grid, search):
+    """(distance, optimizer, coarse values) of the 3-D congruence search with
+    its starts refined one at a time: a loose ``nelder_mead`` run, the
+    minimax polish ``_polish_3d`` with each matrix it asks for evaluated
+    alone, and a tight ``nelder_mead`` run after a stalled polish."""
+    from convexhyper import congruence as c
+
+    swapped, objective, pieces, mats, values, order, starts, spacing, reach = \
+        coarse_congruence_3d(d, k, grid, search)
+    best_val, best_mat = float(values[order[0]]), mats[order[0]]
+    for idx in starts:
         if best_val < c._EARLY_EXIT:
             break
-        g0 = mats[idx]
-
-        def f_w(w, _g0=g0):
-            return float(objective((_g0 @ c.axis_angle_matrix_safe(w))[None])[0])
-
-        runs, x0, scale = [], np.zeros(3), spacing * 0.5
-        for xatol, fatol in ((1.0, 1e-3), (1e-2, 1e-4)):
-            runs.append(nelder_mead(f_w, x0 + c._initial_simplex(scale), c._REFINE_TOL * xatol,
-                                    c._REFINE_TOL * fatol, search.max_iterations))
-            x0, scale = runs[-1][0], 1e-4
-        (w1, v1), (w2, v2) = runs
-        v_star = float(min(v1, v2))
+        v1, w1 = _nelder_mead_at(objective, mats[idx], np.zeros(3), 0.5 * spacing,
+                                 c._BASIN_TOL, search.max_iterations)
+        g1 = mats[idx] @ c.axis_angle_matrix_safe(w1)
+        polish = c._polish_3d(g1, v1, reach, spacing / 20.0, search.max_iterations)
+        try:
+            asked = next(polish)
+            while True:
+                asked = polish.send(np.concatenate([pieces(g[None]) for g in asked]))
+        except StopIteration as done:
+            v_star, g_star, stalled = done.value
+        if stalled:
+            v3, w3 = _nelder_mead_at(objective, g_star, np.zeros(3), 1e-4, c._TIGHT_TOL,
+                                     search.max_iterations)
+            if v3 <= v_star:
+                v_star, g_star = v3, g_star @ c.axis_angle_matrix_safe(w3)
         if v_star < best_val:
-            best_val = v_star
-            best_mat = g0 @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
+            best_val, best_mat = v_star, g_star
     return best_val, best_mat.T if swapped else best_mat, values
+
+
+def solo_starts_3d(d, k, grid, search):
+    """[(value, rounds)] of each start of the 3-D search refined alone, every
+    start to its end: ``_refine_3d`` with each matrix it asks for evaluated
+    on a stack of one, and ``rounds`` the number of batches it asked for."""
+    from convexhyper import congruence as c
+
+    _, _, pieces, mats, _, _, starts, spacing, reach = coarse_congruence_3d(d, k, grid, search)
+    outcomes = []
+    for idx in starts:
+        run, rounds = c._refine_3d(mats[idx], spacing, reach, search.max_iterations), 1
+        try:
+            asked = next(run)
+            while True:
+                asked = run.send(np.concatenate([pieces(g[None]) for g in asked]))
+                rounds += 1
+        except StopIteration as done:
+            outcomes.append((done.value[0], rounds))
+    return outcomes
+
+
+def two_run_congruence_3d(d, k, grid, search):
+    """(distance, optimizer) of the former 3-D congruence search, the
+    reference for the minimax polish: from each start a loose Nelder-Mead
+    run (xatol 1e-9, fatol 1e-12) and a tight one from its result (1e-11,
+    1e-13), one start after another until a value drops below the
+    early-exit bound."""
+    from convexhyper import congruence as c
+
+    swapped, objective, _, mats, values, order, starts, spacing, _ = \
+        coarse_congruence_3d(d, k, grid, search)
+    best_val, best_mat = float(values[order[0]]), mats[order[0]]
+    for idx in starts:
+        if best_val < c._EARLY_EXIT:
+            break
+        v1, w1 = _nelder_mead_at(objective, mats[idx], np.zeros(3), 0.5 * spacing,
+                                 (1e-9, 1e-12), search.max_iterations)
+        v2, w2 = _nelder_mead_at(objective, mats[idx], w1, 1e-4, (1e-11, 1e-13),
+                                 search.max_iterations)
+        if min(v1, v2) < best_val:
+            best_val = min(v1, v2)
+            best_mat = mats[idx] @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
+    return best_val, best_mat.T if swapped else best_mat
 
 
 def _golden_best(f, lo: float, hi: float, tol: float = 1e-12) -> float:

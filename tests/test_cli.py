@@ -50,6 +50,26 @@ def test_support_prints_17_digits(runner, tmp_path):
     assert res.output.strip() == "3.1415926535897931"
 
 
+def test_support_huge_direction_is_scaled_or_refused(runner, square_file):
+    # h is positively homogeneous: an overflowing direction is scaled first,
+    # and a value past the float range is one error line, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = runner.invoke(main, ["support", square_file, "--dir", "1e308,-1e307"])
+        huge = runner.invoke(main, ["support", square_file, "--dir", "1e308,1e308"])
+    assert big.exit_code == 0 and float(big.output) == 1.1e308
+    assert huge.exit_code == 2 and huge.stdout == ""
+    assert huge.stderr.startswith("error:") and huge.stderr.count("\n") == 1
+
+
+def test_support_subnormal_direction(runner, square_file):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["support", square_file, "--dir", "1e-320,0"])
+    assert res.exit_code == 0
+    assert float(res.output) == 1e-320
+
+
 def test_hausdorff(runner, ball_file, square_file):
     res = runner.invoke(main, ["hausdorff", square_file, ball_file])
     assert res.exit_code == 0

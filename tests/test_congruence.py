@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +32,8 @@ from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import exact_hausdorff
 from convexhyper.quadrature import make_grid_2d, make_grid_3d
 from convexhyper.rotations import circle_candidates, icosahedral_rotations, sphere_candidates
-from oracles import enumerated_hausdorff, sequential_congruence_3d
+from oracles import (coarse_congruence_3d, enumerated_hausdorff, sequential_congruence_3d,
+                     solo_starts_3d, two_run_congruence_3d)
 
 FAST2 = SearchParams(coarse=180, starts=3)
 
@@ -260,6 +264,18 @@ def test_certificate_values_are_stacked_values(dim, grid2, grid3_small):
         assert res.distance <= values.min()
 
 
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_stacked_gap_is_row_max_of_gaps(name):
+    # a positive scale commutes with max under rounding, so every objective
+    # value keeps its bits when the kernel returns each direction's gaps
+    d_body, k_body = _PAIRS[name]
+    mats = circle_candidates(180) if name.startswith("2d") else sphere_candidates(100)
+    d, k = congruence._rotatable(d_body), congruence._rotatable(k_body)
+    gaps = congruence._stacked_gaps(d, k, mats)
+    assert gaps.shape[0] == len(mats)
+    np.testing.assert_array_equal(congruence._stacked_gap(d, k, mats), gaps.max(axis=1))
+
+
 def test_stacked_objective_memory_bound(grid3_small):
     # a block cap sized for speed alone (1e6 entries) costs tens of MB here
     d_body, k_body = random_polytope(330, 3, 12), random_polytope(331, 3, 12)
@@ -403,20 +419,24 @@ def test_lockstep_matches_sequential_starts(seed, sizes, grid3_small):
 
 def test_lockstep_cancels_starts_after_early_exit(grid3_small, monkeypatch):
     # P + 0.2 B is no Polytope, so it takes the search; start 0 ends far
-    # from the optimum and start 1 below _EARLY_EXIT.  The later starts are
-    # cancelled in the round start 1 is first given a value below
-    # _EARLY_EXIT, before it ends, so lockstep evaluates the rows of the
-    # starts run one after another plus only those rounds of the later ones
+    # from the optimum and start 1 below _EARLY_EXIT.  The later starts
+    # still running are cancelled in the round start 1 is first given a
+    # value below _EARLY_EXIT, before it ends, so lockstep evaluates the
+    # rows of the starts run one after another plus at most those rounds of
+    # the later ones
     body = Sum(random_polytope(640, 3, 10), Ball(np.zeros(3), 0.2))
     moved = Rotated(Rotation(random_rotation(641, 3).matrix), body)
     params = SearchParams(coarse=400, starts=4, max_iterations=500)
-    runs, refine, stacked, rows = [], congruence._refine_3d, congruence._stacked_gap, [0]
+    solo = solo_starts_3d(body, moved, grid3_small, params)
+    runs, refine, rows = [], congruence._refine_3d, [0]
 
-    def counted_gap(d, k, mats):
-        rows[0] += len(mats)
-        return stacked(d, k, mats)
+    def counted(kernel):
+        def gaps(d, k, mats):
+            rows[0] += len(mats)
+            return kernel(d, k, mats)
+        return gaps
 
-    def counted(*args):
+    def counted_refine(*args):
         run = {"rows": 0, "rounds": 0, "first_low": None, "value": None}
         runs.append(run)
         steps = refine(*args)
@@ -425,16 +445,17 @@ def test_lockstep_cancels_starts_after_early_exit(grid3_small, monkeypatch):
             while True:
                 run["rows"] += len(points)
                 run["rounds"] += 1
-                values = yield points
-                if run["first_low"] is None and values.min() < congruence._EARLY_EXIT:
+                pieces = yield points
+                if run["first_low"] is None and pieces.max(axis=1).min() < congruence._EARLY_EXIT:
                     run["first_low"] = run["rounds"]
-                points = steps.send(values)
+                points = steps.send(pieces)
         except StopIteration as stop:
             run["value"] = stop.value[0]
             return stop.value
 
-    monkeypatch.setattr(congruence, "_stacked_gap", counted_gap)
-    monkeypatch.setattr(congruence, "_refine_3d", counted)
+    for name in ("_stacked_gap", "_stacked_gaps"):
+        monkeypatch.setattr(congruence, name, counted(getattr(congruence, name)))
+    monkeypatch.setattr(congruence, "_refine_3d", counted_refine)
     res = congruence_distance(body, moved, grid3_small, params)
     lockstep_rows, rows[0] = rows[0], 0
     distance, optimizer, values = sequential_congruence_3d(body, moved, grid3_small, params)
@@ -444,8 +465,16 @@ def test_lockstep_cancels_starts_after_early_exit(grid3_small, monkeypatch):
     assert len(runs) == 4
     assert runs[0]["value"] > 1e-3 and runs[0]["first_low"] is None
     assert runs[1]["value"] == distance and runs[1]["first_low"] < runs[1]["rounds"]
-    for run in runs[2:]:
-        assert run["value"] is None and run["rounds"] == runs[1]["first_low"]
+    assert [(run["value"], run["rounds"]) for run in runs[:2]] == solo[:2]
+    # every later start still running in that round is cancelled in it; one
+    # whose own run ends sooner (the polish is quick on this congruent pair,
+    # and which start does depends on the BLAS kernel's bits) ends as alone
+    for run, (value, alone) in zip(runs[2:], solo[2:]):
+        if alone >= runs[1]["first_low"]:
+            assert run["value"] is None and run["rounds"] == runs[1]["first_low"]
+        else:
+            assert run["value"] == value and run["rounds"] == alone
+    assert runs[2]["value"] is None
     assert lockstep_rows == rows[0] + sum(run["rows"] for run in runs[2:])
 
 
@@ -463,3 +492,146 @@ def test_refined_values_taken_in_start_order(grid3_small, monkeypatch):
     res = congruence_distance(d_body, k_body, grid3_small, SearchParams(coarse=100, starts=4))
     assert res.distance == 5e-10
     np.testing.assert_array_equal(res.optimizer.matrix, turns[1])
+
+
+# ---------------------------------------------------------------------------
+# the minimax polish: a dense simplex, a value that never rises, and the
+# former two-run search as the yardstick
+# ---------------------------------------------------------------------------
+
+def _vertex_minimax(f, grad, delta):
+    """min over the box |w_j| <= delta of max_i f_i + grad_i . w, by
+    enumerating every vertex of {(w, t): f_i + grad_i . w <= t, |w_j| <= delta}:
+    four tight rows out of the pieces and the six bounds."""
+    from itertools import combinations
+
+    m = len(f)
+    rows = np.zeros((m + 6, 4))
+    rows[:m, :3], rows[:m, 3] = grad, -1.0  # grad . w - t = -f
+    rows[m:, :3] = np.vstack([np.eye(3), np.eye(3)])
+    rhs = np.concatenate([-f, np.full(3, delta), np.full(3, -delta)])
+    pick = np.array(list(combinations(range(m + 6), 4)))
+    a, b = rows[pick], rhs[pick]
+    ok = np.abs(np.linalg.det(a)) > 1e-9
+    x = np.linalg.solve(a[ok], b[ok][:, :, None])[:, :, 0]
+    w, t = x[:, :3], x[:, 3]
+    feasible = ((f + w @ grad.T <= t[:, None] + 1e-9).all(axis=1)
+                & (np.abs(w) <= delta * (1.0 + 1e-9)).all(axis=1))
+    return t[feasible].min()
+
+
+def test_minimax_step_matches_vertex_enumeration():
+    rng = np.random.default_rng(5150)
+    for _ in range(100):
+        m = int(rng.integers(4, 31))
+        f, grad = rng.uniform(0.0, 1.0, m), rng.standard_normal((m, 3))
+        delta = 10.0 ** rng.uniform(-3.0, 0.0)
+        w, t = congruence._minimax_step(f, grad, delta)
+        assert np.abs(w).max() <= delta * (1.0 + 1e-12)
+        assert (f + grad @ w).max() <= t + 1e-12
+        assert abs(t - _vertex_minimax(f, grad, delta)) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [
+    (random_polytope(430, 3, 12), random_polytope(431, 3, 12)),
+    (random_polytope(432, 3, 9), Sum(random_polytope(433, 3, 9), Ball(np.zeros(3), 0.2))),
+    (Ellipsoid(np.zeros(3), np.diag([0.5, 0.8, 1.1])), random_polytope(434, 3, 10)),
+], ids=["polytopes", "polytope-sum", "ellipsoid-grid"])
+def test_polish_never_rises(pair, grid3_small):
+    _, _, pieces, mats, values, order, _, _, reach = coarse_congruence_3d(
+        *pair, grid3_small, SearchParams(coarse=100))
+    for idx in order[:6]:
+        polish = congruence._polish_3d(mats[idx], float(values[idx]), reach, 0.05, 40)
+        try:
+            asked = next(polish)
+            while True:
+                asked = polish.send(pieces(asked))
+        except StopIteration as done:
+            value, g, _ = done.value
+        assert value <= values[idx]
+        assert value == pieces(g[None]).max()
+
+
+def test_convexhyper_3d_search_skips_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(congruence.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, convexhyper as ch\n"
+            "p, q = ch.random_polytope(440, 3, 10), ch.random_polytope(441, 3, 10)\n"
+            "grid = ch.make_grid_3d(16, 32)\n"
+            "ch.congruence_distance(p, q, grid, ch.SearchParams(coarse=100, starts=2))\n"
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _ellipsoid_polytope(rng, count):
+    """``count`` points on a random ellipsoid, all of them vertices."""
+    dirs = rng.standard_normal((count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return Polytope((dirs * rng.uniform(0.6, 1.0, 3)) @ frame.T)
+
+
+# a 12+12 pair of the benchmark's 3-D generator (seed 120) on which one
+# start's polish stalls: without the tight run that follows, the distance
+# ends 5.6e-6 above the two-run search's
+_STALLING_D = np.array([
+    [0.43081782455806444, 0.2076056624918492, -0.6144807295002588],
+    [-0.5750751395466557, 0.3469213318463976, 0.17423303145552738],
+    [-0.31410986493482806, -0.4345717624989755, 0.5691853375418053],
+    [0.04574474725977819, -0.5823972732783366, -0.38364662751853257],
+    [-0.29710327203498277, 0.45470640249531946, -0.4759738220969545],
+    [0.19545698148766694, -0.3621082062580343, 0.6193798156822659],
+    [-0.33358767600529415, 0.5695686342160028, 0.1910924548449541],
+    [0.45918744131915606, -0.49608009022158345, -0.11365186348390811],
+    [0.00348315169814932, -0.2913064717820687, -0.6677529870767943],
+    [-0.1404289443770252, 0.0424880406480308, 0.7443821723374555],
+    [0.051016519380453706, -0.656427819466772, 0.31464021162482064],
+    [0.26725489278776493, -0.6374200305101211, 0.029323387932636964],
+])
+_STALLING_K = np.array([
+    [0.20477340123867144, -0.6589361025573097, 0.214574416065652],
+    [0.5747742833057173, 0.11706725429685372, 0.2687982776076089],
+    [0.16337260607223683, -0.029597395025646248, 0.727125037734505],
+    [-0.4302799467679536, 0.4468713012638619, -0.3650773398610794],
+    [-0.3689651681672103, 0.5085586384770844, 0.15960091049884842],
+    [-0.2658512116762157, -0.22970567083635168, 0.7086357512401634],
+    [0.427742024774058, -0.19068534321643407, 0.5495937097619787],
+    [0.46348150848245295, 0.49840014572147256, -0.13008972381545822],
+    [-0.20497277164708622, -0.6249091049701107, -0.0975008090397382],
+    [0.4558407295965185, 0.007911005060153551, -0.5506847294199367],
+    [-0.010903682657717878, 0.28416862171591584, -0.7569659562353137],
+    [-0.13211746862077872, -0.510630592982453, -0.3650297478874785],
+])
+_WORKLOAD_3D = SearchParams(coarse=400, starts=4, max_iterations=500)
+
+
+@pytest.mark.parametrize("seed", [450, 451, 452, 453, 454, 455, "stalling"])
+def test_polished_search_no_worse_than_two_runs(seed, grid3_small):
+    if seed == "stalling":
+        d_body, k_body = Polytope(_STALLING_D), Polytope(_STALLING_K)
+    else:
+        rng = np.random.default_rng(seed)
+        d_body, k_body = _ellipsoid_polytope(rng, 12), _ellipsoid_polytope(rng, 12)
+    res = congruence_distance(d_body, k_body, grid3_small, _WORKLOAD_3D)
+    reference, _ = two_run_congruence_3d(d_body, k_body, grid3_small, _WORKLOAD_3D)
+    assert res.distance <= reference + 1e-6
+
+
+def test_stalled_polish_runs_tight_like_sequential(grid3_small, monkeypatch):
+    # the tight Nelder-Mead run after a stalled polish returns the bits of
+    # the starts run one after another, each matrix alone
+    stalls, polish = [], congruence._polish_3d
+
+    def watched(*args):
+        outcome = yield from polish(*args)
+        stalls.append(outcome[2])
+        return outcome
+
+    monkeypatch.setattr(congruence, "_polish_3d", watched)
+    d_body, k_body = Polytope(_STALLING_D), Polytope(_STALLING_K)
+    res = congruence_distance(d_body, k_body, grid3_small, _WORKLOAD_3D)
+    assert any(stalls)
+    distance, optimizer, values = sequential_congruence_3d(d_body, k_body, grid3_small, _WORKLOAD_3D)
+    assert res.distance == distance
+    np.testing.assert_array_equal(res.optimizer.matrix, optimizer)
+    np.testing.assert_array_equal(res.values, values)

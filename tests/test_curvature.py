@@ -110,8 +110,9 @@ class TestCurvatureRadius2D:
         assert abs(rho - b_ax**2 / a_ax) < 1e-6
 
     def test_step_validation(self, square, grid2):
-        # step**2 of a step near 1e154 overflowed to an OverflowError
-        for step in (0.0, -1e-3, math.nan, math.inf, 4.0, 1.3407807929942597e154):
+        # step**2 of a step near 1e154 overflowed to an OverflowError, and
+        # that of 1e-200 underflows to 0, a division by zero
+        for step in (0.0, -1e-3, math.nan, math.inf, 4.0, 1.3407807929942597e154, 1e-200):
             with pytest.raises(InvalidArgumentError):
                 curvature_radius_2d(square, 0.0, step=step)
             with pytest.raises(InvalidArgumentError):
