@@ -25,14 +25,18 @@ form the point cloud u + z_k.  A polytope takes
 max_v (<v, u> + <v, z_k>) over the vertices that can still win at u: with
 v* the maximizer at u, v survives only if <v* - v, u> <= ||v - v*|| R,
 R = max_k ||z_k||, and a direction where v* alone survives is exact in
-one product.  Balls and ellipsoids sum ||M u + M z_k|| with the squared
-norm built coordinate by coordinate (no Gram expansion, which cancels
-where u + z_k is near zero).  Every directions x kernel intermediate is
-blocked to ``_BLOCK`` entries, a cache-sized row block: each kernel
-allocates its block buffers once per call and reuses them for every block,
-so the inner steps run in cache rather than streaming from memory.  A
-row's kernel sum is one BLAS product over its block, so the values can
-differ in the last bits between block shapes, never more.
+one product.  The other directions are sorted by candidate set, so rows
+with equal sets sit side by side, and a row block takes the max over the
+union of its rows' sets, one vertex at a time, with no per-row gather: a
+superset of the candidates holds the winner, so no entry changes.  Balls
+and ellipsoids sum ||M u + M z_k|| with the squared norm built coordinate
+by coordinate (no Gram expansion, which cancels where u + z_k is near
+zero).  Every directions x kernel intermediate is blocked to ``_BLOCK``
+entries, a cache-sized row block: each kernel allocates its block buffers
+once per call and reuses them for every block, so the inner steps run in
+cache rather than streaming from memory.  A row's kernel sum is one BLAS
+product over its block, so the values can differ in the last bits between
+block shapes and row orders, never more.
 """
 
 from __future__ import annotations
@@ -180,7 +184,8 @@ def _polytope_kernel(vertices, dirs, offsets, weights, out):
 
     With v* the vertex maximizing <v, u>, a vertex v can win at u + z only
     if <v* - v, u> <= ||v - v*|| max_k ||z_k||; rows left with v* alone
-    are linear over the kernel and cost one product.
+    are linear over the kernel and cost one product; a block of the other
+    rows maximizes over the union of its rows' candidates.
     """
     a = dirs @ vertices.T
     b_t = np.ascontiguousarray((offsets @ vertices.T).T)
@@ -194,34 +199,25 @@ def _polytope_kernel(vertices, dirs, offsets, weights, out):
     size = float(np.linalg.norm(vertices, axis=1).max())
     slack = 8.0 * np.finfo(float).eps * (1.0 + reach) * size
     cand = (top[:, None] - a) <= np.sqrt(gap)[best_of_row] * reach + slack
-    count = cand.sum(axis=1)
-    single = count == 1
+    single = cand.sum(axis=1) == 1
     out[single] += top[single] + (b_t @ weights)[best[single]]
     multi = np.flatnonzero(~single)
     if multi.size == 0:
         return
-    multi = multi[np.argsort(-count[multi], kind="stable")]
-    counts = count[multi]
-    # candidates first, each row's own order kept; rows sorted by
-    # candidate count, so the rows still active at step j are a prefix
-    idx = np.argsort(~cand[multi], axis=1, kind="stable")[:, : counts[0]]
-    a_sel = np.take_along_axis(a[multi], idx, axis=1)
+    # equal candidate sets side by side, so a block's union stays small
+    multi = multi[np.lexsort(np.packbits(cand[multi], axis=1).T[::-1])]
     k = offsets.shape[0]
     acc = np.empty((min(_block_rows(k), multi.size), k))
     tmp = np.empty_like(acc)
-    sums = np.empty(multi.size)
     for start, stop in _row_blocks(multi.size, k):
-        rows = stop - start
-        np.take(b_t, idx[start:stop, 0], axis=0, out=acc[:rows])
-        acc[:rows] += a_sel[start:stop, :1]
-        block_counts = counts[start:stop]
-        for j in range(1, int(block_counts[0])):
-            m = int((block_counts > j).sum())
-            np.take(b_t, idx[start : start + m, j], axis=0, out=tmp[:m])
-            tmp[:m] += a_sel[start : start + m, j, None]
-            np.maximum(acc[:m], tmp[:m], out=acc[:m])
-        sums[start:stop] = acc[:rows] @ weights
-    out[multi] += sums
+        rows = multi[start:stop]
+        a_rows, hi, cur = a[rows], acc[: rows.size], tmp[: rows.size]
+        first, *union = np.flatnonzero(cand[rows].any(axis=0))
+        np.add(a_rows[:, first, None], b_t[first], out=hi)
+        for v in union:
+            np.add(a_rows[:, v, None], b_t[v], out=cur)
+            np.maximum(hi, cur, out=hi)
+        out[rows] += hi @ weights
 
 
 def _norm_kernel(center, matrix, dirs, offsets, weights, out):
@@ -255,7 +251,7 @@ def mollified_support_values(
     directions: np.ndarray,
     frame: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Smoothed support values at the given unit directions.
+    """Smoothed support values at the given (finite) unit directions.
 
     T(D)(u) = sum_ij  c_ij h_D(u + t s_i v_j)  with the kernel directions
     v_j expressed in the body's canonical frame.  The map is linear in h,
@@ -263,10 +259,12 @@ def mollified_support_values(
     terms in closed vectorized form, sampled leaves through support
     values of the point cloud u + t s_i v_j.
     """
-    if params.t == 0.0:
-        return support_values(body, directions)
-    n = body_dim(body)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if not np.isfinite(dirs).all():
+        raise InvalidArgumentError("directions must be finite")
+    if params.t == 0.0:
+        return support_values(body, dirs)
+    n = body_dim(body)
     if dirs.shape[1] != n:
         raise DimensionMismatchError(f"directions have dim {dirs.shape[1]}, body has dim {n}")
     if frame is None:

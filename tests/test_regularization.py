@@ -232,13 +232,58 @@ def test_kernel_blocking_does_not_change_values(name, monkeypatch):
     monkeypatch.setattr(regularization, "_BLOCK", 1 << 40)
     whole = mollified_support_values(body, p, dirs, frame)
     # one row per block; three rows per block, which splits runs of rows
-    # with equal candidate counts; the default
+    # with equal candidate sets; the default
     for block in (k - 1, 3 * k, default):
         monkeypatch.setattr(regularization, "_BLOCK", block)
         blocked = mollified_support_values(body, p, dirs, frame)
         # equal up to the last bits: BLAS may round a row's kernel sum
         # differently for a different block shape
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14, err_msg=f"block {block}")
+
+
+def _unit_dirs(seed, dim, count):
+    pts = np.random.default_rng(seed).standard_normal((count, dim))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+# the smoothing workload's kernels (8 x 512 in 3-D, 12 x 384 in 2-D) on a
+# few hundred directions: blocks of 16 and 14 rows, so even after the sort
+# by candidate set blocks hold rows with different sets (2 to 18 per case)
+@pytest.mark.parametrize(
+    "dim, vertices, t",
+    [(3, 16, 0.2), (3, 16, 0.025), (2, 12, 0.2), (2, 12, 0.025), (3, 60, 0.2)],
+)
+def test_kernel_matches_brute_force_at_workload_size(dim, vertices, t):
+    body = random_polytope(80 + vertices, dim, vertices)
+    p = params(t, radial_nodes=8, angular_nodes=512) if dim == 3 else params(t)
+    frame = canonical_frame(body)
+    offsets, weights = kernel_rule(p, dim)
+    dirs = _unit_dirs(vertices, dim, 300)
+    got = mollified_support_values(body, p, dirs, frame)
+    np.testing.assert_allclose(got, brute_mollified(body, dirs, t * (offsets @ frame.T), weights),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_does_not_depend_on_row_order(dim):
+    body = random_polytope(90 + dim, dim, 16)
+    p = params(0.2, radial_nodes=8, angular_nodes=512) if dim == 3 else params(0.2)
+    dirs = _unit_dirs(dim, dim, 300)
+    order = np.random.default_rng(dim).permutation(dirs.shape[0])
+    vals = mollified_support_values(body, p, dirs)
+    shuffled = mollified_support_values(body, p, dirs[order])
+    # rows land in other blocks, so only a row's BLAS kernel sum may move
+    np.testing.assert_allclose(shuffled, vals[order], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_rejects_non_finite_directions(bad, t):
+    body = KERNEL_BODIES["polytope-3d"]
+    with pytest.raises(InvalidArgumentError):
+        mollified_support_values(body, params(t), [[bad, 0.0, 1.0]])
+    with pytest.raises(InvalidArgumentError):
+        mollified_support_values(body, params(t), np.vstack([KERNEL_GRIDS[3].nodes, [0.0, bad, 0.0]]))
 
 
 def test_kernel_memory_stays_small():
