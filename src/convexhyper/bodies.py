@@ -241,11 +241,12 @@ class Polytope(Body):
 
     Lower-dimensional compacta (segments, points) are permitted; use
     ``is_full_dimensional`` to distinguish them.  The vertices are a
-    private read-only copy, so the cached ``hull`` cannot go stale.
+    private read-only copy, so the cached ``hull`` and ``memo`` cannot go stale.
     """
 
     vertices: np.ndarray
     _hull: Hull | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float, order="C", ndmin=2)
@@ -273,6 +274,14 @@ class Polytope(Body):
         if self._hull is None:
             object.__setattr__(self, "_hull", _build_hull(self.vertices))
         return self._hull
+
+    def memo(self, key: str, compute):
+        """``compute(self)`` on first use, then kept (an array comes back as a copy);
+        only for values the vertices alone fix: moved copies start empty."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        value = self._memo[key]
+        return value.copy() if isinstance(value, np.ndarray) else value
 
 
 def rigid_motion(poly: Polytope, matrix: np.ndarray | None = None, shift=None) -> Polytope:

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import congruence as congruence_mod
-from .bodies import Sum, body_dim, sample_support
+from .bodies import Sum, body_dim, sample_support, support_values
 from .corpus import Corpus
 from .curvature import curvature_report
 from .errors import (
@@ -49,6 +49,7 @@ from .truncation import (
 )
 
 _NUM = "{:.17g}"
+_MAX_EXTENT = 1e100  # squared norms and moments of larger input bodies overflow
 
 
 def _fmt(x: float) -> str:
@@ -100,7 +101,12 @@ def _resolve_grid(dim: int, grid_2d: int | None, grid_3d: str | None):
 
 def _read_doc(path: str) -> BodyDocument:
     with open(path, "r") as fh:
-        return parse_body(fh.read())
+        doc = parse_body(fh.read())
+    axes = np.eye(body_dim(doc.body))
+    with np.errstate(all="ignore"):  # max |x_i| over the body is max h(+-e_i)
+        if not support_values(doc.body, np.r_[axes, -axes]).max() <= _MAX_EXTENT:
+            raise InvalidArgumentError(f"body has coordinates beyond {_MAX_EXTENT:g} in magnitude")
+    return doc
 
 
 def _write_doc(path: str, doc: BodyDocument):

@@ -254,10 +254,12 @@ def _steiner_polytope_3d(poly: Polytope) -> np.ndarray | None:
     return s / ball_volume(3)
 
 
-def _steiner_segment(poly: Polytope) -> np.ndarray | None:
-    """Steiner point of a point or segment: the midpoint, by symmetry."""
+def _steiner_exact(poly: Polytope) -> np.ndarray | None:
+    """Exact Steiner point (a segment's midpoint, else over the normal fan) or None."""
     hull = poly.hull
-    return hull.points[hull.extreme].mean(axis=0) if hull.rank <= 1 else None
+    if hull.rank <= 1:
+        return hull.points[hull.extreme].mean(axis=0)
+    return _steiner_polygon(poly) if poly.dim == 2 else _steiner_polytope_3d(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +290,8 @@ def _steiner_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
     if isinstance(body, Sampled):
         return (body.grid.weights * body.values) @ body.grid.nodes / ball_volume(body.dim)
     if isinstance(body, Polytope) and body.dim in (2, 3):
-        s = _steiner_segment(body)
-        if s is None:
-            s = _steiner_polygon(body) if body.dim == 2 else _steiner_polytope_3d(body)
-        if s is not None:
+        s = body.memo("steiner", _steiner_exact)
+        if s is not None:  # else flat 3-D: the grid's value, never kept
             return s
     return steiner_quadrature(body, grid or default_grid(body.dim))
 
@@ -322,7 +322,7 @@ def _moment_leaf(body: Body, grid: SphericalGrid | None) -> np.ndarray:
         wv = body.grid.weights * body.values
         return (body.grid.nodes * wv[:, None]).T @ body.grid.nodes
     if isinstance(body, Polytope) and n in (2, 3):
-        m = _polytope_moment(body.hull)
+        m = body.memo("moment", lambda p: _polytope_moment(p.hull))
         if m is not None:
             return m
     g = grid or default_grid(n)

@@ -7,13 +7,14 @@ Two deterministic constructions carry the library:
 * ``make_grid_3d`` -- Gauss-Legendre nodes in cos(latitude) crossed with
   uniform longitudes, spectrally accurate for smooth integrands.
 
-For n > 3 only a Monte-Carlo grid is provided (``make_grid_nd``); it is
-documented as lower accuracy and exists so the type system stays
-dimension-generic.
+For n > 3 only a Monte-Carlo grid is provided (``make_grid_nd``), of lower
+accuracy.  Each constructor (``default_grid`` too) returns one shared
+read-only grid per argument tuple, from a cache of its last 8 grids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +43,10 @@ def ball_volume(n: int) -> float:
 class SphericalGrid:
     """Quadrature nodes and positive weights on S^{n-1}.
 
-    Immutable after construction; safe for concurrent reads.  ``kind`` and
-    the structure fields (``angles``, ``thetas``, ``phis``) describe the
-    layout when the grid is a structured product; interpolation code uses
-    them and falls back to nearest-node lookups otherwise.
+    Immutable (private read-only arrays), so grids are shared and read
+    concurrently.  ``kind`` and the structure fields (``angles``, ``thetas``,
+    ``phis``) describe the layout of a structured product grid;
+    interpolation uses them, else nearest-node lookups.
     """
 
     dim: int
@@ -57,10 +58,12 @@ class SphericalGrid:
     phis: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        for name in ("nodes", "weights", "angles", "thetas", "phis"):
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=float, order="C")
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        nodes, weights = self.nodes, self.weights
         if nodes.ndim != 2 or nodes.shape[1] != self.dim:
             raise InvalidArgumentError(
                 f"nodes must have shape (N, {self.dim}), got {nodes.shape}"
@@ -103,6 +106,7 @@ class SphericalGrid:
         return math.sqrt(sphere_area(self.dim) / max(len(self), 1))
 
 
+@functools.lru_cache(maxsize=8)
 def make_grid_2d(m: int) -> SphericalGrid:
     """Trapezoid-rule grid of m equally spaced directions on the circle."""
     if not 4 <= m <= _MAX_GRID_NODES:
@@ -113,6 +117,7 @@ def make_grid_2d(m: int) -> SphericalGrid:
     return SphericalGrid(2, nodes, weights, kind="uniform-2d", angles=angles)
 
 
+@functools.lru_cache(maxsize=8)
 def make_grid_3d(n_lat: int, n_lon: int) -> SphericalGrid:
     """Gauss-Legendre x uniform-longitude product grid on S^2.
 
@@ -144,6 +149,7 @@ def make_grid_3d(n_lat: int, n_lon: int) -> SphericalGrid:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def make_grid_nd(n: int, count: int, seed: int = 0) -> SphericalGrid:
     """Monte-Carlo grid for n > 3: uniform random directions, equal weights.
 
@@ -161,7 +167,7 @@ def make_grid_nd(n: int, count: int, seed: int = 0) -> SphericalGrid:
 
 
 def default_grid(dim: int) -> SphericalGrid:
-    """Library default resolution: 2048 nodes (n=2), 64x128 (n=3)."""
+    """Library default resolution: 2048 nodes (n=2), 64x128 (n=3); shared."""
     if dim == 2:
         return make_grid_2d(DEFAULT_NODES_2D)
     if dim == 3:
@@ -176,7 +182,7 @@ def rotate_grid(matrix: np.ndarray, grid: SphericalGrid) -> SphericalGrid:
     unstructured (nearest-node interpolation only).
     """
     nodes = grid.nodes @ np.asarray(matrix, dtype=float).T
-    return SphericalGrid(grid.dim, nodes, grid.weights.copy(), kind="rotated")
+    return SphericalGrid(grid.dim, nodes, grid.weights, kind="rotated")
 
 
 def integrate(grid: SphericalGrid, f) -> float:

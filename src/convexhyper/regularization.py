@@ -41,8 +41,9 @@ block shapes and row orders, never more.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,9 +127,15 @@ class RegularizationParams:
 def kernel_rule(params: RegularizationParams, dim: int):
     """Unit-mass product rule for the shell convolution.
 
-    Returns (offsets, weights): offsets are points of the shell
-    1 <= ||z|| <= 2 (to be scaled by t), weights sum to one.
+    Returns (offsets, weights), read-only and shared per node counts and
+    dimension: points of the shell 1 <= ||z|| <= 2 (to be scaled by t)
+    and weights summing to one.
     """
+    return _kernel_rule(replace(params, t=0.0), dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_rule(params: RegularizationParams, dim: int):
     s, glw = np.polynomial.legendre.leggauss(params.radial_nodes)
     s = 1.5 + 0.5 * s
     glw = 0.5 * glw
@@ -137,6 +144,8 @@ def kernel_rule(params: RegularizationParams, dim: int):
     weights = np.outer(radial, ang.weights).ravel()
     weights /= weights.sum()
     offsets = (s[:, None, None] * ang.nodes[None, :, :]).reshape(-1, dim)
+    for array in (offsets, weights):
+        array.setflags(write=False)
     return offsets, weights
 
 
@@ -145,9 +154,15 @@ def canonical_frame(body: Body) -> np.ndarray:
 
     Columns are eigenvectors of the exact second moment of h, ordered by
     descending eigenvalue, signs fixed by third moments.  Covariant under
-    O(n) for bodies with simple moment spectrum; identity fallback when
-    the spectrum or a sign functional degenerates.
+    O(n) for bodies with simple moment spectrum; identity fallback when the
+    spectrum or a sign functional degenerates.  Kept on a polytope.
     """
+    if isinstance(body, Polytope):
+        return body.memo("frame", _canonical_frame)
+    return _canonical_frame(body)
+
+
+def _canonical_frame(body: Body) -> np.ndarray:
     n = body_dim(body)
     m = support_moment_matrix(body)
     evals, evecs = np.linalg.eigh(m)
@@ -256,8 +271,8 @@ def mollified_support_values(
     T(D)(u) = sum_ij  c_ij h_D(u + t s_i v_j)  with the kernel directions
     v_j expressed in the body's canonical frame.  The map is linear in h,
     so the body is smoothed term by term: polytope, ball and ellipsoid
-    terms in closed vectorized form, sampled leaves through support
-    values of the point cloud u + t s_i v_j.
+    terms in closed vectorized form, sampled leaves through support values
+    of the point cloud u + t s_i v_j.  Overflowing kernel sums raise.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if not np.isfinite(dirs).all():
@@ -272,28 +287,32 @@ def mollified_support_values(
     offsets, weights = kernel_rule(params, n)
     offsets = params.t * (offsets @ frame.T)
     k = offsets.shape[0]
-    out = np.zeros(dirs.shape[0])
-    rest = []
-    for term in terms(body):
-        a, g, leaf = term
-        if isinstance(leaf, Polytope):
-            verts = leaf.vertices if g is None else leaf.vertices @ g.T
-            _polytope_kernel(a * verts, dirs, offsets, weights, out)
-        elif isinstance(leaf, Ball):
-            matrix = a * leaf.radius * np.eye(n)
-            _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
-        elif isinstance(leaf, Ellipsoid):
-            matrix = term.push_moment(leaf.matrix)
-            _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
-        else:
-            rest.append(term)
-    if not rest:
-        return out
-    for start, stop in _row_blocks(dirs.shape[0], k):
-        pts = (dirs[start:stop, None, :] + offsets[None, :, :]).reshape(-1, n)
-        vals = sum(term_support(term, pts) for term in rest).reshape(stop - start, k)
-        out[start:stop] += vals @ weights
-    return out
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = np.zeros(dirs.shape[0])
+            rest = []
+            for term in terms(body):
+                a, g, leaf = term
+                if isinstance(leaf, Polytope):
+                    verts = leaf.vertices if g is None else leaf.vertices @ g.T
+                    _polytope_kernel(a * verts, dirs, offsets, weights, out)
+                elif isinstance(leaf, Ball):
+                    matrix = a * leaf.radius * np.eye(n)
+                    _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
+                elif isinstance(leaf, Ellipsoid):
+                    matrix = term.push_moment(leaf.matrix)
+                    _norm_kernel(term.push(leaf.center), matrix, dirs, offsets, weights, out)
+                else:
+                    rest.append(term)
+            if not rest:
+                return out
+            for start, stop in _row_blocks(dirs.shape[0], k):
+                pts = (dirs[start:stop, None, :] + offsets[None, :, :]).reshape(-1, n)
+                vals = sum(term_support(term, pts) for term in rest).reshape(stop - start, k)
+                out[start:stop] += vals @ weights
+            return out
+    except FloatingPointError:
+        raise InvalidArgumentError("directions too large: the kernel sums overflow") from None
 
 
 def mollify(

@@ -447,3 +447,35 @@ def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 2, 3, 4), (args, res.output, res.exception)
     assert "Traceback" not in res.output
+
+
+_FIVE = [[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200])
+@pytest.mark.parametrize(
+    "args",
+    [["steiner", "{}"], ["hausdorff", "{}", "{}"], ["recenter", "{}", "--out", "{}.out"],
+     ["curvature", "{}"], ["regularize", "--t", "0.1", "--in", "{}", "--out", "{}.out"]],
+    ids=lambda args: args[0],
+)
+def test_huge_finite_body_is_one_error_line(runner, tmp_path, scale, args):
+    # squared norms and moments of such a body overflow: refused on input
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"type": "polytope", "vertices": (np.array(_FIVE) * scale).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, [a.format(path) for a in args])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert not os.path.exists(f"{path}.out")
+
+
+def test_body_at_the_size_limit_is_accepted(runner, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "polytope", "vertices": (np.array(_FIVE) * 1e100).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["steiner", str(path)])
+    assert res.exit_code == 0
+    assert all(math.isfinite(float(v)) for v in res.output.split())

@@ -899,3 +899,53 @@ def test_nelder_mead_matches_scipy_bit_for_bit(name):
     if name == "shrink":
         assert ref.nfev > simplex.shape[0] + 2 * (ref.nit - 1)
     assert (ref.nit >= maxiter) == (name == "maxiter")
+
+
+# ---------------------------------------------------------------------------
+# per-polytope memo of the Steiner point, moment and canonical frame
+# ---------------------------------------------------------------------------
+
+def _memo_values(poly):
+    from convexhyper.regularization import canonical_frame
+
+    return steiner(poly), support_moment_matrix(poly), canonical_frame(poly)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_matches_a_fresh_polytope_bit_for_bit(dim):
+    poly = random_polytope(120 + dim, dim, 14)
+    first = _memo_values(poly)
+    for got in first:  # a returned array is the caller's own
+        got[...] = 99.0
+    again, fresh = _memo_values(poly), _memo_values(Polytope(poly.vertices))
+    for a, b in zip(again, fresh):
+        np.testing.assert_array_equal(a, b)
+    assert not np.any(again[0] == 99.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moved_copies_recompute(dim):
+    poly = random_polytope(130 + dim, dim, 12)
+    g, shift = random_rotation(7, dim).matrix, np.full(dim, 0.75)
+    unmoved = _memo_values(poly)
+    plain = Polytope(poly.vertices)
+    plain.hull  # the same hull to carry, with nothing memoized
+    pairs = [(rigid_motion(poly, g, shift), rigid_motion(plain, g, shift)),
+             (translate(poly, shift), translate(plain, shift))]
+    for moved, reference in pairs:
+        got, want = _memo_values(moved), _memo_values(reference)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        fresh = _memo_values(Polytope(moved.vertices))
+        for a, b in zip(got, fresh):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
+        assert np.abs(got[0] - unmoved[0]).max() > 0.1
+
+
+def test_flat_3d_steiner_follows_the_grid():
+    flat = Polytope([[0.0, 0.0, 0.3], [1.0, 0.2, 0.3], [0.1, 0.7, 0.3], [0.5, 0.5, 0.3]])
+    coarse, fine = make_grid_3d(6, 12), make_grid_3d(16, 32)
+    got = [steiner(flat, grid) for grid in (coarse, fine, coarse)]
+    for s, grid in zip(got, (coarse, fine, coarse)):
+        np.testing.assert_array_equal(s, steiner_quadrature(flat, grid))
+    assert not np.array_equal(got[0], got[1])

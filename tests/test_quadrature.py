@@ -5,6 +5,7 @@ import pytest
 
 from convexhyper import (
     InvalidArgumentError,
+    SphericalGrid,
     integrate,
     integrate_values,
     make_grid_2d,
@@ -13,6 +14,7 @@ from convexhyper import (
     rotate_grid,
     sphere_area,
 )
+from convexhyper.quadrature import DEFAULT_LAT_3D, DEFAULT_LON_3D, DEFAULT_NODES_2D, default_grid
 
 
 def test_grid_2d_minimal_nodes():
@@ -110,3 +112,54 @@ def test_rotate_grid_preserves_weights(grid2):
 
 def test_integrate_callable(grid2):
     assert abs(integrate(grid2, lambda u: 1.0) - 2 * math.pi) < 1e-12
+
+
+def test_constructors_share_one_grid_per_arguments():
+    assert make_grid_2d(64) is make_grid_2d(64)
+    assert make_grid_3d(8, 16) is make_grid_3d(8, 16)
+    assert make_grid_nd(4, 64, seed=5) is make_grid_nd(4, 64, seed=5)
+    assert make_grid_nd(4, 64, seed=5) is not make_grid_nd(4, 64, seed=6)
+    assert default_grid(2) is make_grid_2d(DEFAULT_NODES_2D)
+    assert default_grid(3) is make_grid_3d(DEFAULT_LAT_3D, DEFAULT_LON_3D)
+
+
+def _explicit_grid():
+    nodes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return SphericalGrid(2, nodes, np.full(4, math.pi / 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_grid_2d(16), lambda: make_grid_3d(4, 8), lambda: make_grid_nd(4, 40),
+     lambda: rotate_grid(np.eye(2)[::-1], make_grid_2d(16)), _explicit_grid],
+    ids=["2d", "3d", "nd", "rotated", "explicit"],
+)
+def test_grid_arrays_are_read_only(make):
+    grid = make()
+    arrays = [getattr(grid, name) for name in ("nodes", "weights", "angles", "thetas", "phis")]
+    for array in [a for a in arrays if a is not None]:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.nodes += 0.0
+
+
+def test_grid_keeps_a_private_copy():
+    nodes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    weights = np.full(4, math.pi / 2)
+    grid = SphericalGrid(2, nodes, weights)
+    nodes[0] = [0.6, 0.8]
+    weights[0] = 1.0
+    np.testing.assert_array_equal(grid.nodes[0], [1.0, 0.0])
+    assert grid.weights[0] == math.pi / 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: make_grid_2d(3), lambda: make_grid_3d(1, 8), lambda: make_grid_3d(4, 2),
+     lambda: make_grid_nd(1, 10), lambda: make_grid_nd(4, 3)],
+)
+def test_invalid_grid_arguments_raise_on_every_call(call):
+    for _ in range(3):
+        with pytest.raises(InvalidArgumentError):
+            call()

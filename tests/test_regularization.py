@@ -310,3 +310,37 @@ def test_kernel_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000, (body.dim, peak)
+
+
+def test_kernel_rule_is_shared_and_read_only():
+    offsets, weights = kernel_rule(params(0.1), 3)
+    again = kernel_rule(params(0.025), 3)  # the rule does not depend on t
+    assert again[0] is offsets and again[1] is weights
+    for array in (offsets, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_regularize_twice_gives_identical_bits(dim):
+    body = random_polytope(140 + dim, dim, 12)
+    p = params(0.1, radial_nodes=6, angular_nodes=128 if dim == 3 else 64)
+    grid = make_grid_2d(256) if dim == 2 else make_grid_3d(16, 32)
+    first, second = regularize(body, p, grid), regularize(body, p, grid)
+    fresh = regularize(Polytope(body.vertices), p, grid)
+    for out in (second, fresh):
+        np.testing.assert_array_equal(out.left.values, first.left.values)
+        np.testing.assert_array_equal(steiner(out), steiner(first))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "body, direction",
+    [(Polytope([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]]), [1.7e308, 1.7e308, 0.0]),
+     (random_polytope(1, 3, 16), [1e308, 0.0, 1.0])],
+    ids=["products-overflow", "gaps-overflow"],
+)
+def test_overflowing_directions_are_refused(body, direction):
+    p = RegularizationParams(t=0.1, radial_nodes=4, angular_nodes=32)
+    with pytest.raises(InvalidArgumentError, match="overflow"):
+        mollified_support_values(body, p, [direction])
