@@ -37,6 +37,8 @@ from .quadrature import SphericalGrid
 
 # Rows-per-block cap for (directions x vertices) intermediates.
 _BLOCK_ENTRIES = 16_000_000
+# Largest hull coordinate magnitude: from about 4e76 qhull reads full-rank sets as flat.
+MAX_EXTENT = 1e76
 
 
 def unit_vector(x) -> np.ndarray:
@@ -88,9 +90,9 @@ class Hull:
     reads it), and ``extreme`` indexes the extreme points: the single
     point, the two ends of a segment, qhull's vertices of a full-rank set
     (ascending in 3-D, the order of the cones), or the hull in the plane
-    of a flat one.  In 2-D ``extreme`` is the
-    counterclockwise ``ring`` (a reflection reverses it), with the normal
-    cone arcs ``arcs``.  In 3-D ``edges`` are sorted index pairs in
+    of a flat one.  In 2-D ``extreme`` is the counterclockwise ``ring`` (a
+    reflection reverses it; a cut clips its parent's ring into a record
+    without qhull, ``ring_polytope``), with the normal cone arcs ``arcs``.  In 3-D ``edges`` are sorted index pairs in
     lexicographic order (with the diagonals of triangulated flat faces),
     ``normals`` the unit outward facet normals, ``facets[f]`` the three
     point indices of the triangle with normal ``normals[f]`` (qhull's
@@ -137,7 +139,7 @@ class Hull:
         if len(self.ring) == 1:
             return np.zeros(1), np.full(1, 2.0 * math.pi)
         hi = ring_normal_angles(self.polygon)
-        lo = np.roll(hi, 1)
+        lo = np.concatenate((hi[-1:], hi[:-1]))
         return lo, np.where(hi < lo, hi + 2.0 * math.pi, hi)
 
     def vertex_cones(self):
@@ -153,6 +155,30 @@ def ring_normal_angles(ring: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
 
 
+def _noise(points: np.ndarray) -> float:
+    """Rank tolerance: the Frobenius norm of rounding to 12 decimals (plus a few ulps),
+    which bounds the singular values the rounding can add to a lower-rank set."""
+    return math.sqrt(points.size) * (1e-12 + 16.0 * np.finfo(float).eps * np.abs(points).max())
+
+
+def _rank(points: np.ndarray):
+    """(rank, centered, the point or the segment's ends or None): the package's one rank rule."""
+    centered = points - points.mean(axis=0)
+    rank = int(np.linalg.matrix_rank(centered, tol=_noise(points))) if len(points) > 1 else 0
+    if rank != 1:
+        return rank, centered, np.zeros(1, dtype=int) if rank == 0 else None
+    proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
+    return rank, centered, np.array([proj.argmin(), proj.argmax()])
+
+
+def _distinct_rows(points: np.ndarray):
+    """``np.unique(points, axis=0, return_index=True)`` bit for bit, by one stable lexsort."""
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    return ranked[first], order[first]
+
+
 def _extremes(vertices: np.ndarray):
     """(points, index, rank, qhull hull or None, extreme) of a vertex array.
 
@@ -162,26 +188,16 @@ def _extremes(vertices: np.ndarray):
     every set of more than ``dim`` points; a full-rank set takes its
     vertices, a lower-rank one its extreme points in its own subspace.
     """
-    points, index = np.unique(np.round(vertices, 12), axis=0, return_index=True)
+    points, index = _distinct_rows(np.round(vertices, 12))
     n, dim = points.shape
-    centered = points - points.mean(axis=0)
-    # rounding to 12 decimals moves each coordinate by up to 5e-13, plus a
-    # few ulps of the coordinates' size; their Frobenius norm bounds the
-    # singular values it can add to a lower-rank set
-    noise = math.sqrt(points.size) * (1e-12 + 16.0 * np.finfo(float).eps * np.abs(points).max())
-    rank = int(np.linalg.matrix_rank(centered, tol=noise)) if n > 1 else 0
+    rank, centered, extreme = _rank(points)
     try:
         qh = ConvexHull(points) if dim > 1 and n > dim else None
     except QhullError:
         qh = None
     if rank == dim and qh is not None:
         extreme = qh.vertices
-    elif rank == 0:
-        extreme = np.zeros(1, dtype=int)
-    elif rank == 1:  # the two ends of the segment
-        proj = centered @ centered[np.argmax(np.linalg.norm(centered, axis=1))]
-        extreme = np.array([proj.argmin(), proj.argmax()])
-    else:  # the hull in the subspace of the points
+    elif rank >= 2:  # the hull in the subspace of the points
         basis = np.linalg.svd(centered, full_matrices=False)[2][:rank]
         try:
             extreme = ConvexHull(centered @ basis.T).vertices
@@ -270,8 +286,11 @@ class Polytope(Body):
 
     @property
     def hull(self) -> Hull:
-        """Face structure, built with qhull on first use and then cached."""
+        """Face structure, built with qhull on first use and then cached;
+        ``InvalidBodyError`` for a coordinate beyond ``MAX_EXTENT``."""
         if self._hull is None:
+            if not np.abs(self.vertices).max() <= MAX_EXTENT:
+                raise InvalidBodyError(f"polytope has coordinates beyond {MAX_EXTENT:g} in magnitude")
             object.__setattr__(self, "_hull", _build_hull(self.vertices))
         return self._hull
 
@@ -287,13 +306,13 @@ class Polytope(Body):
 def rigid_motion(poly: Polytope, matrix: np.ndarray | None = None, shift=None) -> Polytope:
     """The polytope g P + shift for an orthogonal g (identity when None).
 
-    A cached hull is carried over instead of rebuilt: the points, facet
-    normals and cones move, and a reflection reverses the 2-D ring.
+    A cached hull is carried over (up to ``MAX_EXTENT``) instead of rebuilt: the
+    points, facet normals and cones move, and a reflection reverses the 2-D ring.
     """
     v = poly.vertices if matrix is None else poly.vertices @ matrix.T
     moved = Polytope(v if shift is None else v + shift)
     hull = poly._hull
-    if hull is not None:
+    if hull is not None and np.abs(moved.vertices).max() <= MAX_EXTENT:
         extreme, normals, cones = hull.extreme, hull.normals, hull.cones
         if matrix is not None:
             if poly.dim == 2 and np.linalg.det(matrix) < 0:
@@ -650,6 +669,31 @@ def convex_hull_vertices(points: np.ndarray) -> np.ndarray:
     flat set gives its own extreme points.  Builds no facets or cones."""
     pts, _, _, _, extreme = _extremes(np.asarray(points, dtype=float))
     return pts[np.sort(extreme)]
+
+
+def ring_polytope(ring: np.ndarray) -> Polytope:
+    """The convex polygon on the counterclockwise points ``ring``, its hull record set
+    without qhull: points rounded to 12 decimals and ascending, ``extreme`` the ring from
+    its lowest index.  A repeat or a point within the rank noise of its neighbours' chord
+    is dropped, flattest first; a sliver (rank below 2) is ``convex_hull_vertices``."""
+    pts = np.round(ring, 12)
+    noise = _noise(pts)
+    while len(pts) > 2:
+        ext = np.concatenate((pts[-1:], pts, pts[:1]))
+        prev, chord = ext[:-2], ext[2:] - ext[:-2]
+        lift = (pts[:, 0] - prev[:, 0]) * chord[:, 1] - (pts[:, 1] - prev[:, 1]) * chord[:, 0]
+        height = lift / np.maximum(np.hypot(chord[:, 0], chord[:, 1]), 1e-300)
+        if height.min() > noise:
+            break
+        pts = np.delete(pts, height.argmin(), axis=0)
+    order = np.lexsort(pts.T[::-1])
+    rank, at = _rank(pts[order])[0], np.argsort(order)
+    if rank < 2:
+        return Polytope(convex_hull_vertices(ring))
+    poly = Polytope(pts[order])
+    hull = Hull(poly.vertices, np.arange(len(pts)), rank, at[(np.arange(len(pts)) + at.argmin()) % len(pts)])
+    object.__setattr__(poly, "_hull", hull)
+    return poly
 
 
 def polytope_sum(a: Polytope, b: Polytope) -> Polytope:

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import congruence as congruence_mod
-from .bodies import Sum, body_dim, sample_support, support_values
+from .bodies import MAX_EXTENT, Sum, body_dim, sample_support, support_values
 from .corpus import Corpus
 from .curvature import curvature_report
 from .errors import (
@@ -49,7 +49,6 @@ from .truncation import (
 )
 
 _NUM = "{:.17g}"
-_MAX_EXTENT = 1e100  # squared norms and moments of larger input bodies overflow
 
 
 def _fmt(x: float) -> str:
@@ -104,8 +103,8 @@ def _read_doc(path: str) -> BodyDocument:
         doc = parse_body(fh.read())
     axes = np.eye(body_dim(doc.body))
     with np.errstate(all="ignore"):  # max |x_i| over the body is max h(+-e_i)
-        if not support_values(doc.body, np.r_[axes, -axes]).max() <= _MAX_EXTENT:
-            raise InvalidArgumentError(f"body has coordinates beyond {_MAX_EXTENT:g} in magnitude")
+        if not support_values(doc.body, np.r_[axes, -axes]).max() <= MAX_EXTENT:
+            raise InvalidArgumentError(f"body has coordinates beyond {MAX_EXTENT:g} in magnitude")
     return doc
 
 

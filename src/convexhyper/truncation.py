@@ -28,6 +28,7 @@ from .bodies import (
     as_polytope,
     body_dim,
     convex_hull_vertices,
+    ring_polytope,
     support_values,
     translate,
     unit_vector,
@@ -86,34 +87,41 @@ def _pairwise_diameter(points: np.ndarray) -> float:
     return float(np.sqrt((diffs**2).sum(axis=2)).max())
 
 
-def _clip_vertices(poly: Polytope, u: np.ndarray, cut: float) -> np.ndarray:
-    """Vertices of the polytope intersected with {<x,u> <= cut}.
+def _clip(poly: Polytope, u: np.ndarray, cut: float) -> Polytope:
+    """The polytope intersected with {<x,u> <= cut}.
 
-    New vertices are where hull edges cross the cut plane.
+    Vertices at most ``_FACE_TOL`` * scale above the plane stay, and hull
+    edges add their crossings.  A 2-D ring is clipped in order, each kept
+    vertex before the crossing on its edge out (Sutherland-Hodgman), with
+    no qhull; 3-D points take qhull twice (their extreme points, the hull).
     """
     verts = poly.vertices
     d = verts @ u - cut
     scale = 1.0 + float(np.abs(verts).max())
-    keep = verts[d <= _FACE_TOL * scale]
-    if keep.shape[0] == verts.shape[0]:
-        return verts
-    if keep.shape[0] == 0:
+    kept = d <= _FACE_TOL * scale
+    if kept.all():
+        return poly
+    if not kept.any():
         raise EmptyResultError("cut removes the whole body")
     hull = poly.hull
     if hull.ring is not None:
         ring = hull.index[hull.ring]
-        edges = np.column_stack([ring, np.roll(ring, -1)])
+        edges = np.stack([ring, np.concatenate((ring[1:], ring[:1]))], axis=1)
     elif hull.edges is not None:
         edges = hull.index[hull.edges]
     else:  # no 3-D hull: every chord, interior crossings are pruned below
         edges = np.array(list(itertools.combinations(range(len(verts)), 2)))
     di, dj = d[edges[:, 0]], d[edges[:, 1]]
     cross = ((di > 0) != (dj > 0)) & (np.abs(di - dj) > 1e-15)
-    i, j = edges[cross, 0], edges[cross, 1]
-    t = di[cross] / (di[cross] - dj[cross])
-    inside = (t >= 0.0) & (t <= 1.0)
-    i, j, t = i[inside], j[inside], t[inside]
-    return convex_hull_vertices(np.vstack([keep, verts[i] + t[:, None] * (verts[j] - verts[i])]))
+    t = np.divide(di, di - dj, out=np.zeros(len(edges)), where=cross)
+    cross &= (t >= 0.0) & (t <= 1.0)
+    i, j, t = edges[cross, 0], edges[cross, 1], t[cross, None]
+    crossings = verts[i] + t * (verts[j] - verts[i])
+    if hull.ring is None:
+        return Polytope(convex_hull_vertices(np.vstack([verts[kept], crossings])))
+    points = np.repeat(verts[ring], 2, axis=0)  # ring vertex k, then the crossing on its edge out
+    points[1::2][cross] = crossings
+    return ring_polytope(points[np.column_stack([kept[ring], cross]).ravel()])
 
 
 def _require_polytope(body: Body) -> Polytope:
@@ -148,8 +156,7 @@ def truncate(body: Body, spec: TruncationSpec, grid: SphericalGrid | None = None
         )
     if spec.eps == 0.0:
         return recenter(poly, grid)
-    clipped = Polytope(_clip_vertices(poly, u, h_u - spec.eps))
-    return recenter(clipped, grid)
+    return recenter(_clip(poly, u, h_u - spec.eps), grid)
 
 
 def is_c1_violated(body: Body, tol_angle: float) -> bool:
@@ -405,7 +412,7 @@ def _feasible_cut(
     for p in later_vertices:
         if float(p @ u) >= cut - margin:
             return None
-    clipped = Polytope(_clip_vertices(current, u, cut))
+    clipped = _clip(current, u, cut)
     face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
     face_diam = _pairwise_diameter(face)
     # the rank check builds the hull, which steiner then reuses

@@ -24,6 +24,10 @@ qhull hull, then an SVD of its own for degenerate sets) and the arc-loop
 Steiner oracle the former 2-D Steiner point (segment ends by projection,
 normal-cone arcs one ring vertex at a time); on full-rank sets, points and
 segments the hull record must return their bits.
+The two-pass clip oracle is the former 2-D cut: the kept vertices and the
+ring's edge crossings through ``convex_hull_vertices``, then the hull of
+the result; the ring clip must return its record, less the points within
+the rank noise of their neighbours' chord.
 The kink-polish oracle is the former polish of a non-exact Hausdorff
 pair (golden section in 2-D, Nelder-Mead in 3-D, with extra starts at the
 bodies' kink directions); ``hausdorff`` must never fall below it by more
@@ -59,6 +63,7 @@ from convexhyper.bodies import (
     Sum,
     ring_normal_angles,
     as_polytope,
+    convex_hull_vertices,
     support_values,
 )
 from convexhyper.curvature import support_point
@@ -330,6 +335,29 @@ def qhull_hull_vertices(points: np.ndarray) -> np.ndarray:
         return pts[np.sort(ConvexHull(coords).vertices)]
     except QhullError:
         return pts
+
+
+def two_pass_clip_candidates(poly, u: np.ndarray, cut: float) -> np.ndarray:
+    """The points the former 2-D cut handed to ``convex_hull_vertices``:
+    the vertices at most 1e-9 * scale above the line, then the crossings
+    of the ring's edges in ring order."""
+    verts = poly.vertices
+    d = verts @ u - cut
+    keep = verts[d <= 1e-9 * (1.0 + float(np.abs(verts).max()))]
+    ring = poly.hull.index[poly.hull.ring]
+    edges = np.column_stack([ring, np.roll(ring, -1)])
+    di, dj = d[edges[:, 0]], d[edges[:, 1]]
+    cross = ((di > 0) != (dj > 0)) & (np.abs(di - dj) > 1e-15)
+    i, j = edges[cross, 0], edges[cross, 1]
+    t = di[cross] / (di[cross] - dj[cross])
+    inside = (t >= 0.0) & (t <= 1.0)
+    i, j, t = i[inside], j[inside], t[inside]
+    return np.vstack([keep, verts[i] + t[:, None] * (verts[j] - verts[i])])
+
+
+def two_pass_clip(poly, u: np.ndarray, cut: float) -> Polytope:
+    """The former 2-D cut: qhull on the candidates, then on the result."""
+    return Polytope(convex_hull_vertices(two_pass_clip_candidates(poly, u, cut)))
 
 
 def arc_loop_steiner_2d(poly) -> np.ndarray:

@@ -47,7 +47,7 @@ from convexhyper import (
 from convexhyper import bodies, truncation
 from convexhyper.bodies import convex_hull_vertices, rigid_motion, sublinearity_violation
 from convexhyper.metrics import exact_hausdorff, steiner
-from oracles import loop_vertex_cones, qhull_hull_vertices
+from oracles import loop_vertex_cones, qhull_hull_vertices, two_pass_clip_candidates
 
 
 def test_ball_support_is_homogeneous():
@@ -421,8 +421,9 @@ def test_degenerate_sums_and_triples_keep_only_their_ends():
 def test_hull_vertices_bits_match_qhull_oracle(monkeypatch):
     # on full-rank sets both take qhull's vertices of the same rounded
     # points: the sets truncation hands over (512-direction ball
-    # approximations with repeated support points, cuts), cuts with extra
-    # points on their cut face, and plain random sets
+    # approximations with repeated support points, 3-D cuts), the sets the
+    # former 2-D cut handed over (a 2-D cut now clips its ring), cuts with
+    # extra points on their cut face, and plain random sets
     seen = []
 
     def record(points):
@@ -435,7 +436,11 @@ def test_hull_vertices_bits_match_qhull_oracle(monkeypatch):
         for seed in range(6):
             poly = random_polytope(500 + seed, dim, 12)
             u = random_rotation(520 + seed, dim).matrix[0]
-            truncate(poly, TruncationSpec(u, 0.3 * width(poly, u)))
+            eps = 0.3 * width(poly, u)
+            truncate(poly, TruncationSpec(u, eps))
+            if dim == 2:
+                h_u = float(support_values(poly, u[None, :])[0])
+                seen.append(two_pass_clip_candidates(poly, u, h_u - eps))
             h = seen[-1] @ u
             face = seen[-1][h >= h.max() - 1e-9]
             seen.append(np.vstack([seen[-1], face.mean(axis=0), 0.5 * (face[0] + face[1])]))
@@ -455,7 +460,44 @@ def test_rank_is_decided_in_one_place():
                 names = {getattr(node, key, None) for key in ("attr", "id", "name")}
                 if "matrix_rank" in names:
                     sites.add((path.name, getattr(top, "name", "<module>")))
-    assert sites == {("bodies.py", "_extremes")}
+    assert sites == {("bodies.py", "_rank")}
+
+
+def test_distinct_rows_match_numpy_unique_bits():
+    # one stable lexsort gives np.unique's rows and first-occurrence rows,
+    # with -0.0 equal to 0.0 and the first occurrence's sign kept
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        base = np.round(rng.uniform(-1.0, 1.0, (3 + seed % 7, dim)), 1)
+        base[rng.random(base.shape) < 0.3] = 0.0
+        pts = base[rng.integers(0, len(base), 5 + 3 * seed)]
+        pts = np.where(rng.random(pts.shape) < 0.5, -1.0, 1.0) * pts
+        rows, index = bodies._distinct_rows(pts)
+        want_rows, want_index = np.unique(pts, axis=0, return_index=True)
+        assert _hexes(rows) == _hexes(want_rows)
+        assert np.signbit(rows).tolist() == np.signbit(want_rows).tolist()
+        np.testing.assert_array_equal(index, want_index)
+        assert bodies._extremes(pts)[1].tolist() == want_index.tolist()
+    rows, index = bodies._distinct_rows(np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, -0.0]]))
+    assert np.signbit(rows).tolist() == [[True, False], [False, False]] and index.tolist() == [0, 2]
+
+
+def test_hull_refuses_coordinates_beyond_the_extent():
+    # from about 4e76 qhull's initial simplex reads flat while the rank is
+    # still full, and the Steiner point fell back to grid quadrature
+    five = np.array([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+    for scale in (1e77, 1e154, 1e300):
+        with pytest.raises(InvalidBodyError):
+            steiner(Polytope(five * scale))
+    with pytest.raises(InvalidBodyError):
+        Polytope([[1e200, 1e200], [-1e200, 1e200], [-1e200, -1e200], [1e200, -1e200]]).hull
+    at_limit = Polytope(five * bodies.MAX_EXTENT)
+    assert at_limit.hull.normals is not None
+    with pytest.raises(InvalidBodyError):  # a moved copy carries no hull past the limit
+        steiner(translate(at_limit, [bodies.MAX_EXTENT, 0.0, 0.0]))
+    np.testing.assert_allclose(steiner(at_limit) / bodies.MAX_EXTENT, steiner(Polytope(five)),
+                               rtol=0, atol=1e-12)
 
 
 def test_polytope_copies_vertices_read_only():

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import convexhyper
+from convexhyper import Polytope, steiner
+from convexhyper.bodies import MAX_EXTENT
 from convexhyper.cli import main
 
 
@@ -471,11 +473,22 @@ def test_huge_finite_body_is_one_error_line(runner, tmp_path, scale, args):
     assert not os.path.exists(f"{path}.out")
 
 
+@pytest.mark.parametrize("scale", [2.0 * MAX_EXTENT, 1e100])
+def test_body_beyond_the_hull_limit_is_refused(runner, tmp_path, scale):
+    # qhull's initial simplex reads flat from about 4e76 while the rank is
+    # full; the CLI's limit is the library's hull limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "polytope", "vertices": (np.array(_FIVE) * scale).tolist()}))
+    res = runner.invoke(main, ["steiner", str(path)])
+    assert res.exit_code == 2 and res.stderr.startswith("error:")
+
+
 def test_body_at_the_size_limit_is_accepted(runner, tmp_path):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"type": "polytope", "vertices": (np.array(_FIVE) * 1e100).tolist()}))
+    path.write_text(json.dumps({"type": "polytope", "vertices": (np.array(_FIVE) * MAX_EXTENT).tolist()}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = runner.invoke(main, ["steiner", str(path)])
     assert res.exit_code == 0
-    assert all(math.isfinite(float(v)) for v in res.output.split())
+    got = np.array([float(v) for v in res.output.split()]) / MAX_EXTENT
+    np.testing.assert_allclose(got, steiner(Polytope(_FIVE)), rtol=0, atol=1e-12)

@@ -15,6 +15,8 @@ from convexhyper import (
     hausdorff,
     is_c1_violated,
     isotropy_estimate,
+    make_grid_2d,
+    make_grid_3d,
     polytope_approximation,
     random_symmetric_polytope,
     recenter,
@@ -22,8 +24,9 @@ from convexhyper import (
     support_values,
     truncate,
 )
-from convexhyper import truncation
-from oracles import loop_vertex_cone_direction
+from convexhyper import bodies, random_polytope, random_rotation, truncation, width
+from convexhyper.bodies import rigid_motion
+from oracles import loop_vertex_cone_direction, two_pass_clip
 
 
 class TestTruncate:
@@ -75,18 +78,137 @@ class TestTruncate:
         # Steiner correction: support never exceeds it, and strictly
         # decreases near the cut normal
         from convexhyper.bodies import translate
-        from convexhyper.truncation import _clip_vertices
 
         body = Polytope(np.random.default_rng(3).uniform(-1, 1, (10, 2)))
         u = np.array([0.0, 1.0])
         out = truncate(body, TruncationSpec(u, 0.3), grid2)
         h_u = float(support_values(body, u[None, :])[0])
-        shift = steiner(Polytope(_clip_vertices(body, u, h_u - 0.3)), grid2)
+        shift = steiner(truncation._clip(body, u, h_u - 0.3), grid2)
         shifted = translate(body, -shift)
         excess = support_values(out, grid2.nodes) - support_values(shifted, grid2.nodes)
         assert excess.max() <= 1e-12
         at_cut = float(support_values(out, u[None, :])[0])
         assert at_cut < float(support_values(shifted, u[None, :])[0]) - 0.29
+
+
+def _rows(points):
+    return [tuple(p) for p in np.asarray(points).tolist()]
+
+
+def _boundary_distance(p, ring):
+    a, b = ring, np.roll(ring, -1, axis=0)
+    t = np.clip(((p - a) * (b - a)).sum(axis=1) / ((b - a) ** 2).sum(axis=1), 0.0, 1.0)
+    return float(np.linalg.norm(a + t[:, None] * (b - a) - p, axis=1).min())
+
+
+def _flat_points(ring, noise):
+    """Whether some point of a CCW ring lies within noise of its
+    neighbours' chord (or on its inner side)."""
+    prev, chord = np.roll(ring, 1, axis=0), np.roll(ring, -1, axis=0) - np.roll(ring, 1, axis=0)
+    lift = (ring[:, 0] - prev[:, 0]) * chord[:, 1] - (ring[:, 1] - prev[:, 1]) * chord[:, 0]
+    return bool((lift <= noise * np.linalg.norm(chord, axis=1)).any())
+
+
+def _check_ring_clip(poly, u, cut):
+    """The ring clip gives the former two-pass record, less the points
+    within the rank noise of their neighbours' chord; returns whether
+    it gave that record whole."""
+    new, old = truncation._clip(poly, u, cut), two_pass_clip(poly, u, cut)
+    nh, oh = new.hull, old.hull
+    assert nh.rank == oh.rank
+    np.testing.assert_array_equal(nh.index, np.arange(len(nh.points)))
+    np.testing.assert_array_equal(new.vertices, nh.points)
+    if nh.rank < 2:
+        np.testing.assert_array_equal(nh.points, oh.points)
+        np.testing.assert_array_equal(nh.extreme, oh.extreme)
+        return True
+    assert _rows(nh.points) == sorted(_rows(nh.points)) and nh.extreme[0] == 0
+    assert sorted(nh.extreme.tolist()) == list(range(len(nh.points)))
+    kept = set(_rows(nh.points))
+    old_ring = _rows(oh.polygon)
+    start = old_ring.index(_rows(nh.polygon)[0])
+    old_ring = old_ring[start:] + old_ring[:start]
+    assert [p for p in old_ring if p in kept] == _rows(nh.polygon)
+    noise = bodies._noise(oh.points)
+    for p in set(old_ring) - kept:
+        assert _boundary_distance(np.array(p), nh.polygon) <= noise
+    # no edge of rounding length, whose normal angle would be noise
+    assert not _flat_points(nh.polygon, noise)
+    if not _flat_points(oh.polygon, noise):
+        np.testing.assert_array_equal(nh.points, oh.points)
+        return True
+    return False
+
+
+class TestRingClip:
+    def test_seeded_cuts_match_the_two_pass_record(self):
+        whole = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            poly = random_polytope(700 + seed, 2, int(rng.integers(3, 16)))
+            if seed % 2:  # a carried hull: moved points, a reflection reverses the ring
+                g = random_rotation(seed, 2).matrix @ np.diag([1.0, (-1.0) ** (seed // 2)])
+                poly.hull
+                poly = rigid_motion(poly, g, rng.standard_normal(2))
+            u = random_rotation(900 + seed, 2).matrix[0]
+            h = poly.vertices @ u
+            whole += _check_ring_clip(poly, u, h.max() - rng.uniform(0.01, 0.99) * np.ptp(h))
+        assert whole == 200
+
+    def test_adversarial_cuts_match_the_two_pass_record(self):
+        whole = total = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            poly = random_polytope(800 + seed, 2, 9)
+            ring, scale = poly.hull.polygon, 1.0 + np.abs(poly.vertices).max()
+            v = ring[seed % len(ring)]
+            u = random_rotation(850 + seed, 2).matrix[0]
+            tol = truncation._FACE_TOL * scale
+            cuts = [(u, v @ u)] + [(u, v @ u + f * tol) for f in (-1.5, -0.5, 0.5, 1.0, 1.5)]
+            e = ring[(seed + 1) % len(ring)] - v
+            n = np.array([e[1], -e[0]]) / np.linalg.norm(e)  # outward normal of the edge out of v
+            cuts += [(n, v @ n + f) for f in (-0.2, -1e-10, 1e-10, -2.0 * tol)]
+            h = poly.vertices @ u
+            cuts += [(u, h.max() - np.ptp(h) * (1.0 - f)) for f in (1e-13, 1e-10, 1e-7)]
+            for w, cut in cuts:
+                total += 1
+                d = poly.vertices @ w - cut
+                if (d <= tol).all():
+                    assert truncation._clip(poly, w, cut) is poly
+                elif (d > tol).all():
+                    with pytest.raises(EmptyResultError):
+                        truncation._clip(poly, w, cut)
+                else:
+                    whole += _check_ring_clip(poly, w, cut)
+        # vertices within the tolerance of the line give crossings within
+        # about 1e-9 of them, some of which the two-pass path kept
+        assert 0 < whole < total
+
+
+def test_cuts_build_qhull_only_where_they_did(monkeypatch):
+    # a 2-D cut clips its ring with no qhull; a 3-D cut takes the extreme
+    # points of its clipped points and then the result's hull
+    built = []
+
+    class Counting(bodies.ConvexHull):
+        def __init__(self, *args, **kwargs):
+            built.append(np.shape(args[0]))
+            super().__init__(*args, **kwargs)
+
+    body = random_symmetric_polytope(7, 2, 10)
+    monkeypatch.setattr(bodies, "ConvexHull", Counting)
+    grid = make_grid_2d(256)
+    out, _ = desymmetrize(body, 0.3, grid)
+    u = np.array([0.6, 0.8])
+    for f in (0.0, 2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7):
+        truncate(out, TruncationSpec(u, float(width(out, u)) * (0.1 + f)), grid)
+    assert built == [body.vertices.shape]
+    for seed in range(3):
+        poly = random_polytope(seed, 3, 12)
+        poly.hull
+        built.clear()
+        truncate(poly, TruncationSpec([0.0, 0.0, 1.0], 0.3), make_grid_3d(16, 32))
+        assert len(built) == 2
 
 
 class TestC1Violation:
