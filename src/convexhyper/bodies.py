@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -149,10 +149,19 @@ class Hull:
         return zip(owners, np.split(self.cones, cut))
 
 
+@lru_cache(maxsize=64)
+def _successors(m: int) -> np.ndarray:
+    """1, 2, ..., m - 1, 0: the next index around a ring of m points (read-only)."""
+    succ = np.roll(np.arange(m), -1)
+    succ.flags.writeable = False
+    return succ
+
+
 def ring_normal_angles(ring: np.ndarray) -> np.ndarray:
-    """Outward-normal angle of each edge k -> k+1 of a CCW 2-D ring, in [0, 2 pi)."""
-    edges = np.concatenate((ring[1:], ring[:1])) - ring
-    return np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi)
+    """Outward-normal angle of each edge k -> k+1 of a CCW 2-D ring, in [0, 2 pi),
+    or of each ring of a stack (count, m, 2)."""
+    edges = ring.take(_successors(ring.shape[-2]), axis=-2) - ring
+    return np.mod(np.arctan2(-edges[..., 0], edges[..., 1]), 2.0 * math.pi)
 
 
 def _noise(points: np.ndarray) -> float:

@@ -10,13 +10,15 @@ audit certificate.
 
 The objective maps a stack of orthogonal matrices to one exact Hausdorff
 value each (``metrics._stacked_gap``) when both bodies are ``_rotatable``:
-the coarse scan is one call, a 2-D golden-section probe of a polygon pair
-the arc form (``_scalar_2d``), and a round of the 3-D starts in lockstep
-one call for all they ask for.  Loose Nelder-Mead finds a start's basin, a
-minimax trust-region step on the gaps at the critical directions
-(``metrics._stacked_gaps``) its bottom.  The result is then an upper bound
-on the orbit distance.  Other bodies use the grid maximum, a lower bound
-at each rotation, so theirs is a minimum of lower bounds.
+the coarse scan is one call, and the starts refine in lockstep
+(``_lockstep``), one call per round for all they ask for.  In 2-D each
+start is golden section in the angle, whose probes of a polygon pair take
+the arc form for the whole stack (``_probe_2d``); in 3-D loose
+Nelder-Mead finds a start's basin, a minimax trust-region step on the
+gaps at the critical directions (``metrics._stacked_gaps``) its bottom.
+The result is then an upper bound on the orbit distance.  Other bodies
+use the grid maximum, a lower bound at each rotation, so theirs is a
+minimum of lower bounds.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 # the exact-map path values its maps through this module-level name, so
 # perfbench's tracer counts them as objective calls
 from .metrics import exact_hausdorff, nelder_mead_steps, recenter, support_moment_matrix
-from .metrics import _arc_hausdorff, _fan, _kernel_size, _side, _Side, _stacked_gap, _stacked_gaps
-# the 2-D refinement, its only caller, calls golden section by this
-# module-level name, so perfbench's tracer can wrap it here
-from .metrics import golden_section_min as _golden_min
+from .metrics import (golden_section_steps, _arc_hausdorff, _fan, _kernel_size, _side, _Side,
+                      _stacked_gap, _stacked_gaps)
 from .quadrature import SphericalGrid, default_grid
 from .rotations import (axis_angle_matrix, circle_candidates, orthogonal_maps, rotation_matrix_2d,
                         sphere_candidates)
@@ -48,6 +48,7 @@ _MAX_COARSE = 1 << 16  # larger coarse grids are refused, not allocated
 _BASIN_TOL = (1e-5, 1e-8)  # Nelder-Mead (xatol in radians, fatol) of the basin finder
 _TIGHT_TOL = (1e-11, 1e-13)  # ... and of the run after a stalled polish
 _POLISH_FLOOR, _MIN_RADIUS = 1e-13, 1e-12  # polish: least predicted decrease, trust radius
+_MIRROR = np.diag([1.0, -1.0])  # a 2-D rotation times it is an improper start's matrix
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class SearchParams:
     ``max_iterations`` caps each stage of a 3-D start (each Nelder-Mead run,
     the polish steps).  Starts are chosen with a mutual-separation filter
     so several coarse points of one basin do not crowd out the others, and
-    refinement stops once a value drops below ``_EARLY_EXIT``: the later
-    starts are not run (n=2) or are cancelled (n=3, run in lockstep).
+    refinement stops once a value drops below ``_EARLY_EXIT``: the starts
+    run in lockstep, and the later ones pause once a start is given such a
+    value and are cancelled once it ends below it.
     None of these applies to a pair of polytopes with exact maps within
     ``_EARLY_EXIT``; only ``include_reflections`` does, by dropping the
     improper maps.
@@ -157,26 +159,27 @@ def _objective(d, k, d_body: Body, k_values: np.ndarray, nodes: np.ndarray, piec
     )
 
 
-def _scalar_2d(dc: Body, kc: Body, objective):
-    """The objective at one 2-D matrix g for golden section.
+def _probe_2d(dc: Body, kc: Body, objective):
+    """The objective at a stack of 2-D matrices for golden section.
 
     Polygon pairs of at most ``_EXACT_VERTEX_LIMIT`` vertices take the arc
-    form, whose bits the benchmark records (a stack of one once they are
-    re-recorded), against K's side built once per search.  A probe moves
-    D's vertices and hull ring as ``rigid_motion`` does and builds no
-    polytope, so it returns exact_hausdorff(rigid_motion(pd, g), pk) bit
-    for bit.  Other pairs take the objective on a stack of one.
+    form, whose bits the benchmark records, against K's side built once
+    per search.  A probe moves D's vertices and hull rings for the whole
+    stack as ``rigid_motion`` does for one matrix and builds no polytope,
+    so entry s is exact_hausdorff(rigid_motion(pd, mats[s]), pk) bit for
+    bit.  Other pairs take the objective itself.
     """
     pd, pk = as_polytope(dc), as_polytope(kc)
     if pd is None or pk is None or max(len(pd.vertices), len(pk.vertices)) > _EXACT_VERTEX_LIMIT:
-        return lambda g: float(objective(g[None])[0])
+        return objective
     vk, ang_k, hull = pk.vertices, _fan(pk.hull.polygon), pd.hull
-    proper, improper = hull.index[hull.ring], hull.index[hull.ring[::-1]]
+    rings = np.stack((hull.index[hull.ring], hull.index[hull.ring[::-1]]))  # proper, improper
 
-    def probe(g):
-        v = pd.vertices @ g.T
-        ring = improper if g[0, 0] * g[1, 1] < g[0, 1] * g[1, 0] else proper  # det(g) < 0
-        return _arc_hausdorff(v, _fan(np.round(v[ring], 12)), vk, ang_k)
+    def probe(mats):
+        v = pd.vertices @ mats.transpose(0, 2, 1)
+        flips = [int(g[0][0] * g[1][1] < g[0][1] * g[1][0]) for g in mats.tolist()]  # det(g) < 0
+        moved = v[np.arange(len(v))[:, None], rings[flips]]
+        return _arc_hausdorff(v, _fan(np.round(moved, 12)), vk, ang_k)
 
     return probe
 
@@ -196,22 +199,23 @@ def congruence_distance(
     most ``_EARLY_EXIT`` since a map's vertex displacement bounds it, and
     the maps and their values are the certificate.
 
-    Otherwise the coarse scan is one stacked objective call.  The 3-D
-    starts refine in lockstep (``_refine_3d``: Nelder-Mead to the basin,
-    a minimax trust-region polish, a tight Nelder-Mead run if the polish
-    stalls), and every round evaluates the matrices all active starts ask
-    for in one call, which gives each start the rows it would get alone.
-    Golden section (n=2) runs the starts one after another and takes the
-    arc form per angle for polygon pairs (``_scalar_2d``), bit-identical to
-    ``exact_hausdorff`` of the moved polygon, and the objective on a stack
-    of one for every other pair.
+    Otherwise the coarse scan is one stacked objective call, and the
+    starts refine in lockstep (``_lockstep``): every round evaluates the
+    matrices all running starts ask for in one call, which gives each
+    start the values it would get alone.  A 3-D start runs Nelder-Mead to
+    its basin, a minimax trust-region polish, and a tight Nelder-Mead run
+    if the polish stalls (``_refine_3d``); a 2-D start runs golden section
+    in the angle (``_golden_2d``), whose probes take the arc form for
+    polygon pairs (``_probe_2d``), bit-identical to ``exact_hausdorff`` of
+    the moved polygon, and the objective for every other pair.
 
     The reported distance is the smallest of the coarse minimum and the
     value each refinement returns, in start order, until one falls below
-    ``_EARLY_EXIT`` (the 3-D starts after it are cancelled): in 3-D the
-    lowest value a start was given, in 2-D the objective at the midpoint
-    of the final golden-section bracket, which can lie slightly above the
-    lowest probe (up to about 1e-12).  So it never exceeds the coarse
+    ``_EARLY_EXIT`` (the starts after it are paused once it is given such
+    a value, and cancelled once it ends below it): in 3-D the lowest
+    value a start was given, in 2-D the objective at the midpoint of the
+    final golden-section bracket, which can lie slightly above the lowest
+    probe (up to about 1e-12).  So it never exceeds the coarse
     minimum, and the identity candidate bounds it by
     hausdorff(recenter D, recenter K).  It is an upper bound on the orbit
     distance only when both bodies are ``_rotatable`` or have exact maps;
@@ -269,12 +273,12 @@ def _search(n: int, grid: SphericalGrid, dc: Body, kc: Body, search: SearchParam
     if best_val >= _EARLY_EXIT:
         starts = mats[_diverse_starts(mats, order, search.starts, min_sep)]
         if n == 2:
-            scalar = _scalar_2d(dc, kc, objective)
-            outcomes = (_golden_2d(scalar, g0, 2.0 * math.pi / coarse_n) for g0 in starts)
+            outcomes = _golden_min(_probe_2d(dc, kc, objective), starts, 2.0 * math.pi / coarse_n)
         else:
             reach = max(np.abs(k_values).max(), np.abs(support_values(dc, grid.nodes)).max())
             pieces = _objective(*sides, dc, k_values, grid.nodes, pieces=True)
-            outcomes = _lockstep_3d(pieces, starts, spacing, reach, search.max_iterations)
+            outcomes = _lockstep(pieces, [_refine_3d(g0, spacing, reach, search.max_iterations)
+                                          for g0 in starts])
         for v_star, g_star in outcomes:
             if v_star < best_val:
                 best_val, best_mat = v_star, g_star
@@ -306,21 +310,35 @@ def _result(distance: float, best_mat, mats, values, swapped: bool) -> Congruenc
                             candidates=mats, values=values)
 
 
-def _golden_2d(scalar, g0: np.ndarray, span: float):
-    """(value, matrix) of golden section in the angle within ``span`` of the
-    coarse matrix g0, in g0's coset."""
+def _golden_min(probe, starts, span: float) -> list:
+    """(value, matrix) of ``_golden_2d`` from each 2-D start, in start order,
+    run in lockstep: one ``probe`` call per round.  The whole 2-D
+    refinement of a search, under one name that perfbench's tracer wraps."""
+    return _lockstep(lambda mats: probe(mats)[:, None], [_golden_2d(g0, span) for g0 in starts])
+
+
+def _golden_2d(g0: np.ndarray, span: float):
+    """Golden section (``golden_section_steps``) in the angle within ``span``
+    of the coarse matrix g0, in g0's coset: yields stacks of one matrix,
+    receives their rows of one value; returns (value, matrix) at the
+    final bracket's midpoint."""
     improper = np.linalg.det(g0) < 0
     theta0 = math.atan2(g0[1, 0], g0[0, 0])
 
     def matrix(t):
         g = rotation_matrix_2d(t)
-        return g @ np.diag([1.0, -1.0]) if improper else g
+        return (g @ _MIRROR if improper else g)[None]
 
+    steps = golden_section_steps(theta0 - span, theta0 + span, tol=_REFINE_TOL * 1e-2)
+    try:
+        t = next(steps)
+        while True:
+            t = steps.send(float((yield matrix(t))[0, 0]))
+    except StopIteration as done:
+        g = matrix(done.value)
     # the estimate is the final bracket's midpoint, not the best probe, so
     # 2-D results match the recorded perfbench outputs
-    t_star = _golden_min(lambda t: scalar(matrix(t)), theta0 - span, theta0 + span,
-                         tol=_REFINE_TOL * 1e-2)
-    return scalar(matrix(t_star)), matrix(t_star)
+    return float((yield g)[0, 0]), g[0]
 
 
 def _nelder_mead_3d(g0: np.ndarray, scale: float, tols: tuple, max_iterations: int):
@@ -432,36 +450,47 @@ def _refine_3d(g0: np.ndarray, spacing: float, reach: float, max_iterations: int
     return (v3, g3) if v3 <= v2 else (v2, g2)
 
 
-def _lockstep_3d(pieces, starts, spacing: float, reach: float, max_iterations: int) -> list:
-    """(value, matrix) of each start's ``_refine_3d``, in start order.
+def _lockstep(evaluate, runs: list) -> list:
+    """(value, matrix) that each run returns, in start order; None for a
+    cancelled one.
 
-    Each round stacks the matrices every active start asks for into one
-    ``pieces`` call.  A row of ``_stacked_gaps`` does not depend on the rest
-    of its stack, so each start sees the rows it would get alone.  Once
-    start j is given a value below ``_EARLY_EXIT``, the later starts still
-    running are cancelled, their entries None: no stage of a start gives up a
-    value below its best, so j ends below ``_EARLY_EXIT`` and the search
-    stops at j or before.
+    A run (``_refine_3d``, ``_golden_2d``) yields stacks of matrices and
+    receives their rows, ``evaluate`` of the stack, whose row max is the
+    objective.  Each round stacks the matrices every running start asks
+    for into one ``evaluate`` call.  A row does not depend on the rest of
+    its stack, so each start sees the rows it would get alone.  Early exit
+    pauses, it does not cancel: once start j is given a value below
+    ``_EARLY_EXIT``, the later starts keep the rows of that round unsent.
+    They resume if j ends at or above it, and are cancelled if j ends
+    below it, where the search stops at j or before.  So every start up
+    to the one the search stops at runs as it would alone.  A 3-D start
+    returns the least value it was given, so there a pause is a cancel;
+    a 2-D start returns its midpoint value, which can lie above the least.
     """
-    runs = [_refine_3d(g0, spacing, reach, max_iterations) for g0 in starts]
-    pending = {j: next(run) for j, run in enumerate(runs)}
-    outcomes = [None] * len(starts)
-    while pending:
-        active = sorted(pending)
-        counts = [len(pending[j]) for j in active]
-        rows = pieces(np.concatenate([pending[j] for j in active]))
-        values = rows.max(axis=1)
-        for j, hi, count in zip(active, np.cumsum(counts), counts):
-            if j not in pending:  # cancelled earlier in this round
-                continue
-            if values[hi - count:hi].min() < _EARLY_EXIT:
-                for later in [i for i in pending if i > j]:
-                    del pending[later]
+    asked = {j: next(run) for j, run in enumerate(runs)}
+    held, low, outcomes = {}, set(), [None] * len(runs)
+    while asked:
+        active = sorted(asked)
+        stack = [asked.pop(j) for j in active]
+        rows = evaluate(np.concatenate(stack))
+        values, hi = rows.max(axis=1).tolist(), 0
+        for j, mats in zip(active, stack):
+            lo, hi = hi, hi + len(mats)
+            held[j] = rows[lo:hi], min(values[lo:hi])
+        for j in sorted(held):
+            if j not in held or (low and j > min(low)):
+                continue  # cancelled, or paused behind a start given a low value
+            answer, least = held.pop(j)
+            if least < _EARLY_EXIT:
+                low.add(j)
             try:
-                pending[j] = runs[j].send(rows[hi - count:hi])
+                asked[j] = runs[j].send(answer)
             except StopIteration as stop:
-                del pending[j]
                 outcomes[j] = stop.value
+                if stop.value[0] < _EARLY_EXIT:  # the later starts are never needed
+                    held = {i: kept for i, kept in held.items() if i < j}
+                else:
+                    low.discard(j)
     return outcomes
 
 

@@ -120,8 +120,25 @@ def curvature_radius_2d(body: Body, theta: float, step: float = 1e-3) -> float:
     step = _effective_step(body, step)
     t = np.array([theta - step, theta, theta + step])
     dirs = np.column_stack([np.cos(t), np.sin(t)])
+    _reject_collapsed(dirs[:, None], 1, step)
     h = support_values(body, dirs)
     return float((h[0] + h[2] - 2.0 * h[1]) / step**2 + h[1])
+
+
+def _reject_collapsed(stencil: np.ndarray, centre: int, step: float):
+    """Refuse a step so small that a direction of the stencil (points along
+    axis 0) rounds onto its centre: the differences there read 0, and the
+    test would see h alone, positive for any body around the origin.  A
+    step of 1e-12 or more moves every direction by about that much, far
+    beyond rounding, so only smaller steps are compared."""
+    if step >= 1e-12:
+        return
+    same = stencil[..., 0] == stencil[centre, :, 0]
+    for i in range(1, stencil.shape[-1]):
+        same &= stencil[..., i] == stencil[centre, :, i]
+    same[centre] = False
+    if same.any():
+        raise InvalidArgumentError("step too small: a stencil direction rounds onto its centre")
 
 
 def _reject_lower_dimensional(body: Body):
@@ -187,6 +204,7 @@ def curvature_report(
             t = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
         stack = np.concatenate([t - step, t, t + step])
         dirs = np.column_stack([np.cos(stack), np.sin(stack)])
+        _reject_collapsed(dirs.reshape(3, -1, 2), 1, step)
         h = support_values(body, dirs).reshape(3, -1)
         rho = (h[0] + h[2] - 2.0 * h[1]) / step**2 + h[1]
         return _report(rho, grid, margin)
@@ -206,6 +224,7 @@ def curvature_report(
         ]
         dirs = np.concatenate(offsets)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        _reject_collapsed(dirs.reshape(9, -1, 3), 8, step)
         h = support_values(body, dirs).reshape(9, -1)
         h0 = h[8]
         s2 = step**2

@@ -32,8 +32,9 @@ Non-exact pairs are polished from their grid maximum by Nelder-Mead
 (``nelder_mead``, a port of scipy's that returns the same bits, over the
 generator ``nelder_mead_steps``, which ``congruence`` drives for several
 starts at once as the basin finder of its 3-D search) in the tangent
-plane, in 2-D and 3-D alike.  Golden section (``golden_section_min``)
-serves only the 2-D congruence refinement.  Nothing loads ``scipy.optimize``.
+plane, in 2-D and 3-D alike.  Golden section (the generator
+``golden_section_steps``) serves only the 2-D congruence refinement, which
+drives its starts together too.  Nothing loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -79,19 +80,21 @@ _DISTANCE_ENTRIES = 16_384
 # polygon helpers (n = 2)
 # ---------------------------------------------------------------------------
 
-def _arc_moment_1(a: float, b: float) -> np.ndarray:
-    """integral over [a,b] of u(t) u(t)^T dt, closed form (2x2)."""
-    cc = (0.5 * b + 0.25 * math.sin(2.0 * b)) - (0.5 * a + 0.25 * math.sin(2.0 * a))
-    cs = (-0.25 * math.cos(2.0 * b)) - (-0.25 * math.cos(2.0 * a))
-    ss = (0.5 * b - 0.25 * math.sin(2.0 * b)) - (0.5 * a - 0.25 * math.sin(2.0 * a))
-    return np.array([[cc, cs], [cs, ss]])
-
-
 def _steiner_polygon(poly: Polytope) -> np.ndarray:
-    s = np.zeros(2)
-    for p, a, b in zip(poly.hull.polygon, *poly.hull.arcs):
-        s += _arc_moment_1(a, b) @ p
-    return s / ball_volume(2)
+    """Sum over the ring of M(a, b) p for each vertex p and its normal-cone
+    arc [a, b], over vol B^2, with M(a, b) the integral of u u^T over the
+    arc in closed form.  The moments come from ``math`` in lists, one
+    product of contiguous (k, 2, 2) and (k, 2, 1) stacks calls BLAS gemv per
+    vertex as a 2 x 2 matrix times a vector does, and the products add up
+    in ring order from zero: the bits of a loop over the ring."""
+    sin, cos = math.sin, math.cos
+    moments = [[(0.5 * b + 0.25 * sin(2.0 * b)) - (0.5 * a + 0.25 * sin(2.0 * a)),
+                (-0.25 * cos(2.0 * b)) - (-0.25 * cos(2.0 * a)),
+                (-0.25 * cos(2.0 * b)) - (-0.25 * cos(2.0 * a)),
+                (0.5 * b - 0.25 * sin(2.0 * b)) - (0.5 * a - 0.25 * sin(2.0 * a))]
+               for a, b in zip(*(x.tolist() for x in poly.hull.arcs))]
+    terms = np.array(moments).reshape(-1, 2, 2) @ poly.hull.polygon[:, :, None]
+    return np.cumsum(np.vstack((np.zeros((1, 2)), terms[:, :, 0])), axis=0)[-1] / ball_volume(2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +370,27 @@ def _polytope_moment(hull) -> np.ndarray | None:
 # Hausdorff distance
 # ---------------------------------------------------------------------------
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimization of a scalar function on [lo, hi]: the
-    midpoint of the final bracket, whose width is at most tol."""
+def golden_section_steps(lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section minimization (Kiefer, Proc. AMS 4, 1953) of a scalar
+    function on [lo, hi] as a generator, so a caller can evaluate the
+    points of several runs together: it yields each point, receives its
+    value, and returns the midpoint of the final bracket, whose width is
+    at most tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     while b - a > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = yield d
     return 0.5 * (a + b)
 
 
@@ -453,37 +460,50 @@ def nelder_mead_steps(simplex, xatol: float, fatol: float, maxiter: int):
 
 
 def _fan(ring: np.ndarray) -> np.ndarray:
-    """Kinks of h for the 2-D hull ring ``Hull.polygon``: none for a point."""
-    return ring_normal_angles(ring) if len(ring) > 1 else np.empty(0)
+    """Kinks of h for the 2-D hull ring ``Hull.polygon``, or for each ring of
+    a stack (count, m, 2): none for a point."""
+    return ring_normal_angles(ring) if ring.shape[-2] > 1 else np.empty(ring.shape[:-2] + (0,))
 
 
 def _cos_sin(t: np.ndarray) -> np.ndarray:
-    """Rows (cos t, sin t) from ``math``, the rounding the arc form keeps."""
-    t, u = t.tolist(), np.empty((len(t), 2))
-    u[:, 0], u[:, 1] = list(map(math.cos, t)), list(map(math.sin, t))
+    """Rows (cos t, sin t), shape t.shape + (2,): numpy's float64 cos and sin
+    call the C library's, as ``math`` does, the rounding the arc form keeps."""
+    u = np.empty(t.shape + (2,))
+    np.cos(t, out=u[..., 0])
+    np.sin(t, out=u[..., 1])
     return u
 
 
-def _arc_hausdorff(va: np.ndarray, ang_a: np.ndarray, vb: np.ndarray, ang_b: np.ndarray) -> float:
-    """Exact sup of |h_A - h_B| for polygons with vertices ``va``, ``vb`` and kinks
-    ``ang_a``, ``ang_b`` (``_fan``).  On each arc [a, b] of the common fan one
-    vertex of each wins (at the midpoint), and <w, u(t)> = |w| cos(t - phi)
-    for their difference w peaks at an end or at phi + k pi, k = -1..3 as
-    arcs lie in [0, 4 pi).  All arcs at once, rounded as one at a time:
-    stacked (n x 2)(2 x 1) and (1 x 2)(2 x 1) products call BLAS gemv and
-    ddot as single vectors do, and angles go through ``math``.  Two points
-    have no arcs: the distance of their first vertices rounded as ``Hull``.
+def _arc_hausdorff(va: np.ndarray, ang_a: np.ndarray, vb: np.ndarray, ang_b: np.ndarray) -> np.ndarray:
+    """Exact sup of |h_A - h_B| for each polygon A of a stack against one
+    polygon B: vertices ``va[s]`` (count, n, 2) and ``vb``, kinks ``ang_a[s]``
+    and ``ang_b`` (``_fan``).  On each arc [a, b] of a common fan one vertex
+    of each wins (at the midpoint), and <w, u(t)> = |w| cos(t - phi) for
+    their difference w peaks at an end or at phi + k pi, k = -1..3 as arcs
+    lie in [0, 4 pi).  All arcs of all entries at once, each entry rounded
+    as if alone: stacked (n x 2)(2 x 1) and (1 x 2)(2 x 1) products call
+    BLAS gemv and ddot as single vectors do, and phi goes through ``math``
+    (numpy's atan2 may round otherwise).  Two points have no arcs: the
+    distance of their first vertices rounded as ``Hull``.
     """
-    a = np.array(sorted({*ang_a.tolist(), *ang_b.tolist()}))
-    if not a.size:
-        return float(np.linalg.norm(np.round(va[0], 12) - np.round(vb[0], 12)))
-    b = np.concatenate((a[1:], a[:1] + _TWO_PI))  # a is sorted: only the last arc wraps
-    u = _cos_sin(0.5 * (a + b))[:, :, None]
-    w = va[(va @ u).argmax(axis=1)[:, 0]] - vb[(vb @ u).argmax(axis=1)[:, 0]]
-    phi = np.array([math.atan2(y, x) for x, y in w.tolist()])
-    t = np.concatenate((a[:, None], b[:, None], phi[:, None] + _K_PI), axis=1)
-    arc, col = np.nonzero((a[:, None] <= t) & (t <= b[:, None]))
-    return float(np.abs(w[arc][:, None, :] @ _cos_sin(t[arc, col])[:, :, None]).max())
+    kb = ang_b.tolist()
+    fans = [sorted({*row, *kb}) for row in ang_a.tolist()]
+    if not fans[0]:  # every entry's fan is empty with the first's
+        return np.array([np.linalg.norm(np.round(v[0], 12) - np.round(vb[0], 12)) for v in va])
+    # each fan's arcs, the last one wrapping (a fan is sorted), padded to a
+    # common width with copies of the last arc, which leave its max alone
+    width = max(map(len, fans))
+    a, b = np.array(([fan + fan[-1:] * (width - len(fan)) for fan in fans],
+                     [fan[1:] + [fan[0] + _TWO_PI] * (width - len(fan) + 1) for fan in fans]))
+    u = _cos_sin(0.5 * (a + b))[..., None]
+    ia = (va[:, None] @ u).argmax(axis=2)[..., 0]
+    w = va[np.arange(len(va))[:, None], ia] - vb[(vb @ u).argmax(axis=2)[..., 0]]
+    wx, wy = w.reshape(-1, 2).T.tolist()
+    a, b = a[..., None], b[..., None]
+    phi = np.array(list(map(math.atan2, wy, wx))).reshape(a.shape) + _K_PI
+    # a peak outside its arc is moved to the nearer end, a candidate already
+    t = np.concatenate((a, b, np.minimum(np.maximum(phi, a), b)), axis=2)
+    return np.abs(w[:, :, None, None, :] @ _cos_sin(t)[..., None]).reshape(len(va), -1).max(axis=1)
 
 
 class _Side(NamedTuple):
@@ -673,8 +693,8 @@ def exact_hausdorff(a: Body, b: Body) -> float | None:
     if body_dim(a) == 2:
         pa, pb = as_polytope(a), as_polytope(b)
         if pa is not None and pb is not None:
-            return _arc_hausdorff(pa.vertices, _fan(pa.hull.polygon),
-                                  pb.vertices, _fan(pb.hull.polygon))
+            return float(_arc_hausdorff(pa.vertices[None], _fan(pa.hull.polygon)[None],
+                                        pb.vertices, _fan(pb.hull.polygon))[0])
     d, k = _side(a), _side(b)
     if d is None or k is None:
         return None

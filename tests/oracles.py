@@ -37,7 +37,15 @@ another, each matrix of a Nelder-Mead run or of the minimax polish on a
 stack of one, and stops once a value drops below the early-exit bound; the
 lockstep search must return its bits; the solo-start oracle runs every
 start alone to its end, so a later start the lockstep does not cancel must
-end as it does there.  The two-run congruence oracle is the
+end as it does there.  The cancel-lockstep oracle is the former 3-D
+driver, which cancels the later starts once a start is given a value
+below that bound; the shared driver must give its outcomes and its
+evaluations for runs that return the least value they were given.  The
+sequential 2-D congruence oracle is the former 2-D search: golden section
+(``golden_section_min``) from one start after another, each probe of a
+polygon pair the arc loop of the moved polygon and of any other pair the
+objective on a stack of one; the lockstep search must return its bits.
+The two-run congruence oracle is the
 former 3-D search (a loose and a tight Nelder-Mead run per start); the
 polished search must never end above it by more than 1e-6.
 The schema ladders are the former JSON serializer, one ``isinstance`` or
@@ -68,7 +76,7 @@ from convexhyper.bodies import (
 )
 from convexhyper.curvature import support_point
 from convexhyper.errors import ConvexHyperError, ParseError, ValidationError
-from convexhyper.metrics import _arc_moment_1, steiner, support_moment_matrix
+from convexhyper.metrics import steiner, support_moment_matrix
 from convexhyper.quadrature import SphericalGrid, ball_volume, make_grid_2d, make_grid_3d
 from convexhyper.serialization import _grid_to_obj, _is_number, _matrix, _require
 
@@ -360,6 +368,14 @@ def two_pass_clip(poly, u: np.ndarray, cut: float) -> Polytope:
     return Polytope(convex_hull_vertices(two_pass_clip_candidates(poly, u, cut)))
 
 
+def _arc_moment_1(a: float, b: float) -> np.ndarray:
+    """integral over [a,b] of u(t) u(t)^T dt, closed form (2x2)."""
+    cc = (0.5 * b + 0.25 * math.sin(2.0 * b)) - (0.5 * a + 0.25 * math.sin(2.0 * a))
+    cs = (-0.25 * math.cos(2.0 * b)) - (-0.25 * math.cos(2.0 * a))
+    ss = (0.5 * b - 0.25 * math.sin(2.0 * b)) - (0.5 * a - 0.25 * math.sin(2.0 * a))
+    return np.array([[cc, cs], [cs, ss]])
+
+
 def arc_loop_steiner_2d(poly) -> np.ndarray:
     """2-D Steiner point: the midpoint of a point or segment (its ends by
     projection onto the longest centred point), else the sum over the ring
@@ -496,6 +512,104 @@ def two_run_congruence_3d(d, k, grid, search):
             best_val = min(v1, v2)
             best_mat = mats[idx] @ c.axis_angle_matrix_safe(w2 if v2 <= v1 else w1)
     return best_val, best_mat.T if swapped else best_mat
+
+
+def cancel_lockstep(evaluate, runs) -> list:
+    """The former lockstep driver of the 3-D starts: each round stacks the
+    matrices of every pending run into one ``evaluate`` call, and once run
+    j is given a value below the early-exit bound the later runs still
+    pending are cancelled in that round, their outcomes None."""
+    from convexhyper import congruence as c
+
+    pending = {j: next(run) for j, run in enumerate(runs)}
+    outcomes = [None] * len(runs)
+    while pending:
+        active = sorted(pending)
+        counts = [len(pending[j]) for j in active]
+        rows = evaluate(np.concatenate([pending[j] for j in active]))
+        values = rows.max(axis=1)
+        for j, hi, count in zip(active, np.cumsum(counts), counts):
+            if j not in pending:  # cancelled earlier in this round
+                continue
+            if values[hi - count:hi].min() < c._EARLY_EXIT:
+                for later in [i for i in pending if i > j]:
+                    del pending[later]
+            try:
+                pending[j] = runs[j].send(rows[hi - count:hi])
+            except StopIteration as stop:
+                del pending[j]
+                outcomes[j] = stop.value
+    return outcomes
+
+
+def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """The former golden-section routine: the midpoint of the final bracket."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def sequential_congruence_2d(d, k, grid, search):
+    """(distance, optimizer, improper starts) of the former 2-D congruence
+    search of a pair with no exact maps: from each start in turn golden
+    section in the angle, reporting the objective at the final bracket's
+    midpoint, until the best value drops below the early-exit bound.  A
+    probe of a polygon pair is ``arc_loop_hausdorff`` of the moved polygon,
+    of any other pair the objective on a stack of one."""
+    from convexhyper import congruence as c
+    from convexhyper.bodies import rigid_motion
+    from convexhyper.rotations import circle_candidates, rotation_matrix_2d
+
+    _, grid, dc, kc = c._recentered(d, k, grid)
+    swapped = c._swapped(dc, kc, grid.nodes)
+    if swapped:
+        dc, kc = kc, dc
+    assert c._exact_maps(dc, kc, c._EARLY_EXIT, search.include_reflections) is None
+    k_values = support_values(kc, grid.nodes)
+    objective = c._objective(c._rotatable(dc), c._rotatable(kc), dc, k_values, grid.nodes)
+    pd, pk = as_polytope(dc), as_polytope(kc)
+    if pd is not None and pk is not None:
+        def scalar(g):
+            return arc_loop_hausdorff(rigid_motion(pd, g), pk)
+    else:
+        def scalar(g):
+            return float(objective(g[None])[0])
+    coarse_n = search.coarse or 360
+    mats = circle_candidates(coarse_n, search.include_reflections)
+    values = objective(mats)
+    order = np.argsort(values, kind="stable")
+    best_val, best_mat = float(values[order[0]]), mats[order[0]]
+    span = 2.0 * math.pi / coarse_n
+    starts = mats[c._diverse_starts(mats, order, search.starts, 1.5 * span)]
+    for g0 in starts if best_val >= c._EARLY_EXIT else []:
+        improper = np.linalg.det(g0) < 0
+        theta0 = math.atan2(g0[1, 0], g0[0, 0])
+
+        def matrix(t):
+            g = rotation_matrix_2d(t)
+            return g @ np.diag([1.0, -1.0]) if improper else g
+
+        t_star = golden_section_min(lambda t: scalar(matrix(t)), theta0 - span, theta0 + span,
+                                    tol=c._REFINE_TOL * 1e-2)
+        v_star = scalar(matrix(t_star))
+        if v_star < best_val:
+            best_val, best_mat = v_star, matrix(t_star)
+        if best_val < c._EARLY_EXIT:
+            break
+    improper = int((np.linalg.det(starts) < 0).sum())
+    return best_val, best_mat.T if swapped else best_mat, improper
 
 
 def _golden_best(f, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -454,6 +454,18 @@ def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
 _FIVE = [[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]]
 
 
+@pytest.mark.parametrize("vertices", [[[1, 1], [-1, 1], [-1, -1], [1, -1]], _FIVE], ids=["square", "five"])
+def test_collapsed_curvature_stencil_exit_code_2(runner, tmp_path, vertices):
+    # a step of 1e-160 rounds the stencil onto its centre: both bodies were
+    # reported positive with exit 0
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"type": "polytope", "vertices": vertices}))
+    res = runner.invoke(main, ["curvature", str(path), "--step", "1e-160"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "rounds onto its centre" in res.stderr
+    assert runner.invoke(main, ["curvature", str(path)]).exit_code == 0
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e200])
 @pytest.mark.parametrize(
     "args",

@@ -32,8 +32,9 @@ from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import exact_hausdorff
 from convexhyper.quadrature import make_grid_2d, make_grid_3d
 from convexhyper.rotations import circle_candidates, icosahedral_rotations, sphere_candidates
-from oracles import (coarse_congruence_3d, enumerated_hausdorff, sequential_congruence_3d,
-                     solo_starts_3d, two_run_congruence_3d)
+from oracles import (cancel_lockstep, coarse_congruence_3d, enumerated_hausdorff,
+                     sequential_congruence_2d, sequential_congruence_3d, solo_starts_3d,
+                     two_run_congruence_3d)
 
 FAST2 = SearchParams(coarse=180, starts=3)
 
@@ -487,11 +488,116 @@ def test_refined_values_taken_in_start_order(grid3_small, monkeypatch):
 
     turns = [half_turn(a) for a in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
     outcomes = [(0.5, turns[0]), (5e-10, turns[1]), (1e-12, turns[2]), None]
-    monkeypatch.setattr(congruence, "_lockstep_3d", lambda *args: outcomes)
+    monkeypatch.setattr(congruence, "_lockstep", lambda *args: outcomes)
     d_body, k_body = random_polytope(420, 3, 8), random_polytope(421, 3, 8)
     res = congruence_distance(d_body, k_body, grid3_small, SearchParams(coarse=100, starts=4))
     assert res.distance == 5e-10
     np.testing.assert_array_equal(res.optimizer.matrix, turns[1])
+
+
+# ---------------------------------------------------------------------------
+# one driver for both dimensions: 2-D golden section in lockstep returns the
+# bits of its starts run one after another; early exit pauses the later starts
+# ---------------------------------------------------------------------------
+
+def _same_bits(res, distance, optimizer):
+    got = [float(x).hex() for x in (res.distance, *res.optimizer.matrix.ravel())]
+    assert got == [float(x).hex() for x in (distance, *optimizer.ravel())]
+
+
+def test_lockstep_2d_matches_sequential_starts(grid2):
+    # polygon pairs take the arc form: improper starts and their coset, and
+    # a search of SO(2) alone
+    improper = {True: 0, False: 0}
+    for seed, sizes in [(700, (9, 9)), (702, (5, 12)), (704, (14, 6)), (706, (3, 8)),
+                        (708, (20, 20)), (710, (7, 4))]:
+        d_body, k_body = random_polytope(seed, 2, sizes[0]), random_polytope(seed + 1, 2, sizes[1])
+        for params in (SearchParams(coarse=180, starts=3),
+                       SearchParams(coarse=120, starts=5, include_reflections=False)):
+            res = congruence_distance(d_body, k_body, grid2, params)
+            distance, optimizer, flipped = sequential_congruence_2d(d_body, k_body, grid2, params)
+            _same_bits(res, distance, optimizer)
+            improper[params.include_reflections] += flipped
+    assert improper[True] > 0 and improper[False] == 0
+
+
+@pytest.mark.parametrize("seed", [720, 722])
+def test_lockstep_2d_parallel_bodies_match_sequential(seed, grid2):
+    # P + r B is no Polytope: the probe is the stacked kernel, and a row of
+    # it does not depend on its stack; rigid copies exit early, below 1e-9
+    params = SearchParams(coarse=180, starts=5)
+    body = Sum(random_polytope(seed, 2, 8), Ball(np.zeros(2), 0.2))
+    other = Sum(random_polytope(seed + 1, 2, 10), Ball(np.zeros(2), 0.1))
+    mirror = np.diag([1.0, -1.0]) @ random_rotation(seed + 2, 2).matrix
+    pairs = [(body, other), (body, Rotated(Rotation(random_rotation(seed + 3, 2).matrix), body)),
+             (body, Rotated(Rotation(mirror), body))]
+    for i, (d_body, k_body) in enumerate(pairs):
+        res = congruence_distance(d_body, k_body, grid2, params)
+        distance, optimizer, _ = sequential_congruence_2d(d_body, k_body, grid2, params)
+        _same_bits(res, distance, optimizer)
+        assert (res.distance < 1e-9) == (i > 0)
+
+
+def _scripted(table, log, returns_last=False):
+    """(runs, evaluate, calls): run j asks in round r for the rows of
+    table[j][r], one stack per round ((j, r, i) per row), logs (j, r) when
+    given them, and returns (the least value given, j) like a 3-D start or,
+    with ``returns_last``, (the last value given, j) like a 2-D start;
+    ``calls`` lists the (j, r) of each ``evaluate`` call's rows."""
+    def run(j):
+        given = []
+        for r, rows in enumerate(table[j]):
+            answer = yield np.array([[j, r, i] for i in range(len(rows))], dtype=float)
+            log.append((j, r))
+            given += answer.max(axis=1).tolist()
+        return (given[-1] if returns_last else min(given)), j
+
+    def evaluate(mats):
+        calls.append([(int(j), int(r)) for j, r, _ in mats])
+        return np.array([[table[int(j)][int(r)][int(i)]] for j, r, i in mats])
+
+    calls = []
+    return [run(j) for j in range(len(table))], evaluate, calls
+
+
+def test_lockstep_pause_resumes_after_a_start_ends_above_the_exit():
+    # start 0 is given 1e-12 in round 1 but ends at 0.5 (a 2-D start returns
+    # its midpoint value): starts 1 and 2 wait with their round-1 rows and
+    # resume after it, and every start ends as it would alone
+    table = [[[1.0], [1e-12], [0.7], [0.5]], [[0.9]] * 6, [[0.8]] * 3]
+    log = []
+    runs, evaluate, calls = _scripted(table, log, returns_last=True)
+    outcomes = congruence._lockstep(evaluate, runs)
+    assert outcomes == [(0.5, 0), (0.9, 1), (0.8, 2)]
+    assert calls == [[(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)], [(0, 2)], [(0, 3)],
+                     [(1, 2), (2, 2)], [(1, 3)], [(1, 4)], [(1, 5)]]
+    assert log.index((1, 1)) > log.index((0, 3)) and log.index((2, 1)) > log.index((0, 3))
+
+
+def test_lockstep_pause_cancels_after_a_start_ends_below_the_exit():
+    # start 1 is given 1e-12 and ends there: start 2 waits, then is cancelled
+    # with its round-2 rows unsent, while start 0 runs to its end
+    table = [[[1.0]] * 5, [[1.0], [1.0], [1e-12], [3e-10]], [[0.8]] * 6]
+    log = []
+    runs, evaluate, calls = _scripted(table, log, returns_last=True)
+    outcomes = congruence._lockstep(evaluate, runs)
+    assert outcomes == [(1.0, 0), (3e-10, 1), None]
+    assert calls[2] == [(0, 2), (1, 2), (2, 2)] and all(j < 2 for call in calls[3:] for j, _ in call)
+    assert (2, 2) not in log and (2, 1) in log
+
+
+def test_lockstep_pause_is_the_former_cancel_for_3d_starts():
+    # runs that return the least value given never resume: the shared driver
+    # gives the outcomes and the evaluations of the former cancelling one
+    rng = np.random.default_rng(730)
+    for _ in range(300):
+        table = [[list(rng.choice([1e-12, 0.3, 1.0], size=int(rng.integers(1, 4)),
+                                  p=[0.05, 0.45, 0.5]))
+                  for _ in range(int(rng.integers(1, 8)))] for _ in range(int(rng.integers(1, 6)))]
+        runs, evaluate, calls = _scripted(table, [])
+        old_runs, old_evaluate, old_calls = _scripted(table, [])
+        assert congruence._lockstep(evaluate, runs) == cancel_lockstep(old_evaluate, old_runs)
+        assert calls == old_calls
 
 
 # ---------------------------------------------------------------------------

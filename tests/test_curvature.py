@@ -21,6 +21,7 @@ from convexhyper import (
     random_polytope,
     random_rotation,
 )
+from convexhyper.quadrature import make_grid_3d
 
 
 class TestGaussPreimage:
@@ -117,6 +118,20 @@ class TestCurvatureRadius2D:
                 curvature_radius_2d(square, 0.0, step=step)
             with pytest.raises(InvalidArgumentError):
                 curvature_report(square, grid2, step=step)
+        # at 1e-160 step**2 is a nonzero subnormal, but t +- step rounds to t
+        # at most nodes, so the differences read 0 and the test h alone: the
+        # square and the 5-vertex polytope were called strictly curved
+        five = Polytope([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]])
+        for call in (lambda: curvature_radius_2d(square, 1.0, step=1e-160),
+                     lambda: curvature_report(square, grid2, step=1e-160),
+                     lambda: curvature_report(five, make_grid_3d(16, 32), step=1e-160)):
+            with pytest.raises(InvalidArgumentError, match="rounds onto its centre"):
+                call()
+        # at theta = 0 no direction collapses, and the edge normal's kink
+        # still reads positive; the default step reports both bodies curved nowhere
+        assert curvature_radius_2d(square, 0.0, step=1e-160) == 1.0
+        assert not curvature_report(square, grid2).ok
+        assert not curvature_report(five, make_grid_3d(16, 32)).ok
 
 
 class TestCurvaturePositive:

@@ -418,13 +418,25 @@ def _arc_cases():
 
 def test_arc_hausdorff_bits_match_loop():
     # holds with any BLAS: the stacked products reach the same gemv and ddot
-    for p, q, g in _arc_cases():
+    cases = list(_arc_cases())
+    for p, q, g in cases:
         moved = rigid_motion(p, g)
         for x, y in ((moved, q), (q, moved)):
             assert metrics.exact_hausdorff(x, y).hex() == arc_loop_hausdorff(x, y).hex()
         for x, y in ((p, q), (q, p)):
-            probe = congruence._scalar_2d(x, y, None)(g)
+            probe = float(congruence._probe_2d(x, y, None)(g[None])[0])
             assert probe.hex() == metrics.exact_hausdorff(rigid_motion(x, g), y).hex()
+    # every entry of a stack of 1, 3 or 7 moved copies of one polygon, mixed
+    # proper and improper, against one polygon has the bits of its own call
+    rng = np.random.default_rng(4243)
+    for i, (p, q, _) in enumerate(cases):
+        size = (1, 3, 7)[i % 3]
+        mats = np.array([g for _, _, g in (cases[j] for j in rng.integers(0, len(cases), size))])
+        for x, y in ((p, q), (q, p)):
+            stacked = congruence._probe_2d(x, y, None)(mats)
+            assert stacked.shape == (size,)
+            want = [metrics.exact_hausdorff(rigid_motion(x, g), y).hex() for g in mats]
+            assert [v.hex() for v in stacked.tolist()] == want
 
 
 class TestSteiner:
