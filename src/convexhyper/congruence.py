@@ -90,8 +90,9 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class CongruenceResult:
-    """``candidates`` are the coarse matrices, or the exact maps of a
-    congruent polytope pair, and ``values`` the objective at each;
+    """``candidates`` are the coarse matrices (read-only: the candidate
+    grids are shared), or the exact maps of a congruent polytope pair,
+    and ``values`` the objective at each;
     ``certificate`` pairs them as (Rotation, value), built on first
     access."""
 

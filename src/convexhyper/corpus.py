@@ -11,18 +11,26 @@ from .errors import InvalidArgumentError, ParseError
 from .serialization import BodyDocument
 
 _MAX_RESAMPLE = 64
+# larger requests are refused, not allocated: qhull's cost grows fast with
+# n (6-D with 4096 points takes about 2 s)
+_MAX_DIM = 6
+_MAX_VERTICES = 1 << 12
+_MAX_COUNT = 1 << 12  # bodies per corpus clause
 
 
 def random_polytope(seed: int, n: int, vertex_count: int) -> Polytope:
     """Convex hull of vertex_count i.i.d. uniform points in [-1, 1]^n.
 
     Full-dimensionality is enforced by resampling; the same seed always
-    reproduces the same vertex list.
+    reproduces the same vertex list.  The seed must be nonnegative, n at
+    most ``_MAX_DIM`` (6) and vertex_count at most ``_MAX_VERTICES`` (4096).
     """
-    if n < 2:
-        raise InvalidArgumentError("random polytopes need n >= 2")
-    if vertex_count < n + 1:
-        raise InvalidArgumentError("need at least n+1 points")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
+    if not 2 <= n <= _MAX_DIM:
+        raise InvalidArgumentError(f"random polytopes need 2 <= n <= {_MAX_DIM}, got {n}")
+    if not n + 1 <= vertex_count <= _MAX_VERTICES:
+        raise InvalidArgumentError(f"need n+1 to {_MAX_VERTICES} points, got {vertex_count}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
         poly = Polytope(convex_hull_vertices(rng.uniform(-1.0, 1.0, size=(vertex_count, n))))
@@ -68,8 +76,12 @@ class Corpus:
         """Build a corpus from a spec string.
 
         The spec is semicolon-separated clauses ``kind:n=N,verts=V,count=C``
-        with kind in {poly, sym}; e.g. ``poly:n=2,verts=12,count=8``.
+        with kind in {poly, sym}; e.g. ``poly:n=2,verts=12,count=8``.  The
+        seed must be nonnegative, n and V within ``random_polytope``'s bounds
+        and C at most ``_MAX_COUNT`` (4096).
         """
+        if seed < 0:
+            raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
         docs = []
         stream = seed
         for clause in generator_spec.split(";"):
@@ -84,8 +96,8 @@ class Corpus:
                 count = int(kv["count"])
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"bad corpus clause {clause!r}: {exc}") from None
-            if count < 0:
-                raise ParseError(f"bad corpus clause {clause!r}: count must be >= 0")
+            if not 0 <= count <= _MAX_COUNT:
+                raise ParseError(f"bad corpus clause {clause!r}: count must be 0 to {_MAX_COUNT}")
             maker = {
                 "poly": random_polytope,
                 "sym": random_symmetric_polytope,

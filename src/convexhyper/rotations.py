@@ -135,23 +135,28 @@ def _dedup(mats: np.ndarray) -> np.ndarray:
     return np.asarray(list(seen.values()))
 
 
+@functools.lru_cache(maxsize=8)
 def circle_candidates(n_angles: int = 720, reflections: bool = True) -> np.ndarray:
-    """Rotation (and optionally reflection) grid over O(2)."""
-    rots = np.asarray(
+    """Rotation (and optionally reflection) grid over O(2); one shared
+    read-only array per argument tuple."""
+    mats = np.asarray(
         [rotation_matrix_2d(2.0 * math.pi * k / n_angles) for k in range(n_angles)]
     )
-    if not reflections:
-        return rots
-    flip = np.diag([1.0, -1.0])
-    return np.concatenate([rots, rots @ flip])
+    if reflections:
+        mats = np.concatenate([mats, mats @ np.diag([1.0, -1.0])])
+    mats.setflags(write=False)
+    return mats
 
 
+@functools.lru_cache(maxsize=8)
 def sphere_candidates(grid_size: int = 576, reflections: bool = True) -> np.ndarray:
-    """Rotation grid over SO(3) / O(3) with platonic symmetry candidates."""
+    """Rotation grid over SO(3) / O(3) with platonic symmetry candidates;
+    one shared read-only array per argument tuple."""
     parts = [so3_fibonacci(grid_size), octahedral_rotations(), icosahedral_rotations()]
     mats = _dedup(np.concatenate(parts))
     if reflections:
         mats = np.concatenate([mats, -mats])
+    mats.setflags(write=False)
     return mats
 
 

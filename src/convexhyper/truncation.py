@@ -3,19 +3,19 @@
 ``truncate`` removes the open eps-slab below the support hyperplane with
 normal u (an exact halfspace clip of a polytope) and re-centers at the
 Steiner point.  ``desymmetrize`` applies one truncation per coordinate
-axis; each fresh face is at most ``_SHRINK`` (0.9) times as wide as the
-one before, and the cut regions stay ``_SEPARATION`` (1e-3) times the
-body's diameter apart.  A body whose flat faces all have different
-diameters admits no nontrivial orthogonal symmetry, which
-``isotropy_estimate`` verifies: for a full-dimensional polytope by the
-orthogonal maps that move each hull vertex within tol of a distinct one
-(exact, but blind to a near-symmetry that changes how vertices pair up),
-by a finite candidate scan for every other body.
+axis; both work in n = 2 and 3 only and raise ``RepresentationError``
+for any other dimension.  Each fresh face is at most ``_SHRINK`` (0.9)
+times as wide as the one before, and the cut regions stay
+``_SEPARATION`` (1e-3) times the body's diameter apart.  A body whose
+flat faces all have different diameters admits no nontrivial orthogonal
+symmetry, which ``isotropy_estimate`` verifies: for a full-dimensional
+polytope by the orthogonal maps that move each hull vertex within tol of
+a distinct one (exact, but blind to a near-symmetry that changes how
+vertices pair up), by a finite candidate scan for every other body.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +94,7 @@ def _clip(poly: Polytope, u: np.ndarray, cut: float) -> Polytope:
     edges add their crossings.  A 2-D ring is clipped in order, each kept
     vertex before the crossing on its edge out (Sutherland-Hodgman), with
     no qhull; 3-D points take qhull twice (their extreme points, the hull).
+    A 3-D polytope must be full-dimensional, so that its hull has edges.
     """
     verts = poly.vertices
     d = verts @ u - cut
@@ -107,10 +108,8 @@ def _clip(poly: Polytope, u: np.ndarray, cut: float) -> Polytope:
     if hull.ring is not None:
         ring = hull.index[hull.ring]
         edges = np.stack([ring, np.concatenate((ring[1:], ring[:1]))], axis=1)
-    elif hull.edges is not None:
+    else:
         edges = hull.index[hull.edges]
-    else:  # no 3-D hull: every chord, interior crossings are pruned below
-        edges = np.array(list(itertools.combinations(range(len(verts)), 2)))
     di, dj = d[edges[:, 0]], d[edges[:, 1]]
     cross = ((di > 0) != (dj > 0)) & (np.abs(di - dj) > 1e-15)
     t = np.divide(di, di - dj, out=np.zeros(len(edges)), where=cross)
@@ -197,25 +196,15 @@ def polytope_approximation(body: Body, n_dirs: int = 512) -> Polytope:
     return Polytope(convex_hull_vertices(pts))
 
 
-def _first_close(points: np.ndarray, vertex: np.ndarray) -> int | None:
-    """The first row p of ``points`` with np.allclose(p, vertex, atol=1e-12)."""
-    close = (np.abs(points - vertex) <= 1e-12 + 1e-5 * np.abs(vertex)).all(axis=1)
-    return int(close.argmax()) if close.any() else None
-
-
-def _vertex_cone_direction(poly: Polytope, vertex: np.ndarray) -> np.ndarray | None:
-    """A direction in the interior of the normal cone at the given vertex
-    (the first hull vertex close to it, in ring or cone order)."""
+def _vertex_cone_direction(poly: Polytope, i: int) -> np.ndarray | None:
+    """A direction in the interior of the normal cone at hull vertex ``i``
+    (position i of ``Hull.extreme``): the midpoint of its 2-D arc, or the
+    mean of its 3-D cone's unit normals (None when they cancel)."""
     hull = poly.hull
-    i = _first_close(hull.points[hull.extreme], vertex)
-    if i is None:
-        return None
     if poly.dim == 2:
         lo, hi = hull.arcs
         mid = 0.5 * (lo[i] + hi[i])
         return np.array([math.cos(mid), math.sin(mid)])
-    if hull.normals is None:
-        return None
     mean = hull.cones[hull.cone_owner == hull.extreme[i]].sum(axis=0)
     nrm = np.linalg.norm(mean)
     return mean / nrm if nrm > 1e-12 else None
@@ -227,49 +216,40 @@ def _uniquely_exposes(verts: np.ndarray, u: np.ndarray, idx: int, scale: float) 
     return exposed.size == 1 and exposed[0] == idx
 
 
-def _plan_cuts(poly: Polytope, margin: float):
-    """Assign each coordinate axis a cut direction exposing a unique vertex.
+def _plan_cuts(poly: Polytope, margin: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Assign each coordinate axis a cut direction u exposing a unique
+    hull vertex v; returns the (u, v) pairs.
 
     Slab cuts only shrink to a point when the cut direction's support set
     is a single vertex; flat faces normal to an axis (cube, square) make
     that impossible, so such axes fall back to the normal-cone center of
-    a not-yet-used vertex with maximal support.
+    a not-yet-used vertex with maximal support (ties to the lower row).
     The chosen vertices must additionally sit several margins inside each
     other's cut halfspaces, otherwise a fresh face near one vertex would
     unavoidably invade a later cap (two near-co-maximal vertices).
     """
-    verts = poly.vertices
+    verts, hull = poly.vertices, poly.hull
+    rows = hull.index[hull.extreme]
     scale = 1.0 + float(np.abs(verts).max())
     gap = 8.0 * margin
     plan: list = []
-
-    def separated(u: np.ndarray, v: np.ndarray) -> bool:
-        h_u = float((verts @ u).max())
-        for u_j, v_j in plan:
-            if float(v_j @ u) > h_u - gap:
-                return False
-            if float(v @ u_j) > float((verts @ u_j).max()) - gap:
-                return False
-        return True
-
+    used: set = set()
     for e in np.eye(poly.dim):
-        order = np.argsort(-(verts @ e), kind="stable")
         choice = None
-        for idx in order:
-            v = verts[idx]
-            if any(np.allclose(v, v_j, atol=1e-12) for _, v_j in plan):
+        for i in np.lexsort((rows, -(verts @ e)[rows])).tolist():
+            if i in used:
                 continue
-            options = []
-            if _uniquely_exposes(verts, e, idx, scale):
-                options.append(e)
-            cone = _vertex_cone_direction(poly, v)
-            if cone is not None and _uniquely_exposes(verts, cone, idx, scale):
-                options.append(cone)
-            for u in options:
-                if separated(u, v):
+            v = verts[rows[i]]
+            for u in (e, _vertex_cone_direction(poly, i)):
+                if u is None or not _uniquely_exposes(verts, u, rows[i], scale):
+                    continue
+                h_u = float((verts @ u).max())
+                if all(float(v_j @ u) <= h_u - gap and float(v @ u_j) <= float((verts @ u_j).max()) - gap
+                       for u_j, v_j in plan):
                     choice = (u, v)
                     break
             if choice is not None:
+                used.add(i)
                 break
         if choice is None:
             raise InfeasibleBudgetError(
@@ -284,23 +264,29 @@ def desymmetrize(
     budget: float,
     grid: SphericalGrid | None = None,
 ) -> tuple[Polytope, list[FaceRecord]]:
-    """Destroy all orthogonal symmetries by n successive truncations.
+    """Destroy all orthogonal symmetries by n successive truncations (n = 2, 3).
 
     Cuts near the coordinate axes (nudged into vertex normal cones when an
-    axis exposes a whole face) with depths chosen by halving so that
-    (a) each fresh-face diameter is at most ``_SHRINK`` times the previous
-    one, (b) cut regions stay ``_SEPARATION`` times the diameter clear of
-    earlier faces and of the later cut vertices, and (c) the total
-    Hausdorff displacement from the re-centered input stays within
-    ``budget``.
+    axis exposes a whole face) with depths chosen by halving, at most 60
+    times per cut, so that (a) each fresh-face diameter is at most
+    ``_SHRINK`` times the previous one, (b) cut regions stay
+    ``_SEPARATION`` times the diameter clear of earlier faces and of the
+    later cut vertices, and (c) the total Hausdorff displacement from the
+    re-centered input stays within ``budget``.
     When a later cut cannot satisfy the separation no matter how shallow
     (an earlier face reaches into its cap), the whole cut sequence is
-    retried at half the starting depths; small enough depths always admit
-    a solution for the separated vertex plan.
+    retried at half the starting depths, 8 trials in all; small enough
+    depths always admit a solution for the separated vertex plan.  A body
+    of another dimension raises ``RepresentationError`` before anything
+    is computed.  ``InfeasibleBudgetError.min_displacement`` is the
+    displacement of the polytope approximation when it alone exceeds the
+    budget, else the one reached before the failing cut of the last trial.
     """
     if not (math.isfinite(budget) and budget > 0):
         raise InvalidArgumentError("budget must be finite and positive")
     n = body_dim(body)
+    if n not in (2, 3):
+        raise RepresentationError("exact clipping implemented for n = 2, 3")
     grid = grid or default_grid(n)
 
     target = recenter(body, grid)
@@ -311,10 +297,8 @@ def desymmetrize(
     if not start.is_full_dimensional:
         raise InvalidArgumentError("desymmetrize needs a full-dimensional body")
 
-    diam = _pairwise_diameter(start.vertices)
-    margin = _SEPARATION * diam
+    margin = _SEPARATION * _pairwise_diameter(start.vertices)
     plan = _plan_cuts(start, margin)
-
     base_disp = 0.0 if start is target else hausdorff(start, target, grid)
     if base_disp > budget:
         raise InfeasibleBudgetError(
@@ -322,108 +306,46 @@ def desymmetrize(
             min_displacement=base_disp,
         )
 
-    last_error = None
     for trial in range(8):
-        try:
-            return _run_cut_sequence(
-                start, base_disp, plan, 0.5**trial, margin, target, budget, grid
-            )
-        except InfeasibleBudgetError as exc:
-            last_error = exc
+        current, disp, prev_diam = start, base_disp, math.inf
+        later = [v for _, v in plan]  # the cut vertices, shifted with the body
+        faces: list[np.ndarray] = []  # earlier fresh faces, shifted with the body
+        records: list[FaceRecord] = []
+        for k, (u, _) in enumerate(plan):
+            h_u = float(support_values(current, u[None, :])[0])
+            w = h_u + float(support_values(current, -u[None, :])[0])
+            # eps <= w/4 keeps the lowest vertex, so the clip is never empty
+            eps = min(w / 4.0, budget) * 0.5**trial
+            for _ in range(60):
+                cut = h_u - eps
+                eps *= 0.5
+                # separation: earlier faces and later cut vertices stay clear
+                if any(np.any(f @ u >= cut - margin) for f in faces) or any(
+                    float(p @ u) >= cut - margin for p in later[k + 1:]
+                ):
+                    continue
+                clipped = _clip(current, u, cut)
+                face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
+                face_diam = _pairwise_diameter(face)
+                # the rank check builds the hull, which steiner then reuses
+                if face_diam <= 0 or face_diam > prev_diam * _SHRINK or not clipped.is_full_dimensional:
+                    continue
+                shift = steiner(clipped, grid)
+                centered = translate(clipped, -shift)
+                cut_disp = hausdorff(centered, target, grid)
+                if cut_disp <= budget:
+                    break
+            else:
+                break  # no feasible depth for cut k: retry shallower
+            faces = [f - shift for f in faces] + [face - shift]
+            later = [p - shift for p in later]
+            records.append(FaceRecord(normal=u.copy(), diameter=face_diam, vertex_set=faces[-1]))
+            current, disp, prev_diam = centered, cut_disp, face_diam
+        else:
+            return current, records
     raise InfeasibleBudgetError(
-        f"no feasible cut sequence within budget {budget}",
-        min_displacement=getattr(last_error, "min_displacement", base_disp),
+        f"no feasible cut sequence within budget {budget}", min_displacement=disp
     )
-
-
-def _run_cut_sequence(
-    start: Polytope,
-    best_disp: float,
-    plan: list,
-    depth_scale: float,
-    margin: float,
-    target: Body,
-    budget: float,
-    grid: SphericalGrid,
-) -> tuple[Polytope, list[FaceRecord]]:
-    """Cut along each planned direction; ``best_disp`` is hausdorff(start, target)."""
-    current = start
-    cut_verts = [v.copy() for _, v in plan]
-    faces: list[np.ndarray] = []
-    records: list[FaceRecord] = []
-    prev_diam = math.inf
-
-    for k, (u, _) in enumerate(plan):
-        h_u = float(support_values(current, u[None, :])[0])
-        w = h_u + float(support_values(current, -u[None, :])[0])
-        eps = min(w / 4.0, budget) * depth_scale
-        accepted = None
-        for _ in range(60):
-            try:
-                cand = _feasible_cut(
-                    current, u, h_u, w, eps, cut_verts[k + 1:], faces,
-                    prev_diam * _SHRINK, margin, target, budget, grid,
-                )
-            except EmptyResultError:
-                cand = None
-            if cand is not None:
-                accepted = cand
-                break
-            eps *= 0.5
-        if accepted is None:
-            raise InfeasibleBudgetError(
-                f"no feasible cut depth along axis {k}",
-                min_displacement=best_disp,
-            )
-        current, shift, face_verts, face_diam, best_disp = accepted
-        faces = [f - shift for f in faces]
-        faces.append(face_verts)
-        cut_verts = [v - shift for v in cut_verts]
-        records.append(
-            FaceRecord(normal=u.copy(), diameter=face_diam, vertex_set=face_verts)
-        )
-        prev_diam = face_diam
-
-    return current, records
-
-
-def _feasible_cut(
-    current: Polytope,
-    u: np.ndarray,
-    h_u: float,
-    w: float,
-    eps: float,
-    later_vertices: list[np.ndarray],
-    faces: list[np.ndarray],
-    max_diam: float,
-    margin: float,
-    target: Body,
-    budget: float,
-    grid: SphericalGrid,
-):
-    """The cut eps below h_u = h(current, u), or None; w is the width along u."""
-    if eps <= 0 or eps >= w / 2.0:
-        return None
-    cut = h_u - eps
-    # separation: earlier faces and later cut vertices stay clear
-    for f in faces:
-        if np.any(f @ u >= cut - margin):
-            return None
-    for p in later_vertices:
-        if float(p @ u) >= cut - margin:
-            return None
-    clipped = _clip(current, u, cut)
-    face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
-    face_diam = _pairwise_diameter(face)
-    # the rank check builds the hull, which steiner then reuses
-    if face_diam <= 0 or face_diam > max_diam or not clipped.is_full_dimensional:
-        return None
-    shift = steiner(clipped, grid)
-    centered = translate(clipped, -shift)
-    disp = hausdorff(centered, target, grid)
-    if disp > budget:
-        return None
-    return centered, shift, face - shift, face_diam, disp
 
 
 def isotropy_estimate(

@@ -24,6 +24,11 @@ qhull hull, then an SVD of its own for degenerate sets) and the arc-loop
 Steiner oracle the former 2-D Steiner point (segment ends by projection,
 normal-cone arcs one ring vertex at a time); on full-rank sets, points and
 segments the hull record must return their bits.
+The former-desymmetrize oracle is the former cut loop: a plan over every
+vertex row with cone directions found by coordinates (the cone-lookup
+oracle), and a cut sequence that hands its whole state to a separate
+feasibility test per depth; ``desymmetrize`` must return its bits, its
+errors and their ``min_displacement``.
 The two-pass clip oracle is the former 2-D cut: the kept vertices and the
 ring's edge crossings through ``convex_hull_vertices``, then the hull of
 the result; the ring clip must return its record, less the points within
@@ -71,14 +76,19 @@ from convexhyper.bodies import (
     Sum,
     ring_normal_angles,
     as_polytope,
+    body_dim,
     convex_hull_vertices,
     support_values,
+    translate,
 )
 from convexhyper.curvature import support_point
-from convexhyper.errors import ConvexHyperError, ParseError, ValidationError
-from convexhyper.metrics import steiner, support_moment_matrix
-from convexhyper.quadrature import SphericalGrid, ball_volume, make_grid_2d, make_grid_3d
+from convexhyper.errors import (ConvexHyperError, EmptyResultError, InfeasibleBudgetError,
+                                InvalidArgumentError, ParseError, ValidationError)
+from convexhyper.metrics import hausdorff, recenter, steiner, support_moment_matrix
+from convexhyper.quadrature import SphericalGrid, ball_volume, default_grid, make_grid_2d, make_grid_3d
 from convexhyper.serialization import _grid_to_obj, _is_number, _matrix, _require
+from convexhyper.truncation import (_FACE_TOL, _SEPARATION, _SHRINK, FaceRecord, _clip, _pairwise_diameter,
+                                    _uniquely_exposes, polytope_approximation)
 
 
 def polygon_boundary_cloud(vertices: np.ndarray, target: int = 2000) -> np.ndarray:
@@ -366,6 +376,146 @@ def two_pass_clip_candidates(poly, u: np.ndarray, cut: float) -> np.ndarray:
 def two_pass_clip(poly, u: np.ndarray, cut: float) -> Polytope:
     """The former 2-D cut: qhull on the candidates, then on the result."""
     return Polytope(convex_hull_vertices(two_pass_clip_candidates(poly, u, cut)))
+
+
+def former_plan_cuts(poly, margin: float) -> list:
+    """The former cut plan: every vertex row in stable order of falling
+    support along each axis, rows np.allclose to a planned vertex skipped,
+    cone directions by ``loop_vertex_cone_direction`` (coordinates)."""
+    verts = poly.vertices
+    scale = 1.0 + float(np.abs(verts).max())
+    gap = 8.0 * margin
+    plan: list = []
+
+    def separated(u, v) -> bool:
+        h_u = float((verts @ u).max())
+        for u_j, v_j in plan:
+            if float(v_j @ u) > h_u - gap:
+                return False
+            if float(v @ u_j) > float((verts @ u_j).max()) - gap:
+                return False
+        return True
+
+    for e in np.eye(poly.dim):
+        choice = None
+        for idx in np.argsort(-(verts @ e), kind="stable"):
+            v = verts[idx]
+            if any(np.allclose(v, v_j, atol=1e-12) for _, v_j in plan):
+                continue
+            options = []
+            if _uniquely_exposes(verts, e, idx, scale):
+                options.append(e)
+            cone = loop_vertex_cone_direction(poly, v)
+            if cone is not None and _uniquely_exposes(verts, cone, idx, scale):
+                options.append(cone)
+            for u in options:
+                if separated(u, v):
+                    choice = (u, v)
+                    break
+            if choice is not None:
+                break
+        if choice is None:
+            raise InfeasibleBudgetError(
+                "could not find cut directions exposing distinct separated vertices"
+            )
+        plan.append(choice)
+    return plan
+
+
+def former_desymmetrize(body, budget: float, grid=None):
+    """The former ``desymmetrize`` for n = 2, 3: ``former_plan_cuts``, then
+    up to 8 trials of ``_former_cut_sequence`` at depth scale 0.5**trial."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise InvalidArgumentError("budget must be finite and positive")
+    n = body_dim(body)
+    grid = grid or default_grid(n)
+    target = recenter(body, grid)
+    poly = as_polytope(body)
+    if poly is None:
+        poly = polytope_approximation(body)
+    start = target if poly is body else recenter(poly, grid)
+    if not start.is_full_dimensional:
+        raise InvalidArgumentError("desymmetrize needs a full-dimensional body")
+    margin = _SEPARATION * _pairwise_diameter(start.vertices)
+    plan = former_plan_cuts(start, margin)
+    base_disp = 0.0 if start is target else hausdorff(start, target, grid)
+    if base_disp > budget:
+        raise InfeasibleBudgetError(
+            "polytope approximation alone exceeds the budget", min_displacement=base_disp
+        )
+    last_error = None
+    for trial in range(8):
+        try:
+            return _former_cut_sequence(start, base_disp, plan, 0.5**trial, margin, target, budget, grid)
+        except InfeasibleBudgetError as exc:
+            last_error = exc
+    raise InfeasibleBudgetError(
+        f"no feasible cut sequence within budget {budget}",
+        min_displacement=getattr(last_error, "min_displacement", base_disp),
+    )
+
+
+def _former_cut_sequence(start, best_disp, plan, depth_scale, margin, target, budget, grid):
+    """Cut along each planned direction, halving a cut's depth up to 60
+    times until ``_former_feasible_cut`` accepts it."""
+    current = start
+    cut_verts = [v.copy() for _, v in plan]
+    faces: list = []
+    records: list = []
+    prev_diam = math.inf
+    for k, (u, _) in enumerate(plan):
+        h_u = float(support_values(current, u[None, :])[0])
+        w = h_u + float(support_values(current, -u[None, :])[0])
+        eps = min(w / 4.0, budget) * depth_scale
+        accepted = None
+        for _ in range(60):
+            try:
+                cand = _former_feasible_cut(
+                    current, u, h_u, w, eps, cut_verts[k + 1:], faces,
+                    prev_diam * _SHRINK, margin, target, budget, grid,
+                )
+            except EmptyResultError:
+                cand = None
+            if cand is not None:
+                accepted = cand
+                break
+            eps *= 0.5
+        if accepted is None:
+            raise InfeasibleBudgetError(
+                f"no feasible cut depth along axis {k}", min_displacement=best_disp
+            )
+        current, shift, face_verts, face_diam, best_disp = accepted
+        faces = [f - shift for f in faces]
+        faces.append(face_verts)
+        cut_verts = [v - shift for v in cut_verts]
+        records.append(FaceRecord(normal=u.copy(), diameter=face_diam, vertex_set=face_verts))
+        prev_diam = face_diam
+    return current, records
+
+
+def _former_feasible_cut(current, u, h_u, w, eps, later_vertices, faces, max_diam,
+                         margin, target, budget, grid):
+    """The cut eps below h_u = h(current, u), or None; w is the width along u."""
+    if eps <= 0 or eps >= w / 2.0:
+        return None
+    cut = h_u - eps
+    for f in faces:
+        if np.any(f @ u >= cut - margin):
+            return None
+    for p in later_vertices:
+        if float(p @ u) >= cut - margin:
+            return None
+    clipped = _clip(current, u, cut)
+    face = clipped.vertices[clipped.vertices @ u >= cut - _FACE_TOL * (1 + abs(cut))]
+    face_diam = _pairwise_diameter(face)
+    if face_diam <= 0 or face_diam > max_diam or not clipped.is_full_dimensional:
+        return None
+    shift = steiner(clipped, grid)
+    centered = translate(clipped, -shift)
+    disp = hausdorff(centered, target, grid)
+    if disp > budget:
+        return None
+    return centered, shift, face - shift, face_diam, disp
 
 
 def _arc_moment_1(a: float, b: float) -> np.ndarray:

@@ -338,12 +338,31 @@ def test_malformed_json_exit_code_2(runner, tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "spec", ["poly:n=1,verts=4,count=1", "poly:n=2,verts=4,count=-1"], ids=["n=1", "count=-1"]
+    "seed, spec",
+    [("1", "poly:n=1,verts=4,count=1"), ("1", "poly:n=2,verts=4,count=-1"),
+     ("-1", "poly:n=2,verts=5,count=1"), ("1", "poly:n=2,verts=100000000000,count=1"),
+     ("1", "poly:n=40,verts=50,count=1"), ("1", "sym:n=2,verts=5,count=100000000000")],
+    ids=["n=1", "count=-1", "seed=-1", "verts=1e11", "n=40", "count=1e11"],
 )
-def test_bad_corpus_spec_exit_code_2(runner, tmp_path, spec):
-    res = runner.invoke(main, ["corpus", "--seed", "1", "--spec", spec, "--out-dir", str(tmp_path)])
+def test_bad_corpus_spec_exit_code_2(runner, tmp_path, seed, spec):
+    # a negative seed, a huge vertex count and n = 40 gave a traceback or
+    # ran on for minutes: they are refused, not allocated
+    res = runner.invoke(main, ["corpus", "--seed", seed, "--spec", spec, "--out-dir", str(tmp_path)])
     assert res.exit_code == 2
-    assert res.stderr.startswith("error:")
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.output
+
+
+def test_desymmetrize_4d_exit_code_2(runner, tmp_path):
+    # only n = 2, 3 are cut; the former 4-D path overran its budget
+    body = tmp_path / "p4.json"
+    verts = np.vstack([np.eye(4), -np.eye(4), np.full((1, 4), 0.5)])
+    body.write_text(json.dumps({"type": "polytope", "vertices": verts.tolist()}))
+    out = tmp_path / "out.json"
+    res = runner.invoke(main, ["desymmetrize", "--budget", "0.3", "--in", str(body), "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
@@ -398,11 +417,19 @@ _VECTOR = st.one_of(
     st.lists(st.floats(), min_size=1, max_size=4).map(lambda v: ",".join(map(repr, v))), _ANY
 )
 _GRIDS = {"--grid-2d": _INT, "--grid-3d": _LAT_LON}
+# corpus: seeds near zero, and specs that mostly build one or two cheap
+# bodies, with refused kinds and sizes mixed in
+_SEED = st.one_of(st.integers(min_value=-3, max_value=3).map(str), _ANY)
+_SPEC = st.tuples(
+    st.sampled_from(["poly", "sym", "poly", "box", ""]), st.sampled_from([2, 3, 2, 3, 1, 7, 40, 2**70]),
+    st.sampled_from([5, 8, 12, 4, 3, -1, 4097, 10**11]), st.sampled_from([1, 2, 1, 0, -1]),
+).map(lambda t: "{}:n={},verts={},count={}".format(*t))
 # command -> (body pairs or single bodies, flags); congruence runs on
 # polygon pairs and a polygon against a parallel body, whose exact
 # objective keeps a 65,536-point coarse scan fast; regularize runs on
 # polygons with a fixed 64-node grid, so accepted kernels stay cheap, and
-# truncate with the same grid; curvature runs on polygons at the default grid
+# truncate and desymmetrize with the same grid; curvature runs on polygons at
+# the default grid; corpus takes no body
 _FUZZ = {
     "steiner": ([("square",), ("tri",), ("poly3",), ("sum2",)], _GRIDS),
     "support": ([("square",), ("poly3",), ("sum2",)], {"--dir": _VECTOR}),
@@ -412,6 +439,8 @@ _FUZZ = {
     "regularize": ([("square",), ("tri",), ("sum2",)], {"--t": _ANY, "--radial": _INT, "--angular": _INT}),
     "truncate": ([("square",), ("tri",), ("poly3",), ("sum2",)], {"--u": _VECTOR, "--eps": _ANY}),
     "curvature": ([("square",), ("tri",), ("sum2",)], {"--step": _ANY, "--margin": _ANY}),
+    "desymmetrize": ([("square",), ("tri",), ("sum2",)], {"--budget": _ANY}),
+    "corpus": ([()], {"--seed": _SEED, "--spec": _SPEC}),
 }
 
 
@@ -437,11 +466,16 @@ def test_flag_fuzzing_keeps_exit_code_contract(fuzz_files, data):
     command = data.draw(st.sampled_from(sorted(_FUZZ)))
     bodies, flags = _FUZZ[command]
     names = data.draw(st.sampled_from(bodies))
-    args = [command] + (["--in"] if command in ("symmetries", "regularize", "truncate") else []) + [fuzz_files[n] for n in names]
-    if command in ("regularize", "truncate"):
-        args += ["--out", os.path.join(os.path.dirname(fuzz_files["square"]), "out.json"), "--grid-2d", "64"]
+    takes_in = ("symmetries", "regularize", "truncate", "desymmetrize")
+    args = [command] + (["--in"] if command in takes_in else []) + [fuzz_files[n] for n in names]
+    root = os.path.dirname(fuzz_files["square"])
+    if command in ("regularize", "truncate", "desymmetrize"):
+        args += ["--out", os.path.join(root, "out.json"), "--grid-2d", "64"]
+    if command == "corpus":
+        args += ["--out-dir", os.path.join(root, "corpus")]
     for flag, values in flags.items():
-        value = data.draw(st.none() | values, label=flag)
+        # corpus always gets both flags: its bodies come from them alone
+        value = data.draw(values if command == "corpus" else st.none() | values, label=flag)
         if value is not None:
             args += [flag, value]
     if command == "congruence" and data.draw(st.booleans(), label="--so-n"):

@@ -14,7 +14,7 @@ from convexhyper import (
 )
 from convexhyper.bodies import rigid_motion
 from convexhyper.metrics import exact_hausdorff
-from convexhyper.rotations import orthogonal_maps
+from convexhyper.rotations import circle_candidates, orthogonal_maps, sphere_candidates
 
 _SQUARE = Polytope([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -120,3 +120,12 @@ def test_rejects_invalid_input():
     for tol in (-1.0, 0.0, math.inf):
         with pytest.raises(InvalidArgumentError):
             orthogonal_maps(_SQUARE, _SQUARE, tol)
+
+
+@pytest.mark.parametrize("build, args", [(circle_candidates, (180, True)), (sphere_candidates, (64, False))],
+                         ids=["circle", "sphere"])
+def test_candidate_sets_built_once(build, args):
+    # one shared read-only array per argument tuple, with a fresh build's bits
+    mats = build(*args)
+    assert build(*args) is mats and not mats.flags.writeable
+    assert mats.tobytes() == build.__wrapped__(*args).tobytes()

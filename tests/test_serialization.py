@@ -288,6 +288,17 @@ def test_corpus_bad_spec():
         Corpus.generate(1, "nope")
 
 
+@pytest.mark.parametrize("seed, n, verts", [(-1, 2, 5), (1, 7, 50), (1, 2, 4097)],
+                         ids=["seed=-1", "n=7", "verts=4097"])
+def test_random_polytope_refuses_out_of_bounds(seed, n, verts):
+    from convexhyper import InvalidArgumentError, random_polytope
+
+    with pytest.raises(InvalidArgumentError):
+        random_polytope(seed, n, verts)
+    with pytest.raises(InvalidArgumentError):
+        Corpus.generate(seed, f"sym:n={n},verts={verts},count=1")
+
+
 def test_random_polytope_examples():
     from convexhyper import random_polytope
 

@@ -26,7 +26,7 @@ from convexhyper import (
 )
 from convexhyper import bodies, random_polytope, random_rotation, truncation, width
 from convexhyper.bodies import rigid_motion
-from oracles import loop_vertex_cone_direction, two_pass_clip
+from oracles import former_desymmetrize, former_plan_cuts, loop_vertex_cone_direction, two_pass_clip
 
 
 class TestTruncate:
@@ -381,22 +381,102 @@ def _twin_vertex_bodies():
             Polytope(np.vstack([sphere, twin / np.linalg.norm(twin)]))]
 
 
-def test_plan_cuts_match_cone_loop(cube, monkeypatch):
-    # the vectorized cone lookup returns the loop's bits, so plans are equal
-    for body in _plan_bodies(cube):
+def _own_cone_mean(poly, i):
+    """The loop's cone direction of hull vertex i itself: its 2-D arc's
+    midpoint, or the normalized sum of its 3-D cone's unit normals."""
+    hull = poly.hull
+    if poly.dim == 2:
+        angles = bodies.ring_normal_angles(hull.polygon)
+        a, b = angles[i - 1], angles[i]
+        mid = 0.5 * (a + (b + 2.0 * math.pi if b < a else b))
+        return np.array([math.cos(mid), math.sin(mid)])
+    mean = dict(hull.vertex_cones())[hull.extreme[i]].sum(axis=0)
+    return mean / np.linalg.norm(mean)
+
+
+def test_plan_cuts_match_cone_loop(cube):
+    # the plan over hull vertex indices equals the former plan over every
+    # vertex row with its cone lookup by coordinates
+    for body in _plan_bodies(cube) + _twin_vertex_bodies():
         start = recenter(body)
         margin = truncation._SEPARATION * truncation._pairwise_diameter(start.vertices)
-        plan = truncation._plan_cuts(start, margin)
-        with monkeypatch.context() as m:
-            m.setattr(truncation, "_vertex_cone_direction", loop_vertex_cone_direction)
-            loop_plan = truncation._plan_cuts(start, margin)
-        assert [(u.tobytes(), v.tobytes()) for u, v in plan] == \
-            [(u.tobytes(), v.tobytes()) for u, v in loop_plan]
-    # every vertex, one within np.allclose's rtol only, and one far from all
+        assert [(u.tobytes(), v.tobytes()) for u, v in truncation._plan_cuts(start, margin)] == \
+            [(u.tobytes(), v.tobytes()) for u, v in former_plan_cuts(start, margin)]
+    # each hull vertex gets the loop's bits; a twin, which the loop's
+    # np.allclose matches to the vertex 1e-8 before it, gets its own cone
+    twins = 0
     for poly in [b for b in _plan_bodies(cube) if len(b.vertices) <= 64] + _twin_vertex_bodies():
-        for v in np.vstack([poly.vertices, poly.vertices[:1] * (1.0 + 1e-7), poly.vertices[:1] + 1e-3]):
-            got, want = truncation._vertex_cone_direction(poly, v), loop_vertex_cone_direction(poly, v)
-            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        hull = poly.hull
+        points = hull.points[hull.extreme]
+        for i, row in enumerate(hull.index[hull.extreme]):
+            v = poly.vertices[row]
+            got = truncation._vertex_cone_direction(poly, i)
+            first = next(j for j, p in enumerate(points) if np.allclose(p, v, atol=1e-12))
+            if first == i:
+                assert got.tobytes() == loop_vertex_cone_direction(poly, v).tobytes()
+            else:
+                twins += 1
+                assert got.tobytes() == _own_cone_mean(poly, i).tobytes()
+                assert got.tobytes() != loop_vertex_cone_direction(poly, v).tobytes()
+    assert twins == 2
+
+
+def _desymmetrize_cases(square, cube):
+    """(body, budget, grid): the square, the cube, ball approximations, seeded
+    random and symmetric polytopes, a thinned one, twin vertices and rotated
+    hexagons, from budget 0.3 down to 1e-7, with retried trials (the two
+    symmetric 3-D bodies at 0.3) and failures (budget 1e-7, the hexagons)."""
+    g2, g3 = make_grid_2d(256), make_grid_3d(16, 32)
+    hexagons = []
+    for rot in (0.0, 1e-7):
+        a = math.pi / 3.0 * np.arange(6) + rot
+        hexagons.append(Polytope(np.column_stack([np.cos(a), np.sin(a)])))
+    bodies_ = [square, cube, polytope_approximation(Ball(np.zeros(2), 1.0), 512),
+               polytope_approximation(Ball(np.zeros(3), 1.0), 128), Ball(np.zeros(2), 1.0),
+               Polytope(random_polytope(504, 3, 12).vertices * [1.0, 1.0, 0.05]),
+               random_symmetric_polytope(630, 3, 5), random_symmetric_polytope(633, 3, 8)]
+    bodies_ += _twin_vertex_bodies() + hexagons
+    for seed in range(3):
+        bodies_ += [random_polytope(700 + seed, 2, 6 + seed), random_polytope(710 + seed, 3, 7 + seed),
+                    random_symmetric_polytope(720 + seed, 2, 5 + seed)]
+    for body in bodies_:
+        grid = g2 if bodies.body_dim(body) == 2 else g3
+        for budget in (0.3, 1e-3, 1e-5, 1e-7):
+            yield body, budget, grid
+
+
+def _desymmetrize_outcome(fn, body, budget, grid):
+    try:
+        out, faces = fn(body, budget, grid)
+    except InfeasibleBudgetError as exc:
+        return "infeasible", str(exc), exc.min_displacement
+    return out.vertices.tobytes(), [(f.normal.tobytes(), f.diameter, f.vertex_set.tobytes()) for f in faces]
+
+
+def test_desymmetrize_matches_former_loop(square, cube):
+    failures = set()
+    for body, budget, grid in _desymmetrize_cases(square, cube):
+        got = _desymmetrize_outcome(desymmetrize, body, budget, grid)
+        assert got == _desymmetrize_outcome(former_desymmetrize, body, budget, grid)
+        if got[0] == "infeasible":
+            failures.add((got[1].split(" within")[0], got[2] > 0.0))
+    # the approximation alone over budget, and cut sequences failing at
+    # their first cut and at a later one
+    assert failures == {("polytope approximation alone exceeds the budget", True),
+                        ("no feasible cut sequence", False), ("no feasible cut sequence", True)}
+
+
+@pytest.mark.parametrize("body", [random_polytope(27, 4, 10), Ball(np.zeros(4), 1.0), Ball(np.zeros(1), 1.0)],
+                         ids=["polytope-4d", "ball-4d", "ball-1d"])
+def test_desymmetrize_refuses_other_dimensions(body, monkeypatch):
+    # the former 4-D path overran its budget (0.3041 at 0.3 on a dense grid)
+    def no_approximation(*args, **kwargs):
+        raise AssertionError("refused bodies must not be approximated")
+
+    monkeypatch.setattr(truncation, "polytope_approximation", no_approximation)
+    monkeypatch.setattr(truncation, "recenter", no_approximation)
+    with pytest.raises(RepresentationError, match="n = 2, 3"):
+        desymmetrize(body, 0.3)
 
 
 def test_lower_dimensional_rejected(grid2):
