@@ -13,6 +13,10 @@ h_L(x), so ``terms`` flattens any tree once into the list of its terms
 dispatch on the leaf type.  Only ``terms`` and the structural maps
 (``translate`` here, the serializer) look at the tree itself.
 
+Long direction arrays run in ``row_blocks`` of 65,536 entries (512 KiB).
+BLAS rounds a row alike in any product of two or more rows, and a one-row
+product differently, so no block is one row of many: values keep their bits.
+
 All values are immutable; operations are pure functions and safe to call
 concurrently.
 """
@@ -35,8 +39,9 @@ from .errors import (
 )
 from .quadrature import SphericalGrid
 
-# Rows-per-block cap for (directions x vertices) intermediates.
-_BLOCK_ENTRIES = 16_000_000
+# Entries (rows x width) of a row block, 512 KiB of float64, shared with regularization's
+# kernels: on a 2 MiB-L2 Xeon 32k-64k ran fastest, 16k paid overhead, 256k+ streamed.
+_BLOCK_ENTRIES = 65_536
 # Largest hull coordinate magnitude: from about 4e76 qhull reads full-rank sets as flat.
 MAX_EXTENT = 1e76
 
@@ -513,20 +518,19 @@ def sampled_cell_angle(body: Body) -> float:
     return max(cells, default=0.0)
 
 
+def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) blocks of ``_BLOCK_ENTRIES // width`` rows, at least 2, covering
+    n_rows (one block for zero rows); a one-row remainder joins the block before."""
+    step = max(2, _BLOCK_ENTRIES // max(width, 1))
+    bounds = [*range(0, max(n_rows - 1, 1), step), n_rows]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _polytope_support(vertices: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    n_dirs = dirs.shape[0]
-    n_vert = vertices.shape[0]
     # a contiguous vertices.T multiplies faster than the transposed view, and
     # in 2-D and 3-D rounds the same for two or more rows (one row does not)
-    vt = np.ascontiguousarray(vertices.T) if n_dirs > 1 and vertices.shape[1] <= 3 else vertices.T
-    if n_dirs * n_vert <= _BLOCK_ENTRIES:
-        return (dirs @ vt).max(axis=1)
-    out = np.empty(n_dirs)
-    block = max(1, _BLOCK_ENTRIES // n_vert)
-    for start in range(0, n_dirs, block):
-        stop = min(start + block, n_dirs)
-        out[start:stop] = (dirs[start:stop] @ (vt if stop - start > 1 else vertices.T)).max(axis=1)
-    return out
+    vt = np.ascontiguousarray(vertices.T) if dirs.shape[0] > 1 and vertices.shape[1] <= 3 else vertices.T
+    return (dirs @ vt).max(axis=1)
 
 
 def _interp_uniform_2d(grid: SphericalGrid, values: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -568,13 +572,10 @@ def _interp_lonlat_3d(grid: SphericalGrid, values: np.ndarray, units: np.ndarray
 
 
 def _interp_nearest(grid: SphericalGrid, values: np.ndarray, units: np.ndarray) -> np.ndarray:
-    out = np.empty(units.shape[0])
-    block = max(1, _BLOCK_ENTRIES // max(len(grid), 1))
-    for start in range(0, units.shape[0], block):
-        stop = min(start + block, units.shape[0])
-        idx = np.argmax(units[start:stop] @ grid.nodes.T, axis=1)
-        out[start:stop] = values[idx]
-    return out
+    return values[np.argmax(units @ grid.nodes.T, axis=1)]
+
+
+_INTERPOLATED = {"uniform-2d": _interp_uniform_2d, "gauss-lonlat-3d": _interp_lonlat_3d}
 
 
 def _sampled_support(body: Sampled, dirs: np.ndarray) -> np.ndarray:
@@ -584,14 +585,8 @@ def _sampled_support(body: Sampled, dirs: np.ndarray) -> np.ndarray:
     if not np.any(nz):
         return out
     units = dirs[nz] / norms[nz, None]
-    grid = body.grid
-    if grid.kind == "uniform-2d":
-        vals = _interp_uniform_2d(grid, body.values, units)
-    elif grid.kind == "gauss-lonlat-3d":
-        vals = _interp_lonlat_3d(grid, body.values, units)
-    else:
-        vals = _interp_nearest(grid, body.values, units)
-    out[nz] = vals * norms[nz]
+    interp = _INTERPOLATED.get(body.grid.kind, _interp_nearest)
+    out[nz] = interp(body.grid, body.values, units) * norms[nz]
     return out
 
 
@@ -607,8 +602,28 @@ def support_values(body: Body, dirs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"directions have dim {dirs.shape[1]}, body has dim {body_dim(body)}"
         )
-    parts = [term_support(term, dirs) for term in terms(body)]
-    return reduce(add, parts) if parts else np.zeros(dirs.shape[0])
+    return terms_support(terms(body), dirs)
+
+
+def terms_support(parts: list[Term], dirs: np.ndarray) -> np.ndarray:
+    """Summed support values of the terms at each row of ``dirs``, in ``row_blocks`` sized
+    for the widest term: a polytope's vertex count, a nearest lookup's grid size, else 1."""
+    n_rows = dirs.shape[0]  # up to 3 rows make one block at any width; most calls have 1 or 2
+    blocks = row_blocks(n_rows, max(map(_row_width, parts), default=1)) if n_rows > 3 else [(0, n_rows)]
+    out = np.empty(n_rows)
+    for start, stop in blocks:
+        values = [term_support(term, dirs[start:stop]) for term in parts]
+        out[start:stop] = reduce(add, values) if values else 0.0
+    return out
+
+
+def _row_width(term: Term) -> int:
+    """Entries per direction of a term's widest intermediate."""
+    if isinstance(term.leaf, Polytope):
+        return term.leaf.vertices.shape[0]
+    if isinstance(term.leaf, Sampled) and term.leaf.grid.kind not in _INTERPOLATED:
+        return len(term.leaf.grid)
+    return 1
 
 
 def term_support(term: Term, dirs: np.ndarray) -> np.ndarray:

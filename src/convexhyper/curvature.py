@@ -10,6 +10,8 @@ tangential differences plus h*I must be positive definite.
 Finite-difference steps are clamped to the interpolation cell size when
 the body contains sampled leaves, since differencing a piecewise-linear
 interpolant below its own resolution only measures interpolation kinks.
+The stencils run in ``bodies.row_blocks`` of grid nodes, one ``support_values``
+call per block, so a whole-grid test holds a few MB at any grid size.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .bodies import (
     Sampled,
     as_polytope,
     body_dim,
+    row_blocks,
     sampled_cell_angle,
     support_values,
     terms,
@@ -186,7 +189,8 @@ def curvature_report(
     step: float = 1e-3,
     margin: float = 1e-6,
 ) -> CurvatureReport:
-    """Evaluate the restricted-Hessian positivity test at every grid node."""
+    """Evaluate the restricted-Hessian positivity test at every grid node, in
+    ``row_blocks`` of nodes; the first node with the least value fails."""
     if not 0 < step <= math.pi or step * step == 0.0:  # wider wraps; step**2 must not underflow
         raise InvalidArgumentError("step must be positive and at most pi, with a nonzero square")
     if not math.isfinite(margin):
@@ -196,47 +200,51 @@ def curvature_report(
         raise DimensionMismatchError("grid dimension does not match body")
     _reject_lower_dimensional(body)
     step = _effective_step(body, step)
-
+    if n not in (2, 3):
+        raise InvalidArgumentError("curvature test supports n = 2 and n = 3 only")
+    points, stencil, k = grid.nodes, _eig_min_3d, 9  # k directions per node
     if n == 2:
-        if grid.kind == "uniform-2d":
-            t = grid.angles
-        else:
-            t = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
-        stack = np.concatenate([t - step, t, t + step])
-        dirs = np.column_stack([np.cos(stack), np.sin(stack)])
-        _reject_collapsed(dirs.reshape(3, -1, 2), 1, step)
-        h = support_values(body, dirs).reshape(3, -1)
-        rho = (h[0] + h[2] - 2.0 * h[1]) / step**2 + h[1]
-        return _report(rho, grid, margin)
+        points = grid.angles if grid.kind == "uniform-2d" else np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+        stencil, k = _radius_2d, 3
+    values = np.empty(len(points))
+    for start, stop in row_blocks(len(points), 4 * k * n):  # a node's stencil arrays: about 4 k n entries
+        values[start:stop] = stencil(body, points[start:stop], step)
+    return _report(values, grid, margin)
 
-    if n == 3:
-        u = grid.nodes
-        ref = np.eye(3)[np.argmin(np.abs(u), axis=1)]
-        e1 = np.cross(u, ref)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(u, e1)
-        offsets = [
-            u + step * e1, u - step * e1,
-            u + step * e2, u - step * e2,
-            u + step * (e1 + e2), u + step * (e1 - e2),
-            u + step * (-e1 + e2), u - step * (e1 + e2),
-            u,
-        ]
-        dirs = np.concatenate(offsets)
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        _reject_collapsed(dirs.reshape(9, -1, 3), 8, step)
-        h = support_values(body, dirs).reshape(9, -1)
-        h0 = h[8]
-        s2 = step**2
-        m11 = (h[0] + h[1] - 2.0 * h0) / s2 + h0
-        m22 = (h[2] + h[3] - 2.0 * h0) / s2 + h0
-        m12 = (h[4] - h[5] - h[6] + h[7]) / (4.0 * s2)
-        tr = m11 + m22
-        disc = np.sqrt((m11 - m22) ** 2 + 4.0 * m12**2)
-        eig_min = 0.5 * (tr - disc)
-        return _report(eig_min, grid, margin)
 
-    raise InvalidArgumentError("curvature test supports n = 2 and n = 3 only")
+def _radius_2d(body: Body, t: np.ndarray, step: float) -> np.ndarray:
+    stack = np.concatenate([t - step, t, t + step])
+    dirs = np.column_stack([np.cos(stack), np.sin(stack)])
+    _reject_collapsed(dirs.reshape(3, -1, 2), 1, step)
+    h = support_values(body, dirs).reshape(3, -1)
+    return (h[0] + h[2] - 2.0 * h[1]) / step**2 + h[1]
+
+
+def _eig_min_3d(body: Body, u: np.ndarray, step: float) -> np.ndarray:
+    """Least eigenvalue of the nine-point tangential Hessian plus h I at the nodes u."""
+    ref = np.eye(3)[np.argmin(np.abs(u), axis=1)]
+    e1 = np.cross(u, ref)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(u, e1)
+    offsets = [
+        u + step * e1, u - step * e1,
+        u + step * e2, u - step * e2,
+        u + step * (e1 + e2), u + step * (e1 - e2),
+        u + step * (-e1 + e2), u - step * (e1 + e2),
+        u,
+    ]
+    dirs = np.concatenate(offsets)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    _reject_collapsed(dirs.reshape(9, -1, 3), 8, step)
+    h = support_values(body, dirs).reshape(9, -1)
+    h0 = h[8]
+    s2 = step**2
+    m11 = (h[0] + h[1] - 2.0 * h0) / s2 + h0
+    m22 = (h[2] + h[3] - 2.0 * h0) / s2 + h0
+    m12 = (h[4] - h[5] - h[6] + h[7]) / (4.0 * s2)
+    tr = m11 + m22
+    disc = np.sqrt((m11 - m22) ** 2 + 4.0 * m12**2)
+    return 0.5 * (tr - disc)
 
 
 def _report(values: np.ndarray, grid: SphericalGrid, margin: float) -> CurvatureReport:

@@ -32,9 +32,10 @@ superset of the candidates holds the winner, so no entry changes.  Balls
 and ellipsoids sum ||M u + M z_k|| with the squared norm built coordinate
 by coordinate (no Gram expansion, which cancels where u + z_k is near
 zero).  Every directions x kernel intermediate is blocked to ``_BLOCK``
-entries, a cache-sized row block: each kernel allocates its block buffers
-once per call and reuses them for every block, so the inner steps run in
-cache rather than streaming from memory.  A row's kernel sum is one BLAS
+entries, the package's cache-sized block (``bodies._BLOCK_ENTRIES``):
+each kernel allocates its block buffers once per call and reuses them for
+every block, so the inner steps run in cache rather than streaming from
+memory.  A row's kernel sum is one BLAS
 product over its block, so the values can differ in the last bits between
 block shapes and row orders, never more.
 """
@@ -48,6 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bodies import (
+    _BLOCK_ENTRIES as _BLOCK,
     Body,
     Ball,
     Ellipsoid,
@@ -57,18 +59,13 @@ from .bodies import (
     as_polytope,
     body_dim,
     support_values,
-    term_support,
     terms,
+    terms_support,
 )
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .metrics import recenter, support_moment_matrix
 from .quadrature import _MAX_GRID_NODES, SphericalGrid, default_grid, make_grid_2d, make_grid_3d
 
-# entries of a directions x kernel block: 512 KiB of float64, so the two
-# work buffers of a kernel stay in a 2 MiB L2 cache; on a 2 MiB-L2 Xeon
-# 32k-64k ran fastest, 16k paid per-block overhead, 256k and up streamed
-# from memory
-_BLOCK = 65_536
 _MAX_RADIAL = 256  # Gauss-Legendre radial nodes; the bump needs far fewer
 
 
@@ -308,7 +305,7 @@ def mollified_support_values(
                 return out
             for start, stop in _row_blocks(dirs.shape[0], k):
                 pts = (dirs[start:stop, None, :] + offsets[None, :, :]).reshape(-1, n)
-                vals = sum(term_support(term, pts) for term in rest).reshape(stop - start, k)
+                vals = terms_support(rest, pts).reshape(stop - start, k)
                 out[start:stop] += vals @ weights
             return out
     except FloatingPointError:

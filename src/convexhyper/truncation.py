@@ -12,6 +12,8 @@ symmetry, which ``isotropy_estimate`` verifies: for a full-dimensional
 polytope by the orthogonal maps that move each hull vertex within tol of
 a distinct one (exact, but blind to a near-symmetry that changes how
 vertices pair up), by a finite candidate scan for every other body.
+Diameters difference one block of points against all points at a time
+(``bodies.row_blocks``), never all pairs at once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .bodies import (
     body_dim,
     convex_hull_vertices,
     ring_polytope,
+    row_blocks,
     support_values,
     translate,
     unit_vector,
@@ -81,10 +84,12 @@ class FaceRecord:
 
 
 def _pairwise_diameter(points: np.ndarray) -> float:
-    if points.shape[0] < 2:
-        return 0.0
-    diffs = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    """Largest distance of two points, a ``row_blocks`` block against all at a time."""
+    best = 0.0
+    for start, stop in row_blocks(points.shape[0], points.size):
+        diffs = points[start:stop, None, :] - points[None, :, :]
+        best = max(best, float(np.sqrt((diffs**2).sum(axis=2)).max(initial=0.0)))
+    return best
 
 
 def _clip(poly: Polytope, u: np.ndarray, cut: float) -> Polytope:
@@ -182,8 +187,8 @@ def polytope_approximation(body: Body, n_dirs: int = 512) -> Polytope:
     Directions come from a structured grid; the approximation error is the
     caller's to measure (e.g. via hausdorff against the original).
     """
-    if n_dirs < 1:
-        raise InvalidArgumentError("n_dirs must be at least 1")
+    if isinstance(n_dirs, bool) or not isinstance(n_dirs, (int, np.integer)) or n_dirs < 1:
+        raise InvalidArgumentError("n_dirs must be an integer of at least 1")
     n = body_dim(body)
     if n == 2:
         grid = make_grid_2d(max(16, n_dirs))

@@ -53,6 +53,9 @@ objective on a stack of one; the lockstep search must return its bits.
 The two-run congruence oracle is the
 former 3-D search (a loose and a tight Nelder-Mead run per start); the
 polished search must never end above it by more than 1e-6.
+The one-shot diameter oracle is the former ``_pairwise_diameter``: every
+pair of points differenced in one array; the blocked form must return its
+bits.
 The schema ladders are the former JSON serializer, one ``isinstance`` or
 ``==`` test per node type (``ladder_body_to_obj``, ``ladder_body_from_obj``,
 ``ladder_body_equal``); the table-driven serializer must write their bytes,
@@ -376,6 +379,13 @@ def two_pass_clip_candidates(poly, u: np.ndarray, cut: float) -> np.ndarray:
 def two_pass_clip(poly, u: np.ndarray, cut: float) -> Polytope:
     """The former 2-D cut: qhull on the candidates, then on the result."""
     return Polytope(convex_hull_vertices(two_pass_clip_candidates(poly, u, cut)))
+
+
+def one_shot_diameter(points: np.ndarray) -> float:
+    if points.shape[0] < 2:
+        return 0.0
+    diffs = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((diffs**2).sum(axis=2)).max())
 
 
 def former_plan_cuts(poly, margin: float) -> list:

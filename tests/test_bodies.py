@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from convexhyper import (
 from convexhyper import bodies, truncation
 from convexhyper.bodies import convex_hull_vertices, rigid_motion, sublinearity_violation
 from convexhyper.metrics import exact_hausdorff, steiner
+from convexhyper.quadrature import SphericalGrid
 from oracles import loop_vertex_cones, qhull_hull_vertices, two_pass_clip_candidates
 
 
@@ -632,11 +634,79 @@ def test_polytope_support_bits_one_row(dim):
 
 
 def test_polytope_support_bits_with_one_row_last_block(monkeypatch):
-    # 5 rows per block of 16 vertices: blocks of 5, 5 and a last one of 1 row
+    # 5 rows per block of 16 vertices would leave a last block of 1 row; it
+    # joins the block before, so blocks of 5 and 6 rows give the whole product
     monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 80)
+    assert bodies.row_blocks(11, 16) == [(0, 5), (5, 11)]
     rng = np.random.default_rng(11)
     for dim in (2, 3):
         vertices = rng.standard_normal((16, dim))
         dirs = rng.standard_normal((11, dim))
-        blocks = [(dirs[i : i + 5] @ vertices.T).max(axis=1) for i in range(0, 11, 5)]
-        assert np.array_equal(bodies._polytope_support(vertices, dirs), np.concatenate(blocks))
+        got = support_values(Polytope(vertices), dirs)
+        assert np.array_equal(got, (dirs @ vertices.T).max(axis=1))
+
+
+def test_row_blocks_leave_no_one_row_block(monkeypatch):
+    monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 12)
+    assert bodies.row_blocks(0, 4) == [(0, 0)]
+    assert bodies.row_blocks(1, 4) == [(0, 1)]
+    assert bodies.row_blocks(7, 4) == [(0, 3), (3, 7)]
+    assert bodies.row_blocks(8, 4) == [(0, 3), (3, 6), (6, 8)]
+    assert bodies.row_blocks(5, 100) == [(0, 2), (2, 5)]  # wider than the budget: 2 rows
+    for n in range(40):
+        blocks = bodies.row_blocks(n, 1)
+        sizes = [stop - start for start, stop in blocks]
+        assert [b for start, stop in blocks for b in range(start, stop)] == list(range(n))
+        assert n < 2 or min(sizes) >= 2
+
+
+def _blocked_support_bodies():
+    rng = np.random.default_rng(21)
+    p2, p3 = Polytope(rng.standard_normal((9, 2))), Polytope(rng.standard_normal((14, 3)))
+    a = rng.standard_normal((3, 3))
+    sphere = rng.standard_normal((300, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    nearest = SphericalGrid(3, sphere, np.full(300, 4.0 * math.pi / 300), kind="unstructured")
+    return {
+        "polytope": p3,
+        "sum-ball": Sum(p3, Ball(np.array([0.1, -0.2, 0.3]), 0.4)),
+        "ellipsoid": Ellipsoid(np.array([0.5, -1.0, 0.25]), a @ a.T + np.eye(3)),
+        "sampled-uniform-2d": sample_support(Sum(p2, Ball(np.zeros(2), 0.3)), make_grid_2d(64)),
+        "sampled-lonlat-3d": sample_support(Sum(p3, Ball(np.zeros(3), 0.3)), make_grid_3d(8, 16)),
+        "sampled-nearest": Sum(sample_support(p3, nearest), Rotated(random_rotation(4, 3), p3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_blocked_support_bodies()))
+def test_support_values_bits_in_three_row_blocks(name, monkeypatch):
+    # a budget of 3 rows per block leaves a one-row remainder at 31 and 1
+    # rows, which joins the block before; zero rows make one empty block.  A
+    # one-row product rounds a polytope's max differently for about 1 in 5
+    # such remainders, so 40 sets of 31 directions are checked
+    body = _blocked_support_bodies()[name]
+    width = max(map(bodies._row_width, bodies.terms(body)))
+    dirs = np.random.default_rng(5).standard_normal((40, 31, body.dim)) * 2.0
+    dirs[:, 7] = 0.0
+    cases = [*dirs, dirs[0, :1], dirs[0, :0], dirs[0, :4]]
+    whole = [support_values(body, d) for d in cases]
+    monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 3 * width)
+    assert bodies.row_blocks(31, width)[-1] == (27, 31)
+    for d, want in zip(cases, whole):
+        got = support_values(body, d)
+        assert got.shape == (len(d),) and got.tobytes() == want.tobytes()
+
+
+def test_support_values_memory_bound():
+    # a 60-vertex polytope on 1,048,352 directions: 139 MB with the former
+    # 16M-entry blocks, under 12 MB (the 8.4 MB output and a cache-sized
+    # block) now
+    pts = np.random.default_rng(3).standard_normal((60, 3))
+    poly = Polytope(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    dirs = make_grid_3d.__wrapped__(724, 1448).nodes  # uncached: 25 MB of nodes
+    tracemalloc.start()
+    try:
+        support_values(poly, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from convexhyper import (
     gauss_preimage,
     random_polytope,
     random_rotation,
+    sample_support,
 )
-from convexhyper.quadrature import make_grid_3d
+from convexhyper import bodies
+from convexhyper.quadrature import make_grid_2d, make_grid_3d, rotate_grid
 
 
 class TestGaussPreimage:
@@ -161,3 +164,51 @@ class TestCurvaturePositive:
         # the class regularize, sample_support and hausdorff raise for it
         with pytest.raises(DimensionMismatchError):
             curvature_report(unit_ball_3d, grid2)
+
+
+def _curvature_cases():
+    square = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    cube = Polytope([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    p2, p3 = random_polytope(2, 2, 9), random_polytope(3, 3, 14)
+    ellipse = Ellipsoid(np.array([0.3, -0.2]), np.array([[2.0, 0.4], [0.4, 1.0]]))
+    g2, g3 = make_grid_2d(64), make_grid_3d(8, 14)  # 64 and 112 nodes: a one-node remainder
+    rotated = rotate_grid(random_rotation(1, 2).matrix, g2)  # angles by arctan2
+    smooth2, smooth3 = Sum(p2, Ball(np.zeros(2), 0.2)), Sum(p3, Ball(np.zeros(3), 0.2))
+    return {
+        "square": (square, g2), "sum-2d": (smooth2, g2), "ellipse": (ellipse, rotated),
+        "sampled-2d": (sample_support(smooth2, g2), g2), "cube": (cube, g3),
+        "sum-3d": (smooth3, g3), "sampled-3d": (sample_support(smooth3, g3), g3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_curvature_cases()))
+def test_curvature_report_bits_in_three_node_blocks(name, monkeypatch):
+    # 3 nodes per block (a node counts 4 k n entries, k = 3 or 9 directions)
+    # leave a one-node remainder; the report, ties to the first node
+    # included, is that of the default budget
+    body, grid = _curvature_cases()[name]
+    want = curvature_report(body, grid)
+    n = body.dim
+    monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 3 * 4 * (3 if n == 2 else 9) * n)
+    assert bodies.row_blocks(len(grid), 4 * (3 if n == 2 else 9) * n)[:2] == [(0, 3), (3, 6)]
+    got = curvature_report(body, grid)
+    assert got.ok == want.ok and got.failing_index == want.failing_index
+    assert np.float64(got.min_value).tobytes() == np.float64(want.min_value).tobytes()
+    if name in ("square", "cube"):
+        assert not got.ok
+
+
+@pytest.mark.parametrize("lat", [256, 512])
+def test_curvature_report_memory_bound(lat):
+    # 3-D stencils of Sum(P, 0.2B): 202 MB at 256 x 512 and 516 MB at
+    # 512 x 1024 in one piece; node blocks keep them under 16 MB
+    pts = np.random.default_rng(3).standard_normal((60, 3))
+    body = Sum(Polytope(pts / np.linalg.norm(pts, axis=1, keepdims=True)), Ball(np.zeros(3), 0.2))
+    grid = make_grid_3d.__wrapped__(lat, 2 * lat)  # uncached
+    tracemalloc.start()
+    try:
+        curvature_report(body, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -25,10 +25,11 @@ from convexhyper import (
     recenter,
     regularize,
     rotate_grid,
+    sample_support,
     steiner,
     support_values,
 )
-from convexhyper import regularization
+from convexhyper import bodies, regularization
 from convexhyper.regularization import canonical_frame, kernel_rule
 from oracles import brute_mollified
 
@@ -310,6 +311,26 @@ def test_kernel_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000, (body.dim, peak)
+
+
+def test_sampled_kernel_points_run_in_row_blocks(monkeypatch):
+    # a nearest lookup on 2,048 nodes at 64 x 256 kernel points: 129 MB with
+    # the lookup's own 16M-entry blocks, 268 MB as one product; the kernel
+    # points run through bodies.row_blocks, and 3-row blocks keep the bits
+    pts = np.random.default_rng(3).standard_normal((30, 3))
+    grid = rotate_grid(random_rotation(1, 3).matrix, make_grid_3d(32, 64))
+    body = sample_support(Sum(Polytope(pts), Ball(np.zeros(3), 0.2)), grid)
+    p = params(0.1, radial_nodes=4, angular_nodes=64)
+    dirs = make_grid_3d(8, 8).nodes
+    tracemalloc.start()
+    try:
+        want = mollified_support_values(body, p, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 3 * len(grid))
+    assert mollified_support_values(body, p, dirs).tobytes() == want.tobytes()
 
 
 def test_kernel_rule_is_shared_and_read_only():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from convexhyper import (
 )
 from convexhyper import bodies, random_polytope, random_rotation, truncation, width
 from convexhyper.bodies import rigid_motion
-from oracles import former_desymmetrize, former_plan_cuts, loop_vertex_cone_direction, two_pass_clip
+from oracles import (former_desymmetrize, former_plan_cuts, loop_vertex_cone_direction, one_shot_diameter,
+                     two_pass_clip)
 
 
 class TestTruncate:
@@ -496,3 +498,44 @@ def test_curvature_rejects_segment(grid2):
 def test_polytope_approximation_needs_a_direction():
     with pytest.raises(InvalidArgumentError, match="n_dirs"):
         polytope_approximation(Ball(np.zeros(3), 1.0), -1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_dirs", [2.5, 16.0, True, False, "64", None, 0, -1])
+def test_polytope_approximation_refuses_non_integer_counts(dim, n_dirs):
+    with pytest.raises(InvalidArgumentError, match="n_dirs"):
+        polytope_approximation(Ball(np.zeros(dim), 1.0), n_dirs)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polytope_approximation_takes_numpy_integers(dim):
+    ball = Ball(np.zeros(dim), 1.0)
+    want = polytope_approximation(ball, 200)
+    assert np.array_equal(polytope_approximation(ball, np.int64(200)).vertices, want.vertices)
+
+
+def test_pairwise_diameter_bits_match_one_shot(monkeypatch):
+    rng = np.random.default_rng(17)
+    sets = [rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4) for n in (0, 1, 2, 3, 7, 40, 301)
+            for d in (2, 3)]
+    sets.append(polytope_approximation(Ball(np.zeros(3), 1.0), 512).vertices)
+    for points in sets:
+        want = np.float64(one_shot_diameter(points)).tobytes()
+        got = [truncation._pairwise_diameter(points)]
+        # 3 points per block, with a one-point remainder at 7 and 301 points
+        monkeypatch.setattr(bodies, "_BLOCK_ENTRIES", 3 * points.size)
+        got.append(truncation._pairwise_diameter(points))
+        monkeypatch.undo()
+        assert all(type(g) is float and np.float64(g).tobytes() == want for g in got)
+
+
+def test_pairwise_diameter_memory_bound():
+    # 2,000 points: 224 MB as one all-pairs array, under 8 MB in blocks
+    points = np.random.default_rng(4).standard_normal((2000, 3))
+    tracemalloc.start()
+    try:
+        truncation._pairwise_diameter(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
